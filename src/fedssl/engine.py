@@ -10,7 +10,9 @@ position.
 Per batch, the rng is consumed in a fixed order (unlabeled weak view,
 then inside the combined objective the strong view and the labeled weak
 view), identically for every variant, so trajectories of different
-variants under one seed stay comparable.
+variants under one seed stay comparable. Each batch draws one strong view;
+the student's KL statistic reuses the probabilities the objective computed
+on it.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AugmentConfig, ClientShard, Dataset, strong_augment, weak_augment
+from .data import AugmentConfig, ClientShard, Dataset, weak_augment
 from .metrics import CommLedger, RoundReport, Transmission, evaluate
 from .nn import (
     Batch,
     ModelSpec,
     OptimState,
     ParamVector,
-    forward_probs,
     init_params,
     loss_and_grad,
     sgd_step,
@@ -183,11 +184,10 @@ def client_update(
                 l_idx = np.take(l_order, take, mode="wrap")
                 labeled_batch = Batch(dataset.inputs[l_idx], dataset.labels[l_idx])
 
-            # the strong view is the first draw inside the combined objective;
-            # replaying from this snapshot reproduces it for the KL statistic
-            rng_state = rng.bit_generator.state
+            # student_probs: the pre-step student on the strong view, as the
+            # objective saw it; they feed the student-side KL statistic
             try:
-                _, grad = combined_client_grad(
+                _, grad, student_probs = combined_client_grad(
                     student, snapshot, labeled_batch, u_batch, pseudo,
                     hyper, spec, aug, rng,
                 )
@@ -196,10 +196,6 @@ def client_update(
                     f"client {shard.client_id}: non-finite loss at epoch {epoch} "
                     f"batch {b}: {exc}"
                 ) from None
-            replay = np.random.default_rng(0)
-            replay.bit_generator.state = rng_state
-            strong = strong_augment(u_batch, aug, replay)
-            student_probs = forward_probs(student, spec, strong.inputs)
 
             student = sgd_step(student, grad, opt)
             if not np.all(np.isfinite(student.values)):

@@ -40,16 +40,34 @@ class Transmission:
             raise ValueError("round must be >= 0 and num_params >= 1")
 
 
+_EMPTY_ROUND = {"downlink_models": 0, "downlink_bytes": 0, "uplink_models": 0, "uplink_bytes": 0}
+
+
 @dataclass
 class CommLedger:
-    """Append-only transmission log with per-round and per-role rollups."""
+    """Append-only transmission log with per-round and per-role rollups.
+
+    Per-round totals are kept running as entries arrive through record and
+    extend, so a round's rollup costs the same however long the log grows.
+    """
 
     bytes_per_param: int = 8
     entries: list[Transmission] = field(default_factory=list)
+    _rounds: dict[int, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bytes_per_param not in (4, 8):
             raise ValueError("bytes_per_param must be 4 or 8")
+        for e in self.entries:
+            self._tally(e)
+
+    def _tally(self, e: Transmission) -> None:
+        totals = self._rounds.get(e.round)
+        if totals is None:
+            totals = self._rounds[e.round] = dict(_EMPTY_ROUND)
+        totals[e.direction + "_models"] += 1
+        totals[e.direction + "_bytes"] += e.bytes
 
     def record(
         self, round: int, direction: str, role: str, client_id: int, num_params: int
@@ -63,6 +81,7 @@ class CommLedger:
             bytes=num_params * self.bytes_per_param,
         )
         self.entries.append(entry)
+        self._tally(entry)
         return entry
 
     def extend(self, entries: list[Transmission]) -> None:
@@ -70,6 +89,7 @@ class CommLedger:
             if e.bytes != e.num_params * self.bytes_per_param:
                 raise ValueError("entry byte count disagrees with this ledger's scale")
             self.entries.append(e)
+            self._tally(e)
 
     def model_count(self, direction: str, role: str | None = None) -> int:
         return sum(
@@ -82,14 +102,7 @@ class CommLedger:
         return sum(e.bytes for e in self.entries if e.direction == direction)
 
     def round_totals(self, round: int) -> dict[str, int]:
-        down = [e for e in self.entries if e.round == round and e.direction == "downlink"]
-        up = [e for e in self.entries if e.round == round and e.direction == "uplink"]
-        return {
-            "downlink_models": len(down),
-            "downlink_bytes": sum(e.bytes for e in down),
-            "uplink_models": len(up),
-            "uplink_bytes": sum(e.bytes for e in up),
-        }
+        return dict(self._rounds.get(round, _EMPTY_ROUND))
 
 
 def record_transmission(

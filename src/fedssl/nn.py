@@ -25,6 +25,13 @@ class ModelSpec:
     hidden_dims: tuple[int, ...]
     num_classes: int
     activation: str = "relu"
+    # the parameter layout, derived once here because every forward and
+    # gradient reads it: (fan_in, fan_out) per affine layer, input to logits
+    layer_dims: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    num_params: int = field(init=False, repr=False, compare=False)
+    # per layer: (weight start, bias start, bias end, fan_in, fan_out)
+    _layout: tuple[tuple[int, int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
@@ -36,16 +43,17 @@ class ModelSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) per affine layer, input to logits."""
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
-        return list(zip(dims[:-1], dims[1:]))
-
-    @property
-    def num_params(self) -> int:
-        return sum(d_in * d_out + d_out for d_in, d_out in self.layer_dims)
+        layer_dims = tuple(zip(dims[:-1], dims[1:]))
+        layout = []
+        offset = 0
+        for d_in, d_out in layer_dims:
+            bias = offset + d_in * d_out
+            layout.append((offset, bias, bias + d_out, d_in, d_out))
+            offset = bias + d_out
+        object.__setattr__(self, "layer_dims", layer_dims)
+        object.__setattr__(self, "num_params", offset)
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def spec_hash(self) -> str:
@@ -132,15 +140,10 @@ def _unflatten(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np
     """Views (W, b) per layer into the flat vector."""
     if values.shape[0] != spec.num_params:
         raise ValueError(f"parameter vector length {values.shape[0]} != expected {spec.num_params}")
-    layers = []
-    offset = 0
-    for d_in, d_out in spec.layer_dims:
-        w = values[offset:offset + d_in * d_out].reshape(d_in, d_out)
-        offset += d_in * d_out
-        b = values[offset:offset + d_out]
-        offset += d_out
-        layers.append((w, b))
-    return layers
+    return [
+        (values[w0:b0].reshape(d_in, d_out), values[b0:b1])
+        for w0, b0, b1, d_in, d_out in spec._layout
+    ]
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -211,12 +214,18 @@ def loss_and_grad(
     batch: Batch,
     targets: np.ndarray,
     weights: np.ndarray,
-) -> tuple[float, ParamVector]:
+    return_probs: bool = False,
+) -> tuple[float, ParamVector] | tuple[float, ParamVector, np.ndarray]:
     """Masked mean cross-entropy with its analytic gradient.
 
     loss = (1/B) * sum_i weights_i * CE(x_i, targets_i). A fully masked
     batch yields loss 0 and a zero gradient. Raises FloatingPointError on
     non-finite intermediates so callers can attach round/batch context.
+
+    Returns (loss, grad); with return_probs, (loss, grad, probs), where
+    probs are the per-row softmax probabilities of this forward pass, so a
+    caller that also needs the model's predictions on the batch does not
+    run the net a second time.
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -256,7 +265,10 @@ def loss_and_grad(
 
     if not np.isfinite(loss) or not np.all(np.isfinite(grad_values)):
         raise FloatingPointError("non-finite loss or gradient")
-    return loss, ParamVector(grad_values, params.spec_hash)
+    grad = ParamVector(grad_values, params.spec_hash)
+    if return_probs:
+        return loss, grad, probs
+    return loss, grad
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVector:

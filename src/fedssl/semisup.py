@@ -141,15 +141,20 @@ def unsupervised_loss_grad(
     pseudo: PseudoBatch,
     cfg: AugmentConfig,
     rng: np.random.Generator,
-) -> tuple[float, ParamVector]:
+    return_probs: bool = False,
+) -> tuple[float, ParamVector] | tuple[float, ParamVector, np.ndarray]:
     """Masked cross-entropy of the student on the strong view against fixed
     pseudo-labels. The pseudo-label source gets no gradient: labels and mask
     enter as constants.
+
+    With return_probs, also returns the student's probabilities on the
+    strong view, as loss_and_grad does.
     """
     if pseudo.size != unlabeled_batch.size:
         raise ValueError("pseudo batch length must match unlabeled batch")
     strong = strong_augment(unlabeled_batch, cfg, rng)
-    return loss_and_grad(student_params, spec, strong, pseudo.pseudo_labels, pseudo.mask)
+    return loss_and_grad(student_params, spec, strong, pseudo.pseudo_labels, pseudo.mask,
+                         return_probs=return_probs)
 
 
 def combined_client_grad(
@@ -162,17 +167,21 @@ def combined_client_grad(
     spec: ModelSpec,
     cfg: AugmentConfig,
     rng: np.random.Generator,
-) -> tuple[float, ParamVector]:
+) -> tuple[float, ParamVector, np.ndarray]:
     """Full local objective: supervised CE (when labels are present) plus
     lambda_u-weighted unsupervised CE plus the exact proximal pull toward
     the server snapshot.
+
+    Returns (loss, grad, strong_probs): strong_probs are the student's
+    probabilities on the strong view of the unlabeled batch, from the
+    forward pass the unsupervised term already ran.
 
     Consumes rng in a fixed order (strong view first, then the labeled
     weak view) so call sites line up across variants.
     """
     student_params.check_compatible(server_snapshot)
-    loss_u, grad_u = unsupervised_loss_grad(
-        student_params, spec, unlabeled_batch, pseudo, cfg, rng
+    loss_u, grad_u, strong_probs = unsupervised_loss_grad(
+        student_params, spec, unlabeled_batch, pseudo, cfg, rng, return_probs=True
     )
     total = hyper.lambda_u * loss_u
     grad = hyper.lambda_u * grad_u.values
@@ -190,4 +199,4 @@ def combined_client_grad(
         diff = student_params.values - server_snapshot.values
         total += 0.5 * hyper.mu * float(diff @ diff)
         grad = grad + hyper.mu * diff
-    return float(total), ParamVector(grad, student_params.spec_hash)
+    return float(total), ParamVector(grad, student_params.spec_hash), strong_probs

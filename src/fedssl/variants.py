@@ -141,8 +141,10 @@ def variant_batch_hook(
 
     Returns (pseudo batch, local teacher to carry forward, probabilities of
     the pseudo-label source on the weak view). The last output feeds the
-    teacher-side KL statistic; on student-labeled batches the student's own
-    weak-view distribution stands in for it.
+    teacher-side KL statistic (dkl_T); on student-labeled batches the
+    student's own weak-view distribution stands in for it. The student-side
+    statistic (dkl_S) is not made here: it comes from the student's
+    strong-view probabilities, which the combined objective returns.
     """
     teacher_required = variant.kind in ("ts_server_ema", "ts_client_ema")
     if teacher_required and local_teacher is None:

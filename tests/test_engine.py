@@ -1,10 +1,14 @@
 """Tests for round orchestration, client updates, and aggregation."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fedssl
+from fedssl import data
 from fedssl.data import (
     AugmentConfig,
     ClientShard,
@@ -39,7 +43,14 @@ from fedssl.nn import (
     sgd_step,
 )
 from fedssl.rng import derive_seed
-from fedssl.semisup import KlStats, SslHyper, combined_client_grad, pseudo_label
+from fedssl.semisup import (
+    KlStats,
+    SslHyper,
+    batch_prediction_distribution,
+    combined_client_grad,
+    kl_to_uniform,
+    pseudo_label,
+)
 from fedssl.variants import VariantConfig
 
 SPEC = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
@@ -185,16 +196,64 @@ def test_client_matches_manual_single_batch_replay():
     l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
     u_batch = Batch(ds.inputs[u_order], None)
     weak = weak_augment(u_batch, AUG, rng)
-    pseudo = pseudo_label(forward_probs(snapshot, SPEC, weak.inputs), HYPER.tau)
+    source_probs = forward_probs(snapshot, SPEC, weak.inputs)
+    pseudo = pseudo_label(source_probs, HYPER.tau)
     l_idx = np.take(l_order, np.arange(4), mode="wrap")
     labeled = Batch(ds.inputs[l_idx], ds.labels[l_idx])
-    _, grad = combined_client_grad(
+    _, grad, strong_probs = combined_client_grad(
         snapshot, snapshot, labeled, u_batch, pseudo, HYPER, SPEC, AUG, rng
     )
     opt = OptimState.fresh(SPEC, plan.learning_rate, plan.momentum, plan.weight_decay)
     end = sgd_step(snapshot, grad, opt)
 
     assert np.array_equal(res.delta.values, end.values - snapshot.values)
+    # dkl_S: the pre-step student on the strong view the objective used;
+    # dkl_T: the pseudo-label source on the weak view
+    assert res.kl == KlStats(
+        dkl_teacher=kl_to_uniform(batch_prediction_distribution(source_probs)),
+        dkl_student=kl_to_uniform(batch_prediction_distribution(strong_probs)),
+        num_batches=1,
+    )
+
+
+@pytest.fixture
+def strong_calls(monkeypatch):
+    """Count strong_augment calls through every fedssl module that binds it."""
+    calls = []
+    original = data.strong_augment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(fedssl.__path__):
+        mod = importlib.import_module(f"fedssl.{info.name}")
+        for attr, obj in list(vars(mod).items()):
+            if obj is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,with_teacher", [
+    ("fedprox_fixmatch", False),
+    ("ts_server_ema", True),
+    ("ts_client_ema", True),
+    ("fedswitch", True),
+    ("fedswitch", False),
+])
+def test_client_one_strong_view_per_local_batch(strong_calls, kind, with_teacher):
+    ds, shards, _ = _setup()
+    shard = shards[1]
+    plan = _plan(local_epochs=2)
+    student = init_params(SPEC, 0)
+    teacher = init_params(SPEC, 5) if with_teacher else None
+    res = client_update(
+        shard, _downlink(student, teacher), VariantConfig(kind, ema_alpha=0.9),
+        plan, HYPER, SPEC, AUG, ds, seed=4, round=0,
+    )
+    batches = plan.local_epochs * math.ceil(shard.unlabeled_idx.size / plan.unlabeled_batch_size)
+    assert res.kl.num_batches == batches
+    assert len(strong_calls) == batches
 
 
 def test_client_stateless_double_invoke():
@@ -292,6 +351,16 @@ def test_aggregate_single_client():
     srv = _server(np.full(n, 1.0))
     out = aggregate(srv, [_result(0, np.full(n, 0.5))])
     assert np.allclose(out.values, 1.5, atol=0)
+
+
+def test_aggregate_unweighted_mean_ignores_example_counts():
+    n = SPEC.num_params
+    srv = _server(np.zeros(n))
+    small = _result(0, np.full(n, 3.0))
+    large = _result(1, np.full(n, -1.0))
+    small.num_examples, large.num_examples = 1, 99
+    out = aggregate(srv, [small, large])
+    assert np.all(out.values == 1.0)
 
 
 def test_aggregate_permutation_invariant_bitwise():

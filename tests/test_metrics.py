@@ -99,6 +99,38 @@ def test_ledger_round_totals():
     }
 
 
+def test_ledger_round_totals_match_a_rescan():
+    led = CommLedger(bytes_per_param=4)
+    for rnd in range(4):
+        for cid in range(3):
+            led.record(rnd, "downlink", "student", cid, 10 + rnd)
+            if rnd % 2 == 0:
+                led.record(rnd, "downlink", "teacher", cid, 10 + rnd)
+        if rnd == 2:
+            continue  # a round whose clients upload nothing
+        led.extend([
+            Transmission(rnd, "uplink", role, cid, 7, 28)
+            for cid in range(3) for role in ("student", "teacher")[: 1 + rnd % 2]
+        ])
+
+    def rescan(rnd):
+        down = [e for e in led.entries if e.round == rnd and e.direction == "downlink"]
+        up = [e for e in led.entries if e.round == rnd and e.direction == "uplink"]
+        return {
+            "downlink_models": len(down),
+            "downlink_bytes": sum(e.bytes for e in down),
+            "uplink_models": len(up),
+            "uplink_bytes": sum(e.bytes for e in up),
+        }
+
+    for rnd in range(6):
+        assert led.round_totals(rnd) == rescan(rnd)
+    assert led.round_totals(2)["uplink_models"] == 0
+    assert led.round_totals(5) == dict.fromkeys(rescan(5), 0)
+    # a ledger built from existing entries rolls them up too
+    assert CommLedger(4, list(led.entries)).round_totals(3) == rescan(3)
+
+
 def test_record_transmission_function():
     led = CommLedger()
     record_transmission(led, 2, "uplink", "student", 7, client_id=4)

@@ -39,6 +39,12 @@ class TestInitParams:
         b = init_params(spec, 2)
         assert np.any(a.values != b.values)
 
+    def test_layout_matches_layer_dims(self):
+        spec = ModelSpec(input_dim=3, hidden_dims=(4, 2), num_classes=5)
+        assert spec.layer_dims == ((3, 4), (4, 2), (2, 5))
+        assert spec.num_params == 3 * 4 + 4 + 4 * 2 + 2 + 2 * 5 + 5
+        assert spec == ModelSpec(input_dim=3, hidden_dims=[4, 2], num_classes=5)
+
     def test_biases_zero(self):
         spec = ModelSpec(input_dim=3, hidden_dims=(2,), num_classes=2)
         p = init_params(spec, 3)
@@ -134,6 +140,19 @@ class TestLossAndGrad:
         p = init_params(spec, 0)
         with pytest.raises(ValueError):
             loss_and_grad(p, spec, Batch(np.ones((1, 4))), np.array([3]), np.ones(1))
+
+    def test_return_probs_adds_the_forward_probabilities(self):
+        spec = small_spec()
+        p = init_params(spec, 8)
+        x = np.random.default_rng(8).normal(size=(6, 4))
+        targets, weights = np.array([0, 1, 2, 0, 1, 2]), np.array([1, 0, 1, 1, 0, 1.0])
+        loss, grad = loss_and_grad(p, spec, Batch(x), targets, weights)
+        loss_p, grad_p, probs = loss_and_grad(p, spec, Batch(x), targets, weights,
+                                              return_probs=True)
+        assert loss_p == loss
+        assert np.array_equal(grad_p.values, grad.values)
+        assert np.allclose(probs, forward_probs(p, spec, x), rtol=0, atol=1e-12)
+        assert np.array_equal(probs.argmax(axis=1), forward_probs(p, spec, x).argmax(axis=1))
 
 
 class TestSgdStep:

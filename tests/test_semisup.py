@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedssl.data import AugmentConfig
-from fedssl.nn import Batch, ModelSpec, ParamVector, finite_diff_grad, init_params
+from fedssl.data import AugmentConfig, strong_augment
+from fedssl.nn import Batch, ModelSpec, ParamVector, finite_diff_grad, forward_probs, init_params
 from fedssl.semisup import (
     KlStats,
     PseudoBatch,
@@ -224,7 +224,7 @@ def test_combined_reduces_to_supervised_when_unsup_off():
     labeled = Batch(batch.inputs, np.array([0, 1, 2, 0]))
     pseudo = PseudoBatch(np.zeros(4, dtype=np.int64), np.ones(4), "student")
     hyper = SslHyper(tau=0.95, lambda_u=0.0, mu=0.0)
-    _, grad = combined_client_grad(
+    _, grad, _ = combined_client_grad(
         params, params.copy(), labeled, batch, pseudo, hyper, spec, NO_AUG,
         np.random.default_rng(1),
     )
@@ -238,7 +238,7 @@ def test_combined_proximal_zero_at_snapshot():
     spec, params, batch = _setup(b=3)
     pseudo = PseudoBatch(np.zeros(3, dtype=np.int64), np.zeros(3), "student")
     hyper = SslHyper(lambda_u=1.0, mu=5.0)
-    loss, grad = combined_client_grad(
+    loss, grad, _ = combined_client_grad(
         params, params.copy(), None, batch, pseudo, hyper, spec, NO_AUG,
         np.random.default_rng(1),
     )
@@ -254,7 +254,7 @@ def test_combined_proximal_term_exact():
     batch = Batch(np.zeros((2, 1)), None)
     pseudo = PseudoBatch(np.zeros(2, dtype=np.int64), np.zeros(2), "student")
     hyper = SslHyper(lambda_u=0.0, mu=2.0)
-    loss, grad = combined_client_grad(
+    loss, grad, _ = combined_client_grad(
         shifted, base, None, batch, pseudo, hyper, spec, NO_AUG,
         np.random.default_rng(0),
     )
@@ -271,7 +271,7 @@ def test_combined_full_objective_matches_finite_diff():
     hyper = SslHyper(tau=0.9, lambda_u=0.7, mu=0.3)
     snapshot = init_params(spec, seed=9)
 
-    _, grad = combined_client_grad(
+    _, grad, _ = combined_client_grad(
         params, snapshot, labeled, batch, pseudo, hyper, spec, NO_AUG,
         np.random.default_rng(2),
     )
@@ -280,7 +280,7 @@ def test_combined_full_objective_matches_finite_diff():
 
     def objective(theta: np.ndarray) -> float:
         pv = ParamVector(theta, params.spec_hash)
-        loss, _ = combined_client_grad(
+        loss, _, _ = combined_client_grad(
             pv, snapshot, labeled, batch, pseudo, hyper, spec, NO_AUG,
             np.random.default_rng(2),
         )
@@ -289,6 +289,24 @@ def test_combined_full_objective_matches_finite_diff():
     fd = central_diff(objective, params.values.copy(), step=1e-5)
     denom = max(float(np.linalg.norm(fd)), 1e-12)
     assert float(np.linalg.norm(grad.values - fd)) / denom < 1e-4
+
+
+def test_combined_returns_student_probs_on_the_strong_view():
+    spec, params, batch = _setup(b=5)
+    labeled = Batch(batch.inputs[:3], np.array([2, 0, 1]))
+    pseudo = PseudoBatch(np.array([0, 1, 2, 0, 1]), np.array([1, 0, 1, 1, 1.0]), "teacher")
+    aug = AugmentConfig(0.05, 0.02, 0.3, 0.3)
+    _, _, probs = combined_client_grad(
+        params, params.copy(), labeled, batch, pseudo, SslHyper(), spec, aug,
+        np.random.default_rng(4),
+    )
+    # the strong view is the objective's first draw
+    strong = strong_augment(batch, aug, np.random.default_rng(4))
+    assert np.allclose(probs, forward_probs(params, spec, strong.inputs), rtol=0, atol=1e-12)
+    _, _, probs_u = unsupervised_loss_grad(
+        params, spec, batch, pseudo, aug, np.random.default_rng(4), return_probs=True
+    )
+    assert np.array_equal(probs_u, probs)
 
 
 def test_combined_rejects_incompatible_snapshot():
