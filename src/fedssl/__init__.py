@@ -40,12 +40,11 @@ from fedssl.nn import ModelSpec, ParamVector, init_params
 from fedssl.rng import derive_seed
 from fedssl.runner import SweepCell, TrialSummary, run_experiment, run_sweep
 from fedssl.semisup import SslHyper, kl_to_uniform, pseudo_label
-from fedssl.variants import DEFAULT_EMA_ALPHA, VARIANT_KINDS, VariantConfig
+from fedssl.variants import VARIANT_KINDS, VARIANTS, VariantConfig
 
 __all__ = [
     "AugmentConfig",
     "CommLedger",
-    "DEFAULT_EMA_ALPHA",
     "Dataset",
     "DatasetConfig",
     "ExperimentConfig",
@@ -61,6 +60,7 @@ __all__ = [
     "TrainConfig",
     "TrialSummary",
     "VARIANT_KINDS",
+    "VARIANTS",
     "VariantConfig",
     "VariantSettings",
     "client_update",

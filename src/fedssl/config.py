@@ -3,18 +3,21 @@
 Unknown sections and keys are hard errors; silent typos are the main
 reproducibility hazard. Every default is filled at parse time so the
 resolved config written next to the results fully describes the run.
+
+Each INI key is declared once, as a field of the dataclass its section
+builds; the key set, the parser and the echo are derived from those fields.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .data import AugmentConfig
-from .engine import RoundPlan, TOPOLOGIES
+from .engine import RoundPlan
 from .semisup import SslHyper
-from .variants import DEFAULT_EMA_ALPHA, VARIANT_KINDS
+from .variants import VARIANT_KINDS, VARIANTS
 
 GENERATORS = ("blobs", "csv")
 
@@ -97,8 +100,7 @@ class VariantSettings:
     def resolved_alpha(self) -> float:
         if self.ema_alpha is not None:
             return self.ema_alpha
-        # the teacherless baseline ignores the value; keep the field default
-        return DEFAULT_EMA_ALPHA.get(self.kind, 0.999)
+        return VARIANTS[self.kind].default_alpha
 
 
 @dataclass(frozen=True)
@@ -133,21 +135,9 @@ class TrainConfig:
         self.hyper()
 
     def round_plan(self, num_clients: int) -> RoundPlan:
-        return RoundPlan(
-            num_clients=num_clients,
-            participation_rate=self.participation_rate,
-            local_epochs=self.local_epochs,
-            server_epochs=self.server_epochs,
-            topology=self.topology,
-            labeled_batch_size=self.labeled_batch_size,
-            unlabeled_batch_size=self.unlabeled_batch_size,
-            server_batch_size=self.server_batch_size,
-            learning_rate=self.learning_rate,
-            server_learning_rate=self.server_learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            bytes_per_param=self.bytes_per_param,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(RoundPlan)
+                  if f.name != "num_clients"}
+        return RoundPlan(num_clients=num_clients, **shared)
 
     def hyper(self) -> SslHyper:
         return SslHyper(tau=self.tau, lambda_u=self.lambda_u, mu=self.mu)
@@ -192,100 +182,70 @@ class ExperimentConfig:
         return max(1, self.training.rounds // 8)
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "dataset": (
-        "generator", "num_classes", "dim", "train_per_class", "eval_per_class",
-        "spread", "csv_path", "eval_csv_path", "scale01",
-    ),
-    "shard": (
-        "num_clients", "dirichlet_alpha", "labeled_per_client",
-        "server_holds_labels", "streaming_steps",
-    ),
-    "variant": ("kind", "ema_alpha", "iidness_prior"),
-    "training": (
-        "rounds", "participation_rate", "local_epochs", "server_epochs",
-        "labeled_batch_size", "unlabeled_batch_size", "server_batch_size",
-        "learning_rate", "server_learning_rate", "momentum", "weight_decay",
-        "topology", "hidden_dims", "bytes_per_param", "tau", "lambda_u", "mu",
-    ),
-    "augment": (
-        "weak_noise_sigma", "weak_shift_fraction",
-        "strong_noise_sigma", "strong_mask_prob",
-    ),
-    "run": ("trials", "seed", "output", "stability_window", "accuracy_threshold"),
-}
-
 _BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
              "false": False, "no": False, "0": False, "off": False}
 
 
-class _Section:
-    """Typed access to one INI section with path-qualified errors."""
+def _boolean(text: str) -> bool:
+    flag = _BOOLEANS.get(text.lower())
+    if flag is None:
+        raise ValueError(text)
+    return flag
 
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = raw
 
-    def _get(self, key: str) -> str | None:
-        value = self.raw.get(key)
-        if value is None or value.strip() == "":
-            return None
-        return value.strip()
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
-    def string(self, key: str, default: str | None) -> str | None:
-        value = self._get(key)
-        return default if value is None else value
 
-    def integer(self, key: str, default: int | None) -> int | None:
-        value = self._get(key)
-        if value is None:
-            return default
+def _real_or_auto(text: str) -> float | str:
+    return "auto" if text.lower() == "auto" else float(text)
+
+
+# field annotation (an optional field parses like its base type, since an
+# empty value keeps the default) -> (converter, what the error names)
+_CONVERTERS = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_boolean, "a boolean"),
+    "tuple[int, ...]": (_int_tuple, "comma-separated integers"),
+    "float | str": (_real_or_auto, "a number or 'auto'"),
+}
+
+# INI section -> the ExperimentConfig field it builds; its keys are that
+# dataclass's fields. The remaining ExperimentConfig fields form [run].
+_SECTION_CLASSES = {
+    f.name: f.default_factory for f in fields(ExperimentConfig)
+    if f.default_factory is not MISSING
+}
+
+
+def _key_table(cls) -> dict[str, tuple]:
+    return {
+        f.name: _CONVERTERS[f.type.removesuffix(" | None")]
+        for f in fields(cls) if f.name not in _SECTION_CLASSES
+    }
+
+
+_KEYS = {name: _key_table(cls) for name, cls in _SECTION_CLASSES.items()}
+_KEYS["run"] = _key_table(ExperimentConfig)
+
+
+def _values(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
+    """The typed values set in one section; a missing or empty key is left
+    out, so the dataclass default applies.
+    """
+    raw = parser[name] if parser.has_section(name) else {}
+    values = {}
+    for key, (convert, expected) in _KEYS[name].items():
+        text = raw.get(key, "").strip()
+        if not text:
+            continue
         try:
-            return int(value)
+            values[key] = convert(text)
         except ValueError:
-            raise ValueError(f"[{self.name}] {key}: expected an integer, got '{value}'") from None
-
-    def real(self, key: str, default: float | None) -> float | None:
-        value = self._get(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(f"[{self.name}] {key}: expected a number, got '{value}'") from None
-
-    def boolean(self, key: str, default: bool) -> bool:
-        value = self._get(key)
-        if value is None:
-            return default
-        flag = _BOOLEANS.get(value.lower())
-        if flag is None:
-            raise ValueError(f"[{self.name}] {key}: expected a boolean, got '{value}'")
-        return flag
-
-    def int_tuple(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        value = self._get(key)
-        if value is None:
-            return default
-        try:
-            return tuple(int(tok.strip()) for tok in value.split(",") if tok.strip())
-        except ValueError:
-            raise ValueError(
-                f"[{self.name}] {key}: expected comma-separated integers, got '{value}'"
-            ) from None
-
-    def real_or_auto(self, key: str, default: float | str) -> float | str:
-        value = self._get(key)
-        if value is None:
-            return default
-        if value.lower() == "auto":
-            return "auto"
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(
-                f"[{self.name}] {key}: expected a number or 'auto', got '{value}'"
-            ) from None
+            raise ValueError(f"[{name}] {key}: expected {expected}, got '{text}'") from None
+    return values
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -297,88 +257,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ValueError(f"config syntax error: {exc}") from None
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ValueError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ValueError(f"unknown key '{key}' in [{section}]")
 
-    def sec(name: str) -> _Section:
-        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
-
-    d = sec("dataset")
-    dataset = DatasetConfig(
-        generator=d.string("generator", "blobs"),
-        num_classes=d.integer("num_classes", 10),
-        dim=d.integer("dim", 16),
-        train_per_class=d.integer("train_per_class", 420),
-        eval_per_class=d.integer("eval_per_class", 50),
-        spread=d.real("spread", 0.35),
-        csv_path=d.string("csv_path", None),
-        eval_csv_path=d.string("eval_csv_path", None),
-        scale01=d.boolean("scale01", False),
-    )
-
-    s = sec("shard")
-    shard = ShardConfig(
-        num_clients=s.integer("num_clients", 20),
-        dirichlet_alpha=s.real("dirichlet_alpha", 100.0),
-        labeled_per_client=s.integer("labeled_per_client", 10),
-        server_holds_labels=s.boolean("server_holds_labels", False),
-        streaming_steps=s.integer("streaming_steps", 0),
-    )
-
-    v = sec("variant")
-    variant = VariantSettings(
-        kind=v.string("kind", "fedswitch"),
-        ema_alpha=v.real("ema_alpha", None),
-        iidness_prior=v.real_or_auto("iidness_prior", 0.0),
-    )
-
-    t = sec("training")
-    training = TrainConfig(
-        rounds=t.integer("rounds", 300),
-        participation_rate=t.real("participation_rate", 0.25),
-        local_epochs=t.integer("local_epochs", 1),
-        server_epochs=t.integer("server_epochs", 1),
-        labeled_batch_size=t.integer("labeled_batch_size", 32),
-        unlabeled_batch_size=t.integer("unlabeled_batch_size", 64),
-        server_batch_size=t.integer("server_batch_size", 32),
-        learning_rate=t.real("learning_rate", 0.1),
-        server_learning_rate=t.real("server_learning_rate", 0.1),
-        momentum=t.real("momentum", 0.0),
-        weight_decay=t.real("weight_decay", 0.0),
-        topology=t.string("topology", "labels_at_client"),
-        hidden_dims=t.int_tuple("hidden_dims", (32,)),
-        bytes_per_param=t.integer("bytes_per_param", 8),
-        tau=t.real("tau", 0.95),
-        lambda_u=t.real("lambda_u", 1.0),
-        mu=t.real("mu", 0.001),
-    )
-    if training.topology not in TOPOLOGIES:
-        raise ValueError(f"[training] topology must be one of {TOPOLOGIES}")
-
-    a = sec("augment")
-    augment = AugmentConfig(
-        weak_noise_sigma=a.real("weak_noise_sigma", 0.05),
-        weak_shift_fraction=a.real("weak_shift_fraction", 0.02),
-        strong_noise_sigma=a.real("strong_noise_sigma", 0.15),
-        strong_mask_prob=a.real("strong_mask_prob", 0.2),
-    )
-
-    r = sec("run")
-    return ExperimentConfig(
-        dataset=dataset,
-        shard=shard,
-        variant=variant,
-        training=training,
-        augment=augment,
-        trials=r.integer("trials", 1),
-        seed=r.integer("seed", 0),
-        output=r.string("output", "runs/experiment"),
-        stability_window=r.integer("stability_window", None),
-        accuracy_threshold=r.real("accuracy_threshold", None),
-    )
+    sections = {name: cls(**_values(parser, name)) for name, cls in _SECTION_CLASSES.items()}
+    return ExperimentConfig(**sections, **_values(parser, "run"))
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -404,71 +290,20 @@ def _fmt(value) -> str:
 def resolved_ini(cfg: ExperimentConfig) -> str:
     """Render a config with every default materialized.
 
-    ema_alpha is written as the numeric value the run uses. iidness_prior
-    stays 'auto' when set that way; its per-trial resolution is recorded in
-    each trial summary instead.
+    ema_alpha is written as the numeric value the run uses and
+    stability_window as the effective window. iidness_prior stays 'auto'
+    when set that way; its per-trial resolution is recorded in each trial
+    summary instead.
     """
-    sections: list[tuple[str, list[tuple[str, object]]]] = [
-        ("dataset", [
-            ("generator", cfg.dataset.generator),
-            ("num_classes", cfg.dataset.num_classes),
-            ("dim", cfg.dataset.dim),
-            ("train_per_class", cfg.dataset.train_per_class),
-            ("eval_per_class", cfg.dataset.eval_per_class),
-            ("spread", cfg.dataset.spread),
-            ("csv_path", cfg.dataset.csv_path),
-            ("eval_csv_path", cfg.dataset.eval_csv_path),
-            ("scale01", cfg.dataset.scale01),
-        ]),
-        ("shard", [
-            ("num_clients", cfg.shard.num_clients),
-            ("dirichlet_alpha", cfg.shard.dirichlet_alpha),
-            ("labeled_per_client", cfg.shard.labeled_per_client),
-            ("server_holds_labels", cfg.shard.server_holds_labels),
-            ("streaming_steps", cfg.shard.streaming_steps),
-        ]),
-        ("variant", [
-            ("kind", cfg.variant.kind),
-            ("ema_alpha", cfg.variant.resolved_alpha),
-            ("iidness_prior", cfg.variant.iidness_prior),
-        ]),
-        ("training", [
-            ("rounds", cfg.training.rounds),
-            ("participation_rate", cfg.training.participation_rate),
-            ("local_epochs", cfg.training.local_epochs),
-            ("server_epochs", cfg.training.server_epochs),
-            ("labeled_batch_size", cfg.training.labeled_batch_size),
-            ("unlabeled_batch_size", cfg.training.unlabeled_batch_size),
-            ("server_batch_size", cfg.training.server_batch_size),
-            ("learning_rate", cfg.training.learning_rate),
-            ("server_learning_rate", cfg.training.server_learning_rate),
-            ("momentum", cfg.training.momentum),
-            ("weight_decay", cfg.training.weight_decay),
-            ("topology", cfg.training.topology),
-            ("hidden_dims", cfg.training.hidden_dims),
-            ("bytes_per_param", cfg.training.bytes_per_param),
-            ("tau", cfg.training.tau),
-            ("lambda_u", cfg.training.lambda_u),
-            ("mu", cfg.training.mu),
-        ]),
-        ("augment", [
-            ("weak_noise_sigma", cfg.augment.weak_noise_sigma),
-            ("weak_shift_fraction", cfg.augment.weak_shift_fraction),
-            ("strong_noise_sigma", cfg.augment.strong_noise_sigma),
-            ("strong_mask_prob", cfg.augment.strong_mask_prob),
-        ]),
-        ("run", [
-            ("trials", cfg.trials),
-            ("seed", cfg.seed),
-            ("output", cfg.output),
-            ("stability_window", cfg.effective_window),
-            ("accuracy_threshold", cfg.accuracy_threshold),
-        ]),
-    ]
+    resolved = {
+        ("variant", "ema_alpha"): cfg.variant.resolved_alpha,
+        ("run", "stability_window"): cfg.effective_window,
+    }
     lines: list[str] = []
-    for name, pairs in sections:
+    for name, keys in _KEYS.items():
+        block = cfg if name == "run" else getattr(cfg, name)
         lines.append(f"[{name}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {_fmt(value)}")
+        for key in keys:
+            lines.append(f"{key} = {_fmt(resolved.get((name, key), getattr(block, key)))}")
         lines.append("")
     return "\n".join(lines)

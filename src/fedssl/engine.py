@@ -36,7 +36,7 @@ from .nn import (
 from .rng import derive_seed
 from .semisup import KlStats, SslHyper, batch_prediction_distribution, combined_client_grad, kl_to_uniform
 from .variants import (
-    LocalTeacher,
+    VARIANTS,
     SwitchDecision,
     VariantConfig,
     switch_decide,
@@ -151,7 +151,8 @@ def client_update(
     snapshot = downlink["student"]
     student = snapshot.copy()
     downlinked_teacher = downlink.get("teacher")
-    teacher = LocalTeacher(downlinked_teacher.copy()) if downlinked_teacher is not None else None
+    # the client's in-round teacher copy; it never outlives the round
+    teacher = downlinked_teacher.copy() if downlinked_teacher is not None else None
 
     if shard.stream_splits is not None:
         u_pool = shard.stream_splits[stream_step % len(shard.stream_splits)]
@@ -323,8 +324,9 @@ def run_round(
         raise ValueError(f"{plan.topology} requires a server labeled pool")
 
     rnd = server.round
+    traits = VARIANTS[variant.kind]
     decision: SwitchDecision | None = None
-    if variant.kind == "fedswitch":
+    if traits.switches:
         if rnd == 0:
             # no KL stats exist yet; favoring the teacher is observationally
             # neutral (teacher == student at init) and exercises the EMA path
@@ -378,7 +380,7 @@ def run_round(
         )
 
     uploaded_teachers = None
-    if variant.kind == "ts_client_ema":
+    if traits.uploads_teacher:
         base_teacher = downlink["teacher"]
         uploaded_teachers = [
             ParamVector(base_teacher.values + r.teacher_delta.values, base_teacher.spec_hash)
@@ -420,7 +422,7 @@ def init_server(
 ) -> ServerState:
     """Round-zero server state; the teacher starts as a copy of the student."""
     student = init_params(spec, seed)
-    teacher = student.copy() if variant.uses_teacher else None
+    teacher = student.copy() if VARIANTS[variant.kind].teacher else None
     return ServerState(
         global_student=student,
         global_teacher=teacher,

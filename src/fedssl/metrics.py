@@ -1,5 +1,5 @@
-"""Accuracy evaluation, communication accounting, KL-ratio analysis, and
-training-stability statistics.
+"""Accuracy evaluation, communication accounting, and training-stability
+statistics.
 
 Every model payload that crosses the network is one ledger entry; bytes are
 num_params times bytes_per_param (8 for the float64 core, 4 for comparison
@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import Dataset
 from .nn import ModelSpec, ParamVector, forward_probs
-from .semisup import kl_to_uniform
 
 DIRECTIONS = ("downlink", "uplink")
 ROLES = ("student", "teacher")
@@ -105,19 +104,6 @@ class CommLedger:
         return dict(self._rounds.get(round, _EMPTY_ROUND))
 
 
-def record_transmission(
-    ledger: CommLedger,
-    round: int,
-    direction: str,
-    role: str,
-    num_params: int,
-    client_id: int,
-) -> CommLedger:
-    """Append one model payload to the ledger and return it."""
-    ledger.record(round, direction, role, client_id, num_params)
-    return ledger
-
-
 @dataclass
 class RoundReport:
     """Everything one round contributes to the per-round CSV."""
@@ -156,53 +142,12 @@ class RoundReport:
         )
 
 
-@dataclass
-class KlRatioStat:
-    """Pseudo-label skew relative to the client's true label skew."""
-
-    client_id: int
-    pseudo_kl: float
-    ground_truth_kl: float
-    ratio: float | None
-
-    def __post_init__(self) -> None:
-        if self.pseudo_kl < 0 or self.ground_truth_kl < 0:
-            raise ValueError("KL values must be non-negative")
-
-
 def evaluate(params: ParamVector, spec: ModelSpec, test: Dataset) -> float:
     """Fraction of argmax predictions matching the labels."""
     if test.size < 1:
         raise ValueError("test set must be non-empty")
     probs = forward_probs(params, spec, test.inputs)
     return float((probs.argmax(axis=1) == test.labels).mean())
-
-
-def kl_ratio_stats(
-    clients: list[int],
-    pseudo_dists: list[np.ndarray],
-    true_histograms: list[np.ndarray],
-) -> list[KlRatioStat]:
-    """Per-client pseudo-KL / truth-KL; the ratio is absent when the client's
-    label histogram is uniform (truth KL 0).
-    """
-    if not len(clients) == len(pseudo_dists) == len(true_histograms):
-        raise ValueError("clients, pseudo_dists, true_histograms must have equal length")
-    stats = []
-    for cid, pd, th in zip(clients, pseudo_dists, true_histograms):
-        pseudo = kl_to_uniform(pd)
-        truth = kl_to_uniform(th)
-        ratio = pseudo / truth if truth > 0 else None
-        stats.append(KlRatioStat(cid, pseudo, truth, ratio))
-    return stats
-
-
-def mean_kl_ratio(stats: list[KlRatioStat]) -> float | None:
-    """Mean ratio over clients with a defined ratio; None if none have one."""
-    defined = [s.ratio for s in stats if s.ratio is not None]
-    if not defined:
-        return None
-    return float(np.mean(defined))
 
 
 def stability_stats(reports: list, window: int) -> tuple[float, float]:

@@ -74,14 +74,6 @@ class KlStats:
         if self.num_batches < 0:
             raise ValueError("num_batches must be non-negative")
 
-    @property
-    def sum_teacher(self) -> float:
-        return self.dkl_teacher * self.num_batches
-
-    @property
-    def sum_student(self) -> float:
-        return self.dkl_student * self.num_batches
-
 
 def pseudo_label(probs: np.ndarray, tau: float, source: str = "student") -> PseudoBatch:
     """Argmax labels (ties to the lowest class) masked at confidence tau."""
@@ -114,24 +106,6 @@ def kl_to_uniform(p: np.ndarray) -> float:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
     nz = p[p > 0]
     return float(np.sum(nz * np.log(nz * p.size)))
-
-
-def client_kl_stats(
-    teacher_probs_per_batch: list[np.ndarray],
-    student_probs_per_batch: list[np.ndarray],
-) -> KlStats:
-    """Mean over batches of each role's prediction-distribution divergence."""
-    if len(teacher_probs_per_batch) != len(student_probs_per_batch):
-        raise ValueError("teacher and student batch lists must have equal length")
-    if not teacher_probs_per_batch:
-        raise ValueError("need at least one batch")
-    t = [kl_to_uniform(batch_prediction_distribution(p)) for p in teacher_probs_per_batch]
-    s = [kl_to_uniform(batch_prediction_distribution(p)) for p in student_probs_per_batch]
-    return KlStats(
-        dkl_teacher=float(np.mean(t)),
-        dkl_student=float(np.mean(s)),
-        num_batches=len(t),
-    )
 
 
 def unsupervised_loss_grad(

@@ -1,6 +1,7 @@
 """Protocol variants: pseudo-label source, teacher maintenance, transport.
 
-Four variants share one client loop and differ only here:
+Four variants share one client loop and differ only in the row of VARIANTS
+that names them:
 
 - fedprox_fixmatch: no teacher anywhere; the student labels its own batches.
 - ts_server_ema: the server's teacher is downlinked and stays frozen during
@@ -27,15 +28,36 @@ import numpy as np
 from .nn import ModelSpec, ParamVector, forward_probs
 from .semisup import KlStats, PseudoBatch, SslHyper, pseudo_label
 
-VARIANT_KINDS = ("fedprox_fixmatch", "ts_server_ema", "ts_client_ema", "fedswitch")
 
-# round-level EMA sees the student once per round, so it can run much closer
-# to 1 than the per-batch schedules
-DEFAULT_EMA_ALPHA = {
-    "ts_server_ema": 0.99,
-    "ts_client_ema": 0.999,
-    "fedswitch": 0.999,
+@dataclass(frozen=True)
+class VariantTraits:
+    """The choices that set one protocol variant apart from the others."""
+
+    teacher: bool  # a global teacher exists and is EMA-merged every round
+    local_ema: bool  # the client's teacher copy takes one EMA step per batch
+    uploads_teacher: bool  # clients uplink their teacher delta for averaging
+    switches: bool  # the server downlinks the teacher only when the rule says so
+    # round-level EMA sees the student once per round, so it can run much
+    # closer to 1 than the per-batch schedules; the teacherless baseline
+    # ignores the value
+    default_alpha: float
+
+
+VARIANTS = {
+    "fedprox_fixmatch": VariantTraits(
+        teacher=False, local_ema=False, uploads_teacher=False, switches=False,
+        default_alpha=0.999),
+    "ts_server_ema": VariantTraits(
+        teacher=True, local_ema=False, uploads_teacher=False, switches=False,
+        default_alpha=0.99),
+    "ts_client_ema": VariantTraits(
+        teacher=True, local_ema=True, uploads_teacher=True, switches=False,
+        default_alpha=0.999),
+    "fedswitch": VariantTraits(
+        teacher=True, local_ema=True, uploads_teacher=False, switches=True,
+        default_alpha=0.999),
 }
+VARIANT_KINDS = tuple(VARIANTS)
 
 
 @dataclass
@@ -54,14 +76,6 @@ class VariantConfig:
         if self.iidness_prior < 0:
             raise ValueError("iidness_prior must be non-negative")
 
-    @property
-    def uses_teacher(self) -> bool:
-        return self.kind != "fedprox_fixmatch"
-
-    @property
-    def per_batch_ema(self) -> bool:
-        return self.kind in ("ts_client_ema", "fedswitch")
-
 
 @dataclass
 class SwitchDecision:
@@ -71,14 +85,6 @@ class SwitchDecision:
     dkl_teacher: float
     dkl_student: float
     round: int
-
-
-@dataclass
-class LocalTeacher:
-    """A client's in-round teacher copy; never outlives the round."""
-
-    params: ParamVector
-    updated_this_round: bool = False
 
 
 def ema_update(teacher: ParamVector, student: ParamVector, alpha: float) -> ParamVector:
@@ -113,31 +119,30 @@ def variant_downlink(
 
     `server` must expose global_student and global_teacher.
     """
-    if variant.kind == "fedprox_fixmatch":
-        return {"student": server.global_student}
-    if variant.kind in ("ts_server_ema", "ts_client_ema"):
+    traits = VARIANTS[variant.kind]
+    down = {"student": server.global_student}
+    if traits.switches:
+        if decision is None:
+            raise ValueError(f"{variant.kind} downlink requires a switch decision")
+        if not decision.send_teacher:
+            return down
+    if traits.teacher:
         if server.global_teacher is None:
             raise ValueError(f"{variant.kind} requires a global teacher")
-        return {"student": server.global_student, "teacher": server.global_teacher}
-    if decision is None:
-        raise ValueError("fedswitch downlink requires a switch decision")
-    if decision.send_teacher:
-        if server.global_teacher is None:
-            raise ValueError("fedswitch requires a global teacher")
-        return {"student": server.global_student, "teacher": server.global_teacher}
-    return {"student": server.global_student}
+        down["teacher"] = server.global_teacher
+    return down
 
 
 def variant_batch_hook(
     variant: VariantConfig,
-    local_teacher: LocalTeacher | None,
+    local_teacher: ParamVector | None,
     student_params: ParamVector,
     weak_inputs: np.ndarray,
     spec: ModelSpec,
     hyper: SslHyper,
-) -> tuple[PseudoBatch, LocalTeacher | None, np.ndarray]:
-    """Per-batch variant step: maintain the local teacher and produce
-    pseudo-labels from the weak view.
+) -> tuple[PseudoBatch, ParamVector | None, np.ndarray]:
+    """Per-batch variant step: maintain the client's in-round teacher copy
+    and produce pseudo-labels from the weak view.
 
     Returns (pseudo batch, local teacher to carry forward, probabilities of
     the pseudo-label source on the weak view). The last output feeds the
@@ -146,36 +151,34 @@ def variant_batch_hook(
     statistic (dkl_S) is not made here: it comes from the student's
     strong-view probabilities, which the combined objective returns.
     """
-    teacher_required = variant.kind in ("ts_server_ema", "ts_client_ema")
-    if teacher_required and local_teacher is None:
+    traits = VARIANTS[variant.kind]
+    # only the switching variant may run a round without a teacher
+    if traits.teacher and not traits.switches and local_teacher is None:
         raise ValueError(f"{variant.kind} requires a downlinked teacher")
 
-    if variant.kind == "fedprox_fixmatch" or local_teacher is None:
+    if not traits.teacher or local_teacher is None:
         probs = forward_probs(student_params, spec, weak_inputs)
         return pseudo_label(probs, hyper.tau, source="student"), local_teacher, probs
 
-    if variant.per_batch_ema:
-        local_teacher = LocalTeacher(
-            params=ema_update(local_teacher.params, student_params, variant.ema_alpha),
-            updated_this_round=True,
-        )
-    probs = forward_probs(local_teacher.params, spec, weak_inputs)
+    if traits.local_ema:
+        local_teacher = ema_update(local_teacher, student_params, variant.ema_alpha)
+    probs = forward_probs(local_teacher, spec, weak_inputs)
     return pseudo_label(probs, hyper.tau, source="teacher"), local_teacher, probs
 
 
 def variant_uplink(
     variant: VariantConfig,
     student_delta: ParamVector,
-    local_teacher: LocalTeacher | None,
+    local_teacher: ParamVector | None,
     downlinked_teacher: ParamVector | None,
 ) -> dict[str, ParamVector]:
     """Model deltas a client sends back; KL scalars ride along separately."""
-    if variant.kind != "ts_client_ema":
+    if not VARIANTS[variant.kind].uploads_teacher:
         return {"student": student_delta}
     if local_teacher is None or downlinked_teacher is None:
-        raise ValueError("ts_client_ema uplink requires the local teacher")
+        raise ValueError(f"{variant.kind} uplink requires the local teacher")
     teacher_delta = ParamVector(
-        local_teacher.params.values - downlinked_teacher.values,
+        local_teacher.values - downlinked_teacher.values,
         student_delta.spec_hash,
     )
     return {"student": student_delta, "teacher": teacher_delta}
@@ -189,18 +192,19 @@ def variant_server_merge(
 ) -> ParamVector | None:
     """New global teacher after aggregation (None for the teacherless kind).
 
-    ts_client_ema first averages the uploaded local teachers, then applies
-    the round-level EMA toward the new student; the others EMA the existing
-    global teacher directly.
+    A variant whose clients upload their teachers first averages the
+    uploads, then applies the round-level EMA toward the new student; the
+    others EMA the existing global teacher directly.
     """
-    if variant.kind == "fedprox_fixmatch":
+    traits = VARIANTS[variant.kind]
+    if not traits.teacher:
         return None
     if global_teacher is None:
         raise ValueError(f"{variant.kind} requires a global teacher")
     base = global_teacher
-    if variant.kind == "ts_client_ema":
+    if traits.uploads_teacher:
         if not uploaded_teachers:
-            raise ValueError("ts_client_ema merge requires uploaded teachers")
+            raise ValueError(f"{variant.kind} merge requires uploaded teachers")
         stacked = np.stack([t.values for t in uploaded_teachers])
         base = ParamVector(stacked.mean(axis=0), global_teacher.spec_hash)
     return ema_update(base, aggregated_student, variant.ema_alpha)

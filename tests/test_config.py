@@ -55,8 +55,13 @@ def test_hidden_dims_parsing():
 
 
 def test_ema_alpha_defaults_per_kind():
-    assert parse_config_text("[variant]\nkind = ts_server_ema\n").variant.resolved_alpha == 0.99
-    assert parse_config_text("[variant]\nkind = ts_client_ema\n").variant.resolved_alpha == 0.999
+    # the teacherless kind ignores the value but still echoes one
+    defaults = {"fedprox_fixmatch": 0.999, "ts_server_ema": 0.99,
+                "ts_client_ema": 0.999, "fedswitch": 0.999}
+    for kind, alpha in defaults.items():
+        cfg = parse_config_text(f"[variant]\nkind = {kind}\n")
+        assert cfg.variant.resolved_alpha == alpha
+        assert f"\nema_alpha = {alpha!r}\n" in resolved_ini(cfg)
     explicit = parse_config_text("[variant]\nkind = ts_server_ema\nema_alpha = 0.5\n")
     assert explicit.variant.resolved_alpha == 0.5
 

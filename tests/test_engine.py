@@ -216,6 +216,52 @@ def test_client_matches_manual_single_batch_replay():
     )
 
 
+def test_client_kl_is_the_mean_over_local_batches():
+    # independent re-derivation of a participation with several local
+    # batches: each KL statistic is the mean of the per-batch values
+    ds, shards, _ = _setup()
+    shard = shards[1]
+    plan = _plan(unlabeled_batch_size=8, labeled_batch_size=4)
+    snapshot = init_params(SPEC, 1)
+    seed = derive_seed(123, "client", 0, shard.client_id)
+    res = client_update(
+        shard, _downlink(snapshot), VariantConfig("fedprox_fixmatch"),
+        plan, HYPER, SPEC, AUG, ds, seed=seed, round=0,
+    )
+
+    rng = np.random.default_rng(seed)
+    u_pool = shard.unlabeled_idx
+    u_order = u_pool[rng.permutation(u_pool.size)]
+    l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
+    opt = OptimState.fresh(SPEC, plan.learning_rate, plan.momentum, plan.weight_decay)
+    student = snapshot
+    teacher_kls, student_kls = [], []
+    for b, start in enumerate(range(0, u_order.size, 8)):
+        u_batch = Batch(ds.inputs[u_order[start:start + 8]], None)
+        weak = weak_augment(u_batch, AUG, rng)
+        source_probs = forward_probs(student, SPEC, weak.inputs)
+        pseudo = pseudo_label(source_probs, HYPER.tau)
+        l_idx = np.take(l_order, np.arange(b * 4, (b + 1) * 4), mode="wrap")
+        labeled = Batch(ds.inputs[l_idx], ds.labels[l_idx])
+        _, grad, strong_probs = combined_client_grad(
+            student, snapshot, labeled, u_batch, pseudo, HYPER, SPEC, AUG, rng
+        )
+        student = sgd_step(student, grad, opt)
+        teacher_kls.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
+        student_kls.append(kl_to_uniform(batch_prediction_distribution(strong_probs)))
+
+    assert len(teacher_kls) >= 2
+    # the batches differ, so a first-batch, last-batch or summed statistic
+    # would not match
+    assert len(set(teacher_kls)) > 1 and len(set(student_kls)) > 1
+    assert np.array_equal(res.delta.values, student.values - snapshot.values)
+    assert res.kl == KlStats(
+        dkl_teacher=float(np.mean(teacher_kls)),
+        dkl_student=float(np.mean(student_kls)),
+        num_batches=len(teacher_kls),
+    )
+
+
 @pytest.fixture
 def strong_calls(monkeypatch):
     """Count strong_augment calls through every fedssl module that binds it."""

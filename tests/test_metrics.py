@@ -1,20 +1,14 @@
 """Tests for evaluation, the communication ledger, and stability stats."""
 
-import math
-
 import numpy as np
 import pytest
 
 from fedssl.data import Dataset, gen_blobs
 from fedssl.metrics import (
     CommLedger,
-    KlRatioStat,
     RoundReport,
     Transmission,
     evaluate,
-    kl_ratio_stats,
-    mean_kl_ratio,
-    record_transmission,
     stability_stats,
 )
 from fedssl.nn import ModelSpec, ParamVector, init_params
@@ -131,14 +125,6 @@ def test_ledger_round_totals_match_a_rescan():
     assert CommLedger(4, list(led.entries)).round_totals(3) == rescan(3)
 
 
-def test_record_transmission_function():
-    led = CommLedger()
-    record_transmission(led, 2, "uplink", "student", 7, client_id=4)
-    assert led.entries[0].round == 2
-    assert led.entries[0].client_id == 4
-    assert led.entries[0].bytes == 56
-
-
 def test_ledger_extend_rejects_inconsistent_scale():
     led = CommLedger(bytes_per_param=8)
     bad = Transmission(0, "uplink", "student", 0, 10, 40)
@@ -169,44 +155,6 @@ def test_round_report_csv_shape():
 def test_round_report_validates_accuracy():
     with pytest.raises(ValueError):
         RoundReport(0, 1.2, 0.5, 0.0, 0.0, False, 0, 0)
-
-
-# -------------------------------------------------------------- kl ratios
-
-
-def test_kl_ratio_matching_distributions():
-    h = np.array([0.7, 0.2, 0.1])
-    stats = kl_ratio_stats([0], [h], [h])
-    assert stats[0].ratio == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kl_ratio_uniform_pseudo_on_skewed_client():
-    pseudo = np.full(10, 0.1)
-    truth = np.eye(10)[0]
-    stats = kl_ratio_stats([3], [pseudo], [truth])
-    assert stats[0].ratio == pytest.approx(0.0, abs=1e-12)
-    assert stats[0].ground_truth_kl == pytest.approx(math.log(10), abs=1e-12)
-
-
-def test_kl_ratio_one_class_client_perfect_pseudo():
-    onehot = np.eye(10)[4]
-    stats = kl_ratio_stats([0], [onehot], [onehot])
-    assert stats[0].pseudo_kl == pytest.approx(2.302585, abs=1e-6)
-    assert stats[0].ratio == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kl_ratio_undefined_on_uniform_client():
-    uniform = np.full(4, 0.25)
-    stats = kl_ratio_stats([0, 1], [uniform, uniform], [uniform, np.array([0.5, 0.5, 0, 0])])
-    assert stats[0].ratio is None
-    assert stats[1].ratio == pytest.approx(0.0, abs=1e-12)
-    assert mean_kl_ratio(stats) == pytest.approx(0.0, abs=1e-12)
-    assert mean_kl_ratio([stats[0]]) is None
-
-
-def test_kl_ratio_length_mismatch():
-    with pytest.raises(ValueError):
-        kl_ratio_stats([0], [], [])
 
 
 # -------------------------------------------------------------- stability

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedssl import runner
 from fedssl.config import parse_config_text
 from fedssl.metrics import RoundReport
-from fedssl.runner import run_experiment, run_sweep
+from fedssl.runner import _ratio_row, run_experiment, run_sweep
+from fedssl.semisup import KlStats
 
 BASE = """
 [dataset]
@@ -125,6 +127,32 @@ def test_kl_ratio_csv_well_formed(tmp_path):
         assert float(pseudo) >= 0 and float(truth) >= 0
         if ratio:
             assert float(ratio) >= 0
+
+
+def test_ratio_row_skips_clients_with_uniform_labels():
+    client_kl = {0: KlStats(0.2, 0.1, 2), 1: KlStats(0.3, 0.1, 2), 2: KlStats(0.5, 0.0, 1)}
+    # client 1's true histogram is uniform (truth KL 0); client 3 sat out
+    truth = {0: 0.4, 1: 0.0, 2: 1.0, 3: 9.0}
+    pseudo, truth_mean, ratio = _ratio_row(client_kl, truth)
+    assert pseudo == pytest.approx((0.2 + 0.3 + 0.5) / 3, abs=1e-15)
+    assert truth_mean == pytest.approx((0.4 + 0.0 + 1.0) / 3, abs=1e-15)
+    assert ratio == pytest.approx((0.2 / 0.4 + 0.5 / 1.0) / 2, abs=1e-15)
+    assert _ratio_row(client_kl, dict.fromkeys(truth, 0.0))[2] is None
+
+
+def test_kl_ratio_csv_leaves_ratio_empty_when_every_client_is_uniform(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        runner, "_truth_kl",
+        lambda shards, data, num_classes: {sh.client_id: 0.0 for sh in shards},
+    )
+    out = tmp_path / "uniform"
+    run_experiment(_cfg(out))
+    lines = (out / "trial_000" / "kl_ratio.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3
+    for line in lines[1:]:
+        rnd, pseudo, truth, ratio = line.split(",")
+        assert (float(truth), ratio) == (0.0, "")
+    assert "trailing_kl_ratio = none" in (out / "trial_000" / "summary.txt").read_text()
 
 
 def test_auto_beta_resolves_to_positive_kl(tmp_path):

@@ -14,7 +14,6 @@ from fedssl.semisup import (
     PseudoBatch,
     SslHyper,
     batch_prediction_distribution,
-    client_kl_stats,
     combined_client_grad,
     kl_to_uniform,
     pseudo_label,
@@ -126,37 +125,7 @@ def test_kl_in_range(seed, c):
     assert -1e-12 <= v <= math.log(c) + 1e-12
 
 
-# ---------------------------------------------------------- client_kl_stats
-
-
-def test_kl_stats_single_uniform_batch():
-    probs = np.eye(4)
-    st_ = client_kl_stats([probs], [probs])
-    assert st_.dkl_teacher == pytest.approx(0.0, abs=1e-12)
-    assert st_.dkl_student == pytest.approx(0.0, abs=1e-12)
-    assert st_.num_batches == 1
-
-
-def test_kl_stats_mean_over_batches():
-    uniform = np.eye(10)
-    collapsed = np.tile(np.eye(10)[0], (10, 1))
-    st_ = client_kl_stats([uniform, collapsed], [uniform, uniform])
-    assert st_.dkl_teacher == pytest.approx(math.log(10) / 2, abs=1e-12)
-    assert st_.dkl_student == pytest.approx(0.0, abs=1e-12)
-    assert st_.sum_teacher == pytest.approx(math.log(10), abs=1e-12)
-
-
-def test_kl_stats_collapsed_teacher_hits_ln10():
-    collapsed = np.tile(np.eye(10)[2], (6, 1))
-    st_ = client_kl_stats([collapsed, collapsed], [collapsed, collapsed])
-    assert st_.dkl_teacher == pytest.approx(2.302585, abs=1e-6)
-
-
-def test_kl_stats_rejects_empty_or_mismatched():
-    with pytest.raises(ValueError):
-        client_kl_stats([], [])
-    with pytest.raises(ValueError):
-        client_kl_stats([np.eye(3)], [])
+# ---------------------------------------------------------------- KlStats
 
 
 def test_kl_stats_validation():

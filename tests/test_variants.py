@@ -6,8 +6,8 @@ import pytest
 from fedssl.nn import ModelSpec, ParamVector, forward_probs, init_params
 from fedssl.semisup import KlStats, SslHyper, pseudo_label
 from fedssl.variants import (
-    DEFAULT_EMA_ALPHA,
-    LocalTeacher,
+    VARIANT_KINDS,
+    VARIANTS,
     SwitchDecision,
     VariantConfig,
     ema_update,
@@ -41,11 +41,10 @@ def test_variant_config_validation():
         VariantConfig(kind="fedswitch", ema_alpha=1.5)
     with pytest.raises(ValueError):
         VariantConfig(kind="fedswitch", iidness_prior=-0.2)
-    cfg = VariantConfig(kind="ts_client_ema")
-    assert cfg.uses_teacher and cfg.per_batch_ema
-    assert not VariantConfig(kind="fedprox_fixmatch").uses_teacher
-    assert not VariantConfig(kind="ts_server_ema").per_batch_ema
-    assert set(DEFAULT_EMA_ALPHA) == {"ts_server_ema", "ts_client_ema", "fedswitch"}
+    assert VARIANTS["ts_client_ema"].teacher and VARIANTS["ts_client_ema"].local_ema
+    assert not VARIANTS["fedprox_fixmatch"].teacher
+    assert not VARIANTS["ts_server_ema"].local_ema
+    assert VARIANT_KINDS == ("fedprox_fixmatch", "ts_server_ema", "ts_client_ema", "fedswitch")
 
 
 # --------------------------------------------------------------- ema_update
@@ -142,21 +141,20 @@ def _weak(seed=0, n=5):
 def test_hook_ts_server_teacher_frozen():
     variant = VariantConfig("ts_server_ema", ema_alpha=0.5)
     student = init_params(SPEC, 0)
-    teacher = LocalTeacher(init_params(SPEC, 1))
-    before = teacher.params.values.copy()
+    teacher = init_params(SPEC, 1)
+    before = teacher.values.copy()
     for k in range(3):
         _, teacher, _ = variant_batch_hook(variant, teacher, student, _weak(k), SPEC, HYPER)
-    assert np.array_equal(teacher.params.values, before)
-    assert teacher.updated_this_round is False
+    assert np.array_equal(teacher.values, before)
 
 
 def test_hook_fedswitch_alpha_zero_tracks_student():
     variant = VariantConfig("fedswitch", ema_alpha=0.0)
     student = init_params(SPEC, 0)
-    teacher = LocalTeacher(init_params(SPEC, 1))
+    teacher = init_params(SPEC, 1)
     weak = _weak(2)
     pseudo, teacher, probs = variant_batch_hook(variant, teacher, student, weak, SPEC, HYPER)
-    assert np.array_equal(teacher.params.values, student.values)
+    assert np.array_equal(teacher.values, student.values)
     expect = pseudo_label(forward_probs(student, SPEC, weak), HYPER.tau)
     assert np.array_equal(pseudo.pseudo_labels, expect.pseudo_labels)
     assert np.array_equal(pseudo.mask, expect.mask)
@@ -170,14 +168,13 @@ def test_hook_ts_client_two_batch_unroll():
     s0 = init_params(SPEC, 2)
     s1 = init_params(SPEC, 3)  # pretend the student moved between batches
 
-    teacher = LocalTeacher(t0)
+    teacher = t0
     _, teacher, probs1 = variant_batch_hook(variant, teacher, s0, _weak(0), SPEC, HYPER)
     _, teacher, _ = variant_batch_hook(variant, teacher, s1, _weak(1), SPEC, HYPER)
 
     t1 = alpha * t0.values + (1 - alpha) * s0.values
     t2 = alpha * t1 + (1 - alpha) * s1.values
-    assert np.allclose(teacher.params.values, t2, atol=0, rtol=0)
-    assert teacher.updated_this_round is True
+    assert np.allclose(teacher.values, t2, atol=0, rtol=0)
     # pseudo-label probs for batch 1 came from the already-updated teacher
     expected = forward_probs(ParamVector(t1, SPEC.spec_hash), SPEC, _weak(0))
     assert np.array_equal(probs1, expected)
@@ -207,7 +204,7 @@ def test_hook_missing_teacher_errors():
 
 def test_uplink_single_delta_for_most_variants():
     delta = init_params(SPEC, 5)
-    teacher = LocalTeacher(init_params(SPEC, 6))
+    teacher = init_params(SPEC, 6)
     for kind in ("fedprox_fixmatch", "ts_server_ema", "fedswitch"):
         up = variant_uplink(VariantConfig(kind), delta, teacher, init_params(SPEC, 7))
         assert set(up) == {"student"}
@@ -216,10 +213,10 @@ def test_uplink_single_delta_for_most_variants():
 def test_uplink_ts_client_sends_teacher_delta():
     delta = init_params(SPEC, 5)
     downlinked = init_params(SPEC, 6)
-    local = LocalTeacher(init_params(SPEC, 7))
+    local = init_params(SPEC, 7)
     up = variant_uplink(VariantConfig("ts_client_ema"), delta, local, downlinked)
     assert set(up) == {"student", "teacher"}
-    assert np.array_equal(up["teacher"].values, local.params.values - downlinked.values)
+    assert np.array_equal(up["teacher"].values, local.values - downlinked.values)
 
 
 def test_uplink_ts_client_requires_teacher():
