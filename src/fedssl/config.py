@@ -250,7 +250,9 @@ def _values(parser: configparser.ConfigParser, name: str) -> dict[str, object]:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse INI text into a validated, fully defaulted ExperimentConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] header is an unknown section like any
+    # other, instead of a block whose keys silently reach every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\0")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

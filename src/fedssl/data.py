@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -347,20 +348,55 @@ def make_stream_schedule(shard: ClientShard, num_steps: int, seed: int) -> Clien
     )
 
 
-def weak_augment(batch: Batch, cfg: AugmentConfig, rng: np.random.Generator) -> Batch:
-    """Gaussian noise plus a per-example scalar shift; labels untouched."""
+def _generators(batch: Batch, rng) -> list[np.random.Generator]:
+    """One generator per client slice of a batch: a [B, d] batch takes one
+    generator, a [K, B, d] stack a sequence of K, so each client draws
+    exactly what it would draw alone.
+    """
+    if batch.inputs.ndim == 2:
+        return [rng]
+    rngs = list(rng)
+    if len(rngs) != batch.inputs.shape[0]:
+        raise ValueError(f"{len(rngs)} generators for a batch of shape {batch.inputs.shape}")
+    return rngs
+
+
+def weak_augment(batch: Batch, cfg: AugmentConfig,
+                 rng: np.random.Generator | Sequence[np.random.Generator]) -> Batch:
+    """Gaussian noise plus a per-example scalar shift; labels untouched.
+
+    The shift scales with each slice's own value span.
+    """
     x = batch.inputs
-    noise = rng.standard_normal(x.shape) * cfg.weak_noise_sigma
-    span = float(x.max() - x.min()) if x.size else 0.0
-    shift = rng.uniform(-1.0, 1.0, size=(x.shape[0], 1)) * (cfg.weak_shift_fraction * span)
+    rngs = _generators(batch, rng)
+    rows, dim = x.shape[-2:]
+    noise = np.empty((len(rngs), rows, dim))
+    shift = np.empty((len(rngs), rows, 1))
+    for g, noise_k, shift_k in zip(rngs, noise, shift):
+        g.standard_normal(out=noise_k)
+        shift_k[:] = g.uniform(-1.0, 1.0, size=(rows, 1))
+    noise = noise.reshape(x.shape)
+    noise *= cfg.weak_noise_sigma
+    span = (x.max(axis=(-2, -1), keepdims=True) - x.min(axis=(-2, -1), keepdims=True)
+            if x.size else 0.0)
+    shift = shift.reshape(x.shape[:-1] + (1,))
+    shift *= cfg.weak_shift_fraction * span
     return Batch(x + noise + shift, batch.labels)
 
 
-def strong_augment(batch: Batch, cfg: AugmentConfig, rng: np.random.Generator) -> Batch:
+def strong_augment(batch: Batch, cfg: AugmentConfig,
+                   rng: np.random.Generator | Sequence[np.random.Generator]) -> Batch:
     """Stronger noise plus random feature zeroing; labels untouched."""
     x = batch.inputs
-    noise = rng.standard_normal(x.shape) * cfg.strong_noise_sigma
+    rngs = _generators(batch, rng)
+    noise = np.empty((len(rngs),) + x.shape[-2:])
+    draws = np.empty_like(noise)
+    for g, noise_k, draws_k in zip(rngs, noise, draws):
+        g.standard_normal(out=noise_k)
+        g.random(out=draws_k)
+    noise = noise.reshape(x.shape)
+    noise *= cfg.strong_noise_sigma
     out = x + noise
-    mask = rng.random(x.shape) < cfg.strong_mask_prob
+    mask = draws.reshape(x.shape) < cfg.strong_mask_prob
     out = np.where(mask, 0.0, out)
     return Batch(out, batch.labels)

@@ -7,12 +7,19 @@ function of (downlink, shard, hyper-parameters, seed). The orchestrator
 owns the only cross-round client state the protocol allows, the streaming
 position.
 
-Per batch, the rng is consumed in a fixed order (unlabeled weak view,
-then inside the combined objective the strong view and the labeled weak
-view), identically for every variant, so trajectories of different
-variants under one seed stay comparable. Each batch draws one strong view;
-the student's KL statistic reuses the probabilities the objective computed
-on it.
+The clients selected in a round train in lockstep groups: clients whose
+local batches share one shape (the size of this participation's unlabeled
+pool, and whether the client holds labels) are stacked on a client axis,
+and each local batch is one pass over the whole group. Every client keeps
+its own rng stream, seeded from (base seed, round, client id), so a
+client's result does not depend on which group it trains in or with whom.
+
+Per batch, each client's rng is consumed in a fixed order (the epoch's
+permutations first, then the unlabeled weak view, then inside the combined
+objective the strong view and the labeled weak view), identically for every
+variant, so trajectories of different variants under one seed stay
+comparable. Each batch draws one strong view; the student's KL statistic
+reuses the probabilities the objective computed on it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .metrics import CommLedger, RoundReport, Transmission, evaluate
 from .nn import (
     Batch,
     ModelSpec,
+    NonFiniteError,
     OptimState,
     ParamVector,
     init_params,
@@ -34,7 +42,7 @@ from .nn import (
     sgd_step,
 )
 from .rng import derive_seed
-from .semisup import KlStats, SslHyper, batch_prediction_distribution, combined_client_grad, kl_to_uniform
+from .semisup import KlStats, SslHyper, combined_client_grad, prediction_kl
 from .variants import (
     VARIANTS,
     SwitchDecision,
@@ -129,7 +137,150 @@ def select_clients(num_clients: int, m: int, round: int, seed: int) -> list[int]
 
 
 def _batches(idx: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [idx[i : i + batch_size] for i in range(0, idx.size, batch_size)]
+    """Consecutive batches along the last axis of an index array."""
+    return [idx[..., i : i + batch_size] for i in range(0, idx.shape[-1], batch_size)]
+
+
+def _unlabeled_pool(shard: ClientShard, stream_step: int) -> np.ndarray:
+    """The unlabeled examples a client trains on in this participation."""
+    if shard.stream_splits is not None:
+        return shard.stream_splits[stream_step % len(shard.stream_splits)]
+    return shard.unlabeled_idx
+
+
+def lockstep_update(
+    shards: list[ClientShard],
+    downlink: dict[str, ParamVector],
+    variant: VariantConfig,
+    plan: RoundPlan,
+    hyper: SslHyper,
+    spec: ModelSpec,
+    aug: AugmentConfig,
+    dataset: Dataset,
+    seeds: list[int],
+    round: int,
+    stream_steps: list[int] | None = None,
+) -> list[ClientUpdateResult]:
+    """The participations of K clients whose local batches share one shape,
+    trained in lockstep.
+
+    The clients must have equally large unlabeled pools in this
+    participation and must all hold labels or all hold none. Their students
+    and optimizer velocities are stacked as [K, P], and every local batch is
+    one stacked pass over the client axis. Client k keeps its own generator,
+    seeded with seeds[k], and draws from it exactly what it would draw
+    training alone, so each result is bitwise that of a one-client call.
+    """
+    if "student" not in downlink:
+        raise ValueError("downlink must contain the global student")
+    k_clients = len(shards)
+    steps = [0] * k_clients if stream_steps is None else stream_steps
+    if k_clients < 1 or len(seeds) != k_clients or len(steps) != k_clients:
+        raise ValueError("lockstep_update needs one seed and stream step per client")
+    u_pools = [_unlabeled_pool(sh, st) for sh, st in zip(shards, steps)]
+    for sh, pool in zip(shards, u_pools):
+        if pool.size == 0:
+            raise ValueError(f"client {sh.client_id}: empty unlabeled pool")
+    l_pools = [sh.labeled_idx for sh in shards]
+    n_u = u_pools[0].size
+    has_labels = l_pools[0].size > 0
+    if any(p.size != n_u for p in u_pools) or any((p.size > 0) != has_labels for p in l_pools):
+        raise ValueError("lockstep clients must share unlabeled pool size and label presence")
+
+    snapshot = downlink["student"]
+    downlinked_teacher = downlink.get("teacher")
+    # the clients' in-round teachers never outlive the round; the first
+    # local EMA step turns the shared [P] downlink into a [K, P] stack
+    teacher = downlinked_teacher
+    student = ParamVector(np.tile(snapshot.values, (k_clients, 1)), snapshot.spec_hash)
+    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay,
+                     velocity=np.zeros(student.values.shape))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    l_sizes = np.array([p.size for p in l_pools])[:, None]
+    n_batches = plan.local_epochs * math.ceil(n_u / plan.unlabeled_batch_size)
+    teacher_kl = np.empty((k_clients, n_batches))
+    student_kl = np.empty((k_clients, n_batches))
+    j = 0
+
+    for epoch in range(plan.local_epochs):
+        u_order = np.empty((k_clients, n_u), dtype=np.int64)
+        l_order = np.zeros((k_clients, int(l_sizes.max())), dtype=np.int64)
+        for k, rng in enumerate(rngs):
+            u_order[k] = u_pools[k][rng.permutation(n_u)]
+            if has_labels:
+                l_order[k, : l_sizes[k, 0]] = l_pools[k][rng.permutation(l_sizes[k, 0])]
+        for b, u_idx in enumerate(_batches(u_order, plan.unlabeled_batch_size)):
+            u_batch = Batch(dataset.inputs[u_idx], None)
+            weak = weak_augment(u_batch, aug, rngs)
+            pseudo, teacher, source_probs = variant_batch_hook(
+                variant, teacher, student, weak.inputs, spec, hyper
+            )
+            labeled_batch = None
+            if has_labels:
+                # labeled batches cycle through each client's own pool; the
+                # unlabeled pool drives epoch length
+                take = np.arange(b * plan.labeled_batch_size,
+                                 (b + 1) * plan.labeled_batch_size)
+                l_idx = np.take_along_axis(l_order, take % l_sizes, axis=1)
+                labeled_batch = Batch(dataset.inputs[l_idx], dataset.labels[l_idx])
+
+            # student_probs: the pre-step students on the strong view, as the
+            # objective saw it; they feed the student-side KL statistic
+            try:
+                _, grad, student_probs = combined_client_grad(
+                    student, snapshot, labeled_batch, u_batch, pseudo,
+                    hyper, spec, aug, rngs,
+                )
+            except NonFiniteError as exc:
+                raise RuntimeError(
+                    f"client {shards[exc.index].client_id}: non-finite loss at epoch "
+                    f"{epoch} batch {b}: {exc}"
+                ) from None
+
+            student = sgd_step(student, grad, opt)
+            finite = np.isfinite(student.values).all(axis=1)
+            if not finite.all():
+                raise RuntimeError(
+                    f"client {shards[int(np.argmin(finite))].client_id}: non-finite "
+                    f"parameters after epoch {epoch} batch {b}"
+                )
+            teacher_kl[:, j] = prediction_kl(source_probs)
+            student_kl[:, j] = prediction_kl(student_probs)
+            j += 1
+
+    delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
+    payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
+    if n_batches:
+        kls = [KlStats(float(t), float(st), n_batches)
+               for t, st in zip(teacher_kl.mean(axis=1), student_kl.mean(axis=1))]
+    else:
+        kls = [KlStats(0.0, 0.0, 0) for _ in shards]
+    results = []
+    for k, shard in enumerate(shards):
+        # a teacher no batch adapted is still the shared [P] downlink
+        rows = {role: ParamVector(pv.values[k] if pv.values.ndim == 2 else pv.values,
+                                  pv.spec_hash)
+                for role, pv in payload.items()}
+        uploads = [
+            Transmission(
+                round=round,
+                direction="uplink",
+                role=role,
+                client_id=shard.client_id,
+                num_params=len(pv),
+                bytes=len(pv) * plan.bytes_per_param,
+            )
+            for role, pv in rows.items()
+        ]
+        results.append(ClientUpdateResult(
+            client_id=shard.client_id,
+            delta=rows["student"],
+            teacher_delta=rows.get("teacher"),
+            kl=kls[k],
+            num_examples=int(u_pools[k].size + l_pools[k].size),
+            uploads=uploads,
+        ))
+    return results
 
 
 def client_update(
@@ -145,99 +296,11 @@ def client_update(
     round: int,
     stream_step: int = 0,
 ) -> ClientUpdateResult:
-    """One client's full participation, a pure function of its arguments."""
-    if "student" not in downlink:
-        raise ValueError("downlink must contain the global student")
-    snapshot = downlink["student"]
-    student = snapshot.copy()
-    downlinked_teacher = downlink.get("teacher")
-    # the client's in-round teacher copy; it never outlives the round
-    teacher = downlinked_teacher.copy() if downlinked_teacher is not None else None
-
-    if shard.stream_splits is not None:
-        u_pool = shard.stream_splits[stream_step % len(shard.stream_splits)]
-    else:
-        u_pool = shard.unlabeled_idx
-    if u_pool.size == 0:
-        raise ValueError(f"client {shard.client_id}: empty unlabeled pool")
-    l_pool = shard.labeled_idx
-
-    rng = np.random.default_rng(seed)
-    opt = OptimState.fresh(spec, plan.learning_rate, plan.momentum, plan.weight_decay)
-    teacher_dists: list[float] = []
-    student_dists: list[float] = []
-    num_batches = 0
-
-    for epoch in range(plan.local_epochs):
-        u_order = u_pool[rng.permutation(u_pool.size)]
-        l_order = l_pool[rng.permutation(l_pool.size)] if l_pool.size else l_pool
-        for b, u_idx in enumerate(_batches(u_order, plan.unlabeled_batch_size)):
-            u_batch = Batch(dataset.inputs[u_idx], None)
-            weak = weak_augment(u_batch, aug, rng)
-            pseudo, teacher, source_probs = variant_batch_hook(
-                variant, teacher, student, weak.inputs, spec, hyper
-            )
-            labeled_batch = None
-            if l_order.size:
-                # labeled batches cycle; the unlabeled pool drives epoch length
-                take = np.arange(b * plan.labeled_batch_size,
-                                 (b + 1) * plan.labeled_batch_size)
-                l_idx = np.take(l_order, take, mode="wrap")
-                labeled_batch = Batch(dataset.inputs[l_idx], dataset.labels[l_idx])
-
-            # student_probs: the pre-step student on the strong view, as the
-            # objective saw it; they feed the student-side KL statistic
-            try:
-                _, grad, student_probs = combined_client_grad(
-                    student, snapshot, labeled_batch, u_batch, pseudo,
-                    hyper, spec, aug, rng,
-                )
-            except FloatingPointError as exc:
-                raise RuntimeError(
-                    f"client {shard.client_id}: non-finite loss at epoch {epoch} "
-                    f"batch {b}: {exc}"
-                ) from None
-
-            student = sgd_step(student, grad, opt)
-            if not np.all(np.isfinite(student.values)):
-                raise RuntimeError(
-                    f"client {shard.client_id}: non-finite parameters after "
-                    f"epoch {epoch} batch {b}"
-                )
-            teacher_dists.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
-            student_dists.append(kl_to_uniform(batch_prediction_distribution(student_probs)))
-            num_batches += 1
-
-    if num_batches:
-        kl = KlStats(
-            dkl_teacher=float(np.mean(teacher_dists)),
-            dkl_student=float(np.mean(student_dists)),
-            num_batches=num_batches,
-        )
-    else:
-        kl = KlStats(0.0, 0.0, 0)
-
-    delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
-    payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
-    uploads = [
-        Transmission(
-            round=round,
-            direction="uplink",
-            role=role,
-            client_id=shard.client_id,
-            num_params=len(pv),
-            bytes=len(pv) * plan.bytes_per_param,
-        )
-        for role, pv in payload.items()
-    ]
-    return ClientUpdateResult(
-        client_id=shard.client_id,
-        delta=delta,
-        teacher_delta=payload.get("teacher"),
-        kl=kl,
-        num_examples=int(u_pool.size + l_pool.size),
-        uploads=uploads,
-    )
+    """One client's full participation, a pure function of its arguments:
+    the one-client case of lockstep_update.
+    """
+    return lockstep_update([shard], downlink, variant, plan, hyper, spec, aug, dataset,
+                           [seed], round, [stream_step])[0]
 
 
 def aggregate_kl(stats: list[KlStats]) -> KlStats:
@@ -340,19 +403,28 @@ def run_round(
         for role, pv in downlink.items():
             ledger.record(rnd, "downlink", role, cid, len(pv))
 
-    results: list[ClientUpdateResult] = []
+    # clients whose local batches share one shape train in lockstep
+    steps = {cid: stream_positions.get(cid, 0) if streaming else 0 for cid in selected}
+    groups: dict[tuple[int, bool], list[int]] = {}
     for cid in selected:
-        step = stream_positions.get(cid, 0) if streaming else 0
-        result = client_update(
-            shards[cid], downlink, variant, plan, hyper, spec, aug, dataset,
-            seed=derive_seed(base_seed, "client", rnd, cid),
+        key = (_unlabeled_pool(shards[cid], steps[cid]).size, shards[cid].labeled_idx.size > 0)
+        groups.setdefault(key, []).append(cid)
+    by_client: dict[int, ClientUpdateResult] = {}
+    for cids in groups.values():
+        group = lockstep_update(
+            [shards[cid] for cid in cids], downlink, variant, plan, hyper, spec, aug, dataset,
+            seeds=[derive_seed(base_seed, "client", rnd, cid) for cid in cids],
             round=rnd,
-            stream_step=step,
+            stream_steps=[steps[cid] for cid in cids],
         )
+        by_client.update((r.client_id, r) for r in group)
+
+    results = [by_client[cid] for cid in selected]
+    for result in results:
+        cid = result.client_id
         if streaming:
-            stream_positions[cid] = step + 1
+            stream_positions[cid] = steps[cid] + 1
         ledger.extend(result.uploads)
-        results.append(result)
         if client_kl_out is not None:
             client_kl_out[cid] = result.kl
 

@@ -19,9 +19,11 @@ DIRECTIONS = ("downlink", "uplink")
 ROLES = ("student", "teacher")
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
-    """One model payload crossing the network."""
+    """One model payload crossing the network. Slotted: a ledger holds one
+    per model sent, tens of thousands per trial at a few hundred clients.
+    """
 
     round: int
     direction: str

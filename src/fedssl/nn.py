@@ -4,11 +4,18 @@ cross-entropy gradients, heavy-ball SGD, and a finite-difference oracle.
 All math is float64. Parameters live in a single flat vector (the unit of
 transport and aggregation); the layout is, per layer, the weight matrix in
 row-major order followed by the bias vector.
+
+Clients train in lockstep, so the per-batch functions also take a stack:
+parameters [K, P] and inputs [K, B, d], one slice per client. Slice k of a
+stacked result is bitwise the result of the unstacked call on slice k:
+stacked matmul runs the same gemm per 2-D slice, and every reduction runs
+along one slice.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,9 +68,20 @@ class ModelSpec:
         return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
+class NonFiniteError(FloatingPointError):
+    """A loss or gradient went non-finite; index is the first bad slice of a
+    stacked batch (0 for an unstacked one), so callers can name the client.
+    """
+
+    def __init__(self, message: str, index: int = 0) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class ParamVector:
-    """Flat, ordered float64 vector of all trainable parameters.
+    """Flat, ordered float64 vector of all trainable parameters, or a [K, P]
+    stack of K such vectors (one per client training in lockstep).
 
     spec_hash binds the vector to the ModelSpec layout it was created for;
     operations that mix vectors check the binding.
@@ -74,11 +92,12 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("ParamVector values must be one-dimensional")
+        if self.values.ndim not in (1, 2):
+            raise ValueError("ParamVector values must be [P] or a [K, P] stack")
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        """The parameter count P, also for a stack."""
+        return self.values.shape[-1]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec_hash)
@@ -93,23 +112,28 @@ class ParamVector:
 
 @dataclass
 class Batch:
-    """A batch of inputs with optional integer class labels."""
+    """A batch of inputs [B, d] with optional integer class labels [B], or a
+    [K, B, d] stack of K equal-sized client batches with labels [K, B].
+    """
 
     inputs: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ValueError(f"batch inputs must be [batch_size >= 1, dim], got {self.inputs.shape}")
+        if self.inputs.ndim not in (2, 3) or self.inputs.shape[-2] < 1:
+            raise ValueError(
+                f"batch inputs must be [batch_size >= 1, dim] or a stack of them, "
+                f"got {self.inputs.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.inputs.shape[0],):
+            if self.labels.shape != self.inputs.shape[:-1]:
                 raise ValueError("labels length must equal batch size")
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        """Examples in the batch, summed over the slices of a stack."""
+        return math.prod(self.inputs.shape[:-1])
 
 
 @dataclass
@@ -137,13 +161,18 @@ class OptimState:
 
 
 def _unflatten(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) per layer into the flat vector."""
-    if values.shape[0] != spec.num_params:
-        raise ValueError(f"parameter vector length {values.shape[0]} != expected {spec.num_params}")
-    return [
-        (values[w0:b0].reshape(d_in, d_out), values[b0:b1])
-        for w0, b0, b1, d_in, d_out in spec._layout
-    ]
+    """Views (W, b) per layer into the flat vector; for a [K, P] stack,
+    W is [K, fan_in, fan_out] and b is [K, 1, fan_out], so that it
+    broadcasts over the rows of its own slice.
+    """
+    if values.shape[-1] != spec.num_params:
+        raise ValueError(f"parameter vector length {values.shape[-1]} != expected {spec.num_params}")
+    if values.ndim == 1:
+        return [(values[w0:b0].reshape(d_in, d_out), values[b0:b1])
+                for w0, b0, b1, d_in, d_out in spec._layout]
+    k = values.shape[0]
+    return [(values[:, w0:b0].reshape(k, d_in, d_out), values[:, None, b0:b1])
+            for w0, b0, b1, d_in, d_out in spec._layout]
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -173,10 +202,18 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray):
-    """Run the net, returning logits plus per-layer (pre-act, post-act) caches."""
+    """Run the net, returning logits, per-layer (input, pre-act, post-act)
+    caches and the (W, b) views it used.
+
+    Inputs [B, d] or a [K, B, d] stack; stacked params [K, P] pair with the
+    stack slice by slice, and a single [P] vector serves every slice.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != spec.input_dim:
         raise ValueError(f"inputs shape {inputs.shape} inconsistent with input_dim {spec.input_dim}")
+    if params.values.ndim == 2 and (inputs.ndim != 3 or inputs.shape[0] != params.values.shape[0]):
+        raise ValueError(f"stack of {params.values.shape[0]} parameter vectors does not match "
+                         f"inputs shape {inputs.shape}")
     layers = _unflatten(params.values, spec)
     a = inputs
     caches = []
@@ -188,23 +225,23 @@ def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray):
             a = a_next
         else:
             caches.append((a, z, z))
-    return caches[-1][1], caches
+    return caches[-1][1], caches, layers
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
     """Per-row softmax class probabilities; rows sum to 1 within 1e-9."""
-    logits, _ = _forward(params, spec, inputs)
+    logits, _, _ = _forward(params, spec, inputs)
     return _softmax(logits)
 
 
@@ -219,8 +256,13 @@ def loss_and_grad(
     """Masked mean cross-entropy with its analytic gradient.
 
     loss = (1/B) * sum_i weights_i * CE(x_i, targets_i). A fully masked
-    batch yields loss 0 and a zero gradient. Raises FloatingPointError on
-    non-finite intermediates so callers can attach round/batch context.
+    batch yields loss 0 and a zero gradient. Raises NonFiniteError (a
+    FloatingPointError) on non-finite intermediates so callers can attach
+    round/batch context.
+
+    A [K, B, d] batch with [K, P] params, [K, B] targets and weights runs K
+    independent objectives at once: the loss is then a [K] array and the
+    gradient a [K, P] stack.
 
     Returns (loss, grad); with return_probs, (loss, grad, probs), where
     probs are the per-row softmax probabilities of this forward pass, so a
@@ -229,25 +271,31 @@ def loss_and_grad(
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    b = batch.size
-    if targets.shape != (b,):
-        raise ValueError(f"targets length {targets.shape} != batch size {b}")
-    if weights.shape != (b,):
-        raise ValueError(f"weights length {weights.shape} != batch size {b}")
+    rows = batch.inputs.shape[:-1]
+    b = rows[-1]
+    if params.values.shape[:-1] != rows[:-1]:
+        raise ValueError(f"params shape {params.values.shape} does not match batch shape "
+                         f"{batch.inputs.shape}")
+    if targets.shape != rows:
+        raise ValueError(f"targets length {targets.shape} != batch size {rows}")
+    if weights.shape != rows:
+        raise ValueError(f"weights length {weights.shape} != batch size {rows}")
     if np.any(targets < 0) or np.any(targets >= spec.num_classes):
         raise ValueError("targets out of class range")
 
-    logits, caches = _forward(params, spec, batch.inputs)
+    logits, caches, layers = _forward(params, spec, batch.inputs)
     log_probs = _log_softmax(logits)
-    ce = -log_probs[np.arange(b), targets]
-    loss = float(np.dot(weights, ce) / b)
+    flat_rows = np.arange(targets.size)
+    flat_targets = targets.reshape(-1)
+    ce = -log_probs.reshape(-1, spec.num_classes)[flat_rows, flat_targets].reshape(rows)
+    # the row-vector product is the dot product of each slice
+    loss = (weights[..., None, :] @ ce[..., :, None])[..., 0, 0] / b
 
     probs = np.exp(log_probs)
     dlogits = probs.copy()
-    dlogits[np.arange(b), targets] -= 1.0
-    dlogits *= (weights / b)[:, None]
+    dlogits.reshape(-1, spec.num_classes)[flat_rows, flat_targets] -= 1.0
+    dlogits *= (weights / b)[..., None]
 
-    layers = _unflatten(params.values, spec)
     grad_values = np.zeros_like(params.values)
     grad_layers = _unflatten(grad_values, spec)
 
@@ -256,16 +304,18 @@ def loss_and_grad(
         a_in, z, a_out = caches[i]
         w, _ = layers[i]
         gw, gb = grad_layers[i]
-        gw[:] = a_in.T @ upstream
-        gb[:] = upstream.sum(axis=0)
+        gw[:] = a_in.swapaxes(-1, -2) @ upstream
+        gb[:] = upstream.sum(axis=-2, keepdims=True)
         if i > 0:
-            da = upstream @ w.T
+            da = upstream @ w.swapaxes(-1, -2)
             _, z_prev, a_prev = caches[i - 1]
             upstream = da * _activate_grad(z_prev, a_prev, spec.activation)
 
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad_values)):
-        raise FloatingPointError("non-finite loss or gradient")
+    if not (np.isfinite(loss).all() and np.isfinite(grad_values).all()):
+        finite = np.isfinite(loss) & np.isfinite(grad_values).all(axis=-1)
+        raise NonFiniteError("non-finite loss or gradient", int(np.argmin(finite)))
     grad = ParamVector(grad_values, params.spec_hash)
+    loss = float(loss) if loss.ndim == 0 else loss
     if return_probs:
         return loss, grad, probs
     return loss, grad
@@ -274,6 +324,7 @@ def loss_and_grad(
 def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVector:
     """Heavy-ball update: v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
+    Elementwise, so a [K, P] stack with a [K, P] velocity steps K clients.
     Mutates opt.velocity in place and returns the new parameters.
     """
     params.check_compatible(grad)

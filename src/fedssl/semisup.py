@@ -5,12 +5,17 @@ The per-batch prediction distribution is the hard argmax histogram, so a
 fully collapsed batch reaches the ln(C) upper bound and a class-balanced
 batch reaches 0. Clients report the mean over their local batches; the raw
 sum is recoverable from num_batches.
+
+Every per-batch function also takes a [K, B, ...] stack of K client batches
+(with [K, P] parameters and one generator per client) and returns per-client
+results that are bitwise those of K separate calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +25,9 @@ from .nn import Batch, ModelSpec, ParamVector, loss_and_grad
 
 @dataclass
 class PseudoBatch:
-    """Hard labels with a confidence mask and the model role that made them."""
+    """Hard labels with a confidence mask and the model role that made them;
+    [B] for one batch or [K, B] for a stack.
+    """
 
     pseudo_labels: np.ndarray
     mask: np.ndarray
@@ -38,7 +45,8 @@ class PseudoBatch:
 
     @property
     def size(self) -> int:
-        return self.pseudo_labels.shape[0]
+        """Rows labeled, summed over the slices of a stack."""
+        return self.pseudo_labels.size
 
 
 @dataclass
@@ -77,21 +85,51 @@ class KlStats:
 
 def pseudo_label(probs: np.ndarray, tau: float, source: str = "student") -> PseudoBatch:
     """Argmax labels (ties to the lowest class) masked at confidence tau."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] < 1:
-        raise ValueError(f"probs must be [B >= 1, C], got {probs.shape}")
-    labels = probs.argmax(axis=1)
-    mask = (probs.max(axis=1) >= tau).astype(np.float64)
+    probs = _check_probs(probs)
+    labels = probs.argmax(axis=-1)
+    mask = (probs.max(axis=-1) >= tau).astype(np.float64)
     return PseudoBatch(labels, mask, source=source)
 
 
-def batch_prediction_distribution(probs: np.ndarray) -> np.ndarray:
-    """Normalized histogram of hard argmax predictions over a batch."""
+def _check_probs(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] < 1:
-        raise ValueError(f"probs must be [B >= 1, C], got {probs.shape}")
-    counts = np.bincount(probs.argmax(axis=1), minlength=probs.shape[1])
-    return counts.astype(np.float64) / probs.shape[0]
+    if probs.ndim not in (2, 3) or probs.shape[-2] < 1:
+        raise ValueError(f"probs must be [B >= 1, C] or a stack of them, got {probs.shape}")
+    return probs
+
+
+def batch_prediction_distribution(probs: np.ndarray) -> np.ndarray:
+    """Normalized histogram of hard argmax predictions over a batch; [C], or
+    [K, C] for a [K, B, C] stack.
+    """
+    probs = _check_probs(probs)
+    batch, num_classes = probs.shape[-2:]
+    labels = probs.argmax(axis=-1).reshape(-1, batch)
+    # one integer bincount for every slice: slice k counts into bins
+    # [k*C, (k+1)*C), so the counts are exact
+    offsets = num_classes * np.arange(labels.shape[0])[:, None]
+    counts = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * num_classes)
+    return counts.reshape(probs.shape[:-2] + (num_classes,)) / batch
+
+
+def _kl_rows(p: np.ndarray) -> np.ndarray:
+    """sum_c p_c ln(p_c C) over the nonzero entries of each row of p.
+
+    Rows are summed over their nonzero entries only, as a 1-D sum of those
+    entries would be: a zero-padded row sum differs in the last bit. Rows
+    with equal nonzero counts are summed together, each along its own row.
+    """
+    num_classes = p.shape[-1]
+    flat = p.reshape(-1, num_classes)
+    nonzero = flat > 0
+    per_row = nonzero.sum(axis=1)
+    out = np.empty(flat.shape[0])
+    for n in np.unique(per_row):
+        rows = per_row == n
+        sub = flat[rows]
+        nz = sub[nonzero[rows]].reshape(-1, n)
+        out[rows] = np.sum(nz * np.log(nz * num_classes), axis=1)
+    return out.reshape(p.shape[:-1])
 
 
 def kl_to_uniform(p: np.ndarray) -> float:
@@ -108,13 +146,22 @@ def kl_to_uniform(p: np.ndarray) -> float:
     return float(np.sum(nz * np.log(nz * p.size)))
 
 
+def prediction_kl(probs: np.ndarray) -> float | np.ndarray:
+    """KL-to-uniform of the hard argmax histogram of a batch, per slice of a
+    stack; equal to kl_to_uniform(batch_prediction_distribution(probs)).
+    The histogram is a distribution by construction, so it is not re-checked.
+    """
+    kl = _kl_rows(batch_prediction_distribution(probs))
+    return float(kl) if kl.ndim == 0 else kl
+
+
 def unsupervised_loss_grad(
     student_params: ParamVector,
     spec: ModelSpec,
     unlabeled_batch: Batch,
     pseudo: PseudoBatch,
     cfg: AugmentConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     return_probs: bool = False,
 ) -> tuple[float, ParamVector] | tuple[float, ParamVector, np.ndarray]:
     """Masked cross-entropy of the student on the strong view against fixed
@@ -124,7 +171,7 @@ def unsupervised_loss_grad(
     With return_probs, also returns the student's probabilities on the
     strong view, as loss_and_grad does.
     """
-    if pseudo.size != unlabeled_batch.size:
+    if pseudo.pseudo_labels.shape != unlabeled_batch.inputs.shape[:-1]:
         raise ValueError("pseudo batch length must match unlabeled batch")
     strong = strong_augment(unlabeled_batch, cfg, rng)
     return loss_and_grad(student_params, spec, strong, pseudo.pseudo_labels, pseudo.mask,
@@ -140,7 +187,7 @@ def combined_client_grad(
     hyper: SslHyper,
     spec: ModelSpec,
     cfg: AugmentConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> tuple[float, ParamVector, np.ndarray]:
     """Full local objective: supervised CE (when labels are present) plus
     lambda_u-weighted unsupervised CE plus the exact proximal pull toward
@@ -148,9 +195,12 @@ def combined_client_grad(
 
     Returns (loss, grad, strong_probs): strong_probs are the student's
     probabilities on the strong view of the unlabeled batch, from the
-    forward pass the unsupervised term already ran.
+    forward pass the unsupervised term already ran. For a stack of K
+    clients (student [K, P], batches [K, B, d], one generator per client)
+    the loss is a [K] array and grad a [K, P] stack; the snapshot may be a
+    single [P] vector shared by all K.
 
-    Consumes rng in a fixed order (strong view first, then the labeled
+    Consumes each rng in a fixed order (strong view first, then the labeled
     weak view) so call sites line up across variants.
     """
     student_params.check_compatible(server_snapshot)
@@ -165,12 +215,14 @@ def combined_client_grad(
         weak = weak_augment(labeled_batch, cfg, rng)
         loss_s, grad_s = loss_and_grad(
             student_params, spec, weak, weak.labels,
-            np.ones(weak.size, dtype=np.float64),
+            np.ones(weak.labels.shape, dtype=np.float64),
         )
         total += loss_s
         grad = grad + grad_s.values
     if hyper.mu > 0:
         diff = student_params.values - server_snapshot.values
-        total += 0.5 * hyper.mu * float(diff @ diff)
+        # the row-vector product is the dot product of each slice
+        total += 0.5 * hyper.mu * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
         grad = grad + hyper.mu * diff
-    return float(total), ParamVector(grad, student_params.spec_hash), strong_probs
+    total = float(total) if np.ndim(total) == 0 else total
+    return total, ParamVector(grad, student_params.spec_hash), strong_probs

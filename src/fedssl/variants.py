@@ -88,7 +88,11 @@ class SwitchDecision:
 
 
 def ema_update(teacher: ParamVector, student: ParamVector, alpha: float) -> ParamVector:
-    """teacher <- alpha * teacher + (1 - alpha) * student, elementwise."""
+    """teacher <- alpha * teacher + (1 - alpha) * student, elementwise.
+
+    Either side may be a [K, P] stack; a single [P] teacher EMA-ed toward a
+    stack of students becomes a stack of teachers.
+    """
     teacher.check_compatible(student)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -150,6 +154,10 @@ def variant_batch_hook(
     student's own weak-view distribution stands in for it. The student-side
     statistic (dkl_S) is not made here: it comes from the student's
     strong-view probabilities, which the combined objective returns.
+
+    For K clients in lockstep, student_params is a [K, P] stack and
+    weak_inputs [K, B, d]; the teacher is the shared [P] downlink until its
+    first local EMA step makes it a stack, and every output is per client.
     """
     traits = VARIANTS[variant.kind]
     # only the switching variant may run a round without a teacher

@@ -35,6 +35,15 @@ def test_unknown_section_rejected():
         parse_config_text("[modle]\nhidden = 3\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[dataset]\ndim = 4\n",
+])
+def test_default_section_rejected(text):
+    with pytest.raises(ValueError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config_text(text)
+
+
 def test_negative_dirichlet_alpha_rejected():
     with pytest.raises(ValueError, match="dirichlet_alpha"):
         parse_config_text("[shard]\ndirichlet_alpha = -1\n")

@@ -355,6 +355,28 @@ def test_augment_draws_differ():
     assert not np.array_equal(a.inputs, c.inputs)
 
 
+@pytest.mark.parametrize("fn", [weak_augment, strong_augment])
+def test_augment_stack_draws_per_client(fn):
+    # one generator per client slice: each slice, and each generator's state
+    # afterwards, is what the client's own unstacked call gives
+    cfg = AugmentConfig()
+    slices = [_batch(n=4, seed=k) for k in range(3)]
+    stack = Batch(np.stack([b.inputs for b in slices]), np.stack([b.labels for b in slices]))
+    rngs = [np.random.default_rng(10 + k) for k in range(3)]
+    out = fn(stack, cfg, rngs)
+    assert np.array_equal(out.labels, stack.labels)
+    for k, b in enumerate(slices):
+        alone = np.random.default_rng(10 + k)
+        assert np.array_equal(out.inputs[k], fn(b, cfg, alone).inputs)
+        assert rngs[k].random() == alone.random()
+
+
+def test_augment_stack_needs_one_generator_per_slice():
+    stack = Batch(np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError, match="generators"):
+        weak_augment(stack, AugmentConfig(), [np.random.default_rng(0)] * 2)
+
+
 def test_strong_full_mask_zeroes_everything():
     cfg = AugmentConfig(strong_mask_prob=1.0)
     out = strong_augment(_batch(), cfg, np.random.default_rng(4))

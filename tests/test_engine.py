@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fedssl
-from fedssl import data
+from fedssl import data, engine
 from fedssl.data import (
     AugmentConfig,
     ClientShard,
@@ -27,6 +27,7 @@ from fedssl.engine import (
     aggregate_kl,
     client_update,
     init_server,
+    lockstep_update,
     run_round,
     select_clients,
     server_update,
@@ -51,7 +52,7 @@ from fedssl.semisup import (
     kl_to_uniform,
     pseudo_label,
 )
-from fedssl.variants import VariantConfig
+from fedssl.variants import VariantConfig, ema_update
 
 SPEC = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
 AUG = AugmentConfig(0.02, 0.01, 0.06, 0.1)
@@ -368,6 +369,189 @@ def test_client_missing_student_in_downlink():
             shards[0], {}, VariantConfig("fedprox_fixmatch"),
             _plan(), HYPER, SPEC, AUG, ds, seed=0, round=0,
         )
+
+
+# -------------------------------------------------------- lockstep_update
+
+
+def _same_result(a, b):
+    assert a.client_id == b.client_id
+    assert np.array_equal(a.delta.values, b.delta.values)
+    if b.teacher_delta is None:
+        assert a.teacher_delta is None
+    else:
+        assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
+    assert a.kl == b.kl
+    assert a.num_examples == b.num_examples
+    assert a.uploads == b.uploads
+
+
+@pytest.mark.parametrize("kind,with_teacher", [
+    ("fedprox_fixmatch", False),
+    ("ts_server_ema", True),
+    ("ts_client_ema", True),
+    ("fedswitch", True),
+    ("fedswitch", False),
+])
+def test_lockstep_group_equals_one_client_calls(kind, with_teacher):
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=2, momentum=0.5, weight_decay=0.01)
+    student = init_params(SPEC, 0)
+    teacher = init_params(SPEC, 5) if with_teacher else None
+    args = (_downlink(student, teacher), VariantConfig(kind, ema_alpha=0.9),
+            plan, HYPER, SPEC, AUG, ds)
+    seeds = [derive_seed(9, "client", 3, sh.client_id) for sh in shards]
+    group = lockstep_update(shards, *args, seeds=seeds, round=3)
+    assert [r.client_id for r in group] == [sh.client_id for sh in shards]
+    for res, shard, seed in zip(group, shards, seeds):
+        _same_result(res, client_update(shard, *args, seed=seed, round=3))
+    # the clients' trajectories differ, so a shared slice would not match
+    assert len({r.delta.values.tobytes() for r in group}) == len(shards)
+
+
+def test_lockstep_group_matches_an_unstacked_replay():
+    # independent re-derivation with the unstacked per-batch functions: the
+    # client in the middle of a ts_client_ema group, two epochs
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=2)
+    snapshot = init_params(SPEC, 1)
+    downlinked = init_params(SPEC, 2)
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
+    seeds = [derive_seed(4, "client", 0, sh.client_id) for sh in shards]
+    group = lockstep_update(shards, _downlink(snapshot, downlinked), variant, plan, HYPER,
+                            SPEC, AUG, ds, seeds=seeds, round=0)
+
+    shard, rng = shards[2], np.random.default_rng(seeds[2])
+    student, teacher = snapshot, downlinked
+    opt = OptimState.fresh(SPEC, plan.learning_rate)
+    teacher_kls, student_kls = [], []
+    for _ in range(plan.local_epochs):
+        u_order = shard.unlabeled_idx[rng.permutation(shard.unlabeled_idx.size)]
+        l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
+        for b, start in enumerate(range(0, u_order.size, 8)):
+            u_batch = Batch(ds.inputs[u_order[start:start + 8]], None)
+            weak = weak_augment(u_batch, AUG, rng)
+            teacher = ema_update(teacher, student, variant.ema_alpha)
+            source_probs = forward_probs(teacher, SPEC, weak.inputs)
+            pseudo = pseudo_label(source_probs, HYPER.tau, source="teacher")
+            l_idx = np.take(l_order, np.arange(b * 4, (b + 1) * 4), mode="wrap")
+            labeled = Batch(ds.inputs[l_idx], ds.labels[l_idx])
+            _, grad, strong_probs = combined_client_grad(
+                student, snapshot, labeled, u_batch, pseudo, HYPER, SPEC, AUG, rng
+            )
+            student = sgd_step(student, grad, opt)
+            teacher_kls.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
+            student_kls.append(kl_to_uniform(batch_prediction_distribution(strong_probs)))
+
+    res = group[2]
+    assert np.array_equal(res.delta.values, student.values - snapshot.values)
+    assert np.array_equal(res.teacher_delta.values, teacher.values - downlinked.values)
+    assert res.kl == KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls)),
+                             len(teacher_kls))
+
+
+def test_lockstep_rejects_mixed_batch_shapes():
+    ds, shards, _ = _setup()
+    other = ClientShard(99, shards[1].labeled_idx, shards[1].unlabeled_idx[:-1])
+    args = (_downlink(init_params(SPEC, 0)), VariantConfig("fedprox_fixmatch"),
+            _plan(), HYPER, SPEC, AUG, ds)
+    with pytest.raises(ValueError, match="pool size"):
+        lockstep_update([shards[0], other], *args, seeds=[1, 2], round=0)
+    unlabeled_only = ClientShard(98, np.array([], dtype=np.int64), shards[1].unlabeled_idx)
+    with pytest.raises(ValueError, match="label presence"):
+        lockstep_update([shards[0], unlabeled_only], *args, seeds=[1, 2], round=0)
+
+
+@pytest.fixture
+def lockstep_groups(monkeypatch):
+    """Record every group run_round trains, with its results."""
+    groups = []
+    original = engine.lockstep_update
+
+    def recorded(shards, *args, **kwargs):
+        results = original(shards, *args, **kwargs)
+        groups.append((shards, kwargs, results))
+        return results
+
+    monkeypatch.setattr(engine, "lockstep_update", recorded)
+    return groups
+
+
+def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_groups):
+    # 37 unlabeled examples per client in 3 streamed segments of 13/12/12;
+    # clients at different stream positions have different pool sizes
+    ds = gen_blobs(3, 3, 41, 0.3, seed=0)
+    res = dirichlet_shard(ds, ShardPlan(3, 10.0, 4, seed=0))
+    shards = [make_stream_schedule(sh, 3, seed=sh.client_id) for sh in res.shards]
+    assert [s.size for s in shards[0].stream_splits] == [13, 12, 12]
+    plan = _plan(num_clients=3)
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.9)
+    server = init_server(SPEC, variant, seed=0)
+    positions = {0: 0, 1: 1, 2: 2}
+    kl_out = {}
+    run_round(server, shards, variant, plan, HYPER, SPEC, AUG, ds, ds, 17, CommLedger(),
+              stream_positions=positions, client_kl_out=kl_out)
+
+    groups = list(lockstep_groups)  # the one-client calls below add their own
+    assert [[sh.client_id for sh in g[0]] for g in groups] == [[0], [1, 2]]
+    assert positions == {0: 1, 1: 2, 2: 3}
+    downlink = {"student": server.global_student, "teacher": server.global_teacher}
+    for group, kwargs, results in groups:
+        for shard, step, res in zip(group, kwargs["stream_steps"], results):
+            alone = client_update(shard, downlink, variant, plan, HYPER, SPEC, AUG, ds,
+                                  seed=derive_seed(17, "client", 0, shard.client_id),
+                                  round=0, stream_step=step)
+            _same_result(res, alone)
+            assert kl_out[shard.client_id] == alone.kl
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_non_finite_client_is_named():
+    ds, shards, _ = _setup()
+    seeds = [derive_seed(2, "client", 0, sh.client_id) for sh in shards]
+    # poison one unlabeled example of client 2; its own permutation puts it
+    # in a known batch
+    shard = shards[2]
+    bad = int(shard.unlabeled_idx[5])
+    order = shard.unlabeled_idx[np.random.default_rng(seeds[2]).permutation(
+        shard.unlabeled_idx.size)]
+    batch = int(np.flatnonzero(order == bad)[0]) // 8
+    inputs = ds.inputs.copy()
+    inputs[bad] = np.nan
+    poisoned = Dataset(inputs, ds.labels, ds.num_classes)
+    with pytest.raises(RuntimeError, match=rf"^client 2: non-finite loss at epoch 0 batch {batch}:"):
+        lockstep_update(shards, _downlink(init_params(SPEC, 0)), VariantConfig("fedprox_fixmatch"),
+                        _plan(local_epochs=2), HYPER, SPEC, AUG, poisoned, seeds=seeds, round=0)
+
+
+def test_lockstep_pseudo_label_counts_equal_one_client_runs(monkeypatch):
+    # the benchmark's mask rate divides by these rows
+    from fedssl import variants
+
+    seen = {"rows": 0, "kept": 0.0, "calls": 0}
+    original = variants.pseudo_label
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen["calls"] += 1
+        seen["rows"] += out.size
+        seen["kept"] += float(out.mask.sum())
+        return out
+
+    monkeypatch.setattr(variants, "pseudo_label", counted)
+    ds, shards, _ = _setup()
+    args = (_downlink(init_params(SPEC, 0), init_params(SPEC, 1)),
+            VariantConfig("fedswitch", ema_alpha=0.9), _plan(local_epochs=2), HYPER, SPEC, AUG, ds)
+    seeds = [derive_seed(5, "client", 1, sh.client_id) for sh in shards]
+    lockstep_update(shards, *args, seeds=seeds, round=1)
+    grouped = dict(seen)
+    seen.update(rows=0, kept=0.0, calls=0)
+    for shard, seed in zip(shards, seeds):
+        client_update(shard, *args, seed=seed, round=1)
+    assert grouped["rows"] == seen["rows"] == 2 * sum(sh.unlabeled_idx.size for sh in shards)
+    assert grouped["kept"] == seen["kept"] > 0
+    # one call per local batch for the whole group
+    assert grouped["calls"] * len(shards) == seen["calls"]
 
 
 # -------------------------------------------------------------- aggregate

@@ -139,6 +139,14 @@ def test_transmission_validation():
         Transmission(0, "uplink", "optimizer", 0, 1, 8)
 
 
+def test_transmission_is_slotted():
+    # a ledger holds one entry per model sent; slots keep each small
+    entry = Transmission(0, "uplink", "student", 0, 1, 8)
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(AttributeError):
+        entry.note = "x"
+
+
 # ----------------------------------------------------------- round report
 
 

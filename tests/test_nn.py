@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fedssl.nn import (
     Batch,
     ModelSpec,
+    NonFiniteError,
     OptimState,
     ParamVector,
     central_diff,
@@ -153,6 +154,74 @@ class TestLossAndGrad:
         assert np.array_equal(grad_p.values, grad.values)
         assert np.allclose(probs, forward_probs(p, spec, x), rtol=0, atol=1e-12)
         assert np.array_equal(probs.argmax(axis=1), forward_probs(p, spec, x).argmax(axis=1))
+
+
+class TestStackedBatches:
+    """A [K, P] stack with a [K, B, d] batch is K independent objectives."""
+
+    def _stack(self, k=4, b=7, spec=None, seed=0):
+        spec = spec or small_spec(hidden=(6, 5), activation="tanh")
+        rng = np.random.default_rng(seed)
+        params = ParamVector(np.stack([init_params(spec, i).values for i in range(k)]),
+                             spec.spec_hash)
+        x = rng.normal(size=(k, b, spec.input_dim))
+        targets = rng.integers(0, spec.num_classes, size=(k, b))
+        weights = (rng.random((k, b)) < 0.7).astype(np.float64)
+        return spec, params, x, targets, weights
+
+    def test_each_slice_bitwise_equals_the_unstacked_call(self):
+        spec, params, x, targets, weights = self._stack()
+        loss, grad, probs = loss_and_grad(params, spec, Batch(x), targets, weights,
+                                          return_probs=True)
+        assert loss.shape == (4,) and grad.values.shape == params.values.shape
+        stacked_fwd = forward_probs(params, spec, x)
+        for k in range(4):
+            one = ParamVector(params.values[k], spec.spec_hash)
+            l1, g1, p1 = loss_and_grad(one, spec, Batch(x[k]), targets[k], weights[k],
+                                       return_probs=True)
+            assert loss[k] == l1
+            assert np.array_equal(grad.values[k], g1.values)
+            assert np.array_equal(probs[k], p1)
+            assert np.array_equal(stacked_fwd[k], forward_probs(one, spec, x[k]))
+
+    def test_one_vector_serves_every_slice(self):
+        spec, params, x, _, _ = self._stack()
+        one = ParamVector(params.values[1], spec.spec_hash)
+        shared = forward_probs(one, spec, x)
+        for k in range(4):
+            assert np.array_equal(shared[k], forward_probs(one, spec, x[k]))
+
+    def test_stack_mismatch_raises(self):
+        spec, params, x, targets, weights = self._stack()
+        with pytest.raises(ValueError):
+            forward_probs(params, spec, x[:3])
+        with pytest.raises(ValueError):
+            loss_and_grad(params, spec, Batch(x[:3]), targets[:3], weights[:3])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_error_names_the_first_bad_slice(self):
+        spec, params, x, targets, weights = self._stack()
+        x[2, 0, 0] = np.nan
+        x[3, 1, 1] = np.inf
+        with pytest.raises(NonFiniteError) as info:
+            loss_and_grad(params, spec, Batch(x), targets, np.ones_like(weights))
+        assert info.value.index == 2
+        with pytest.raises(FloatingPointError):
+            loss_and_grad(ParamVector(params.values[2], spec.spec_hash), spec, Batch(x[2]),
+                          targets[2], np.ones(7))
+
+    def test_sgd_step_steps_each_slice(self):
+        spec, params, x, targets, weights = self._stack()
+        _, grad = loss_and_grad(params, spec, Batch(x), targets, weights)
+        opt = OptimState(0.1, 0.5, 0.01, velocity=np.ones(params.values.shape))
+        out = sgd_step(params, grad, opt)
+        for k in range(4):
+            opt1 = OptimState(0.1, 0.5, 0.01, velocity=np.ones(spec.num_params))
+            one = sgd_step(ParamVector(params.values[k], spec.spec_hash),
+                           ParamVector(grad.values[k], spec.spec_hash), opt1)
+            assert np.array_equal(out.values[k], one.values)
+            assert np.array_equal(opt.velocity[k], opt1.velocity)
+        assert len(out) == spec.num_params
 
 
 class TestSgdStep:

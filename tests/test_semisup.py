@@ -16,6 +16,7 @@ from fedssl.semisup import (
     batch_prediction_distribution,
     combined_client_grad,
     kl_to_uniform,
+    prediction_kl,
     pseudo_label,
     unsupervised_loss_grad,
 )
@@ -133,6 +134,36 @@ def test_kl_stats_validation():
         KlStats(dkl_teacher=-0.1, dkl_student=0.0, num_batches=1)
     with pytest.raises(ValueError):
         KlStats(dkl_teacher=float("nan"), dkl_student=0.0, num_batches=1)
+
+
+def _skewed_probs(rng, shape):
+    # a per-batch concentration makes histograms with one to all classes hit
+    probs = rng.random(shape) ** rng.uniform(0.1, 40.0, size=shape[:-2] + (1, 1))
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def test_prediction_kl_bitwise_equals_the_checked_path():
+    rng = np.random.default_rng(0)
+    probs = _skewed_probs(rng, (2000, 12, 10))
+    stacked = prediction_kl(probs)
+    hist = batch_prediction_distribution(probs)
+    hit = set()
+    for k in range(probs.shape[0]):
+        one = batch_prediction_distribution(probs[k])
+        assert np.array_equal(hist[k], one)
+        assert stacked[k] == kl_to_uniform(one) == prediction_kl(probs[k])
+        hit.add(int((one > 0).sum()))
+    assert len(hit) >= 6  # rows of many nonzero counts were summed
+
+
+def test_pseudo_label_stack_counts_every_row():
+    probs = _skewed_probs(np.random.default_rng(1), (3, 5, 4))
+    pb = pseudo_label(probs, 0.6)
+    assert pb.size == 15
+    for k in range(3):
+        one = pseudo_label(probs[k], 0.6)
+        assert np.array_equal(pb.pseudo_labels[k], one.pseudo_labels)
+        assert np.array_equal(pb.mask[k], one.mask)
 
 
 # ------------------------------------------------- unsupervised_loss_grad
