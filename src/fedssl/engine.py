@@ -20,6 +20,13 @@ objective the strong view and the labeled weak view), identically for every
 variant, so trajectories of different variants under one seed stay
 comparable. Each batch draws one strong view; the student's KL statistic
 reuses the probabilities the objective computed on it.
+
+With the labels at the server, the server fine-tunes the model on its
+labeled pool with plain SGD: server_epochs epochs in batches of
+server_batch_size at server_learning_rate, with no momentum, no weight
+decay and no augmentation (momentum and weight_decay apply to the clients
+only). The epochs run through one preallocated single-model kernel,
+nn.sgd_epochs.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .nn import (
     OptimState,
     ParamVector,
     init_params,
-    loss_and_grad,
+    sgd_epochs,
     sgd_step,
 )
 from .rng import derive_seed
@@ -338,23 +345,19 @@ def server_update(
     seed: int,
     spec: ModelSpec,
 ) -> ParamVector:
-    """Supervised epochs over the server's labeled pool, plain SGD, no
-    augmentation.
+    """Supervised epochs over the server's labeled pool: plain SGD (no
+    momentum, no weight decay), no augmentation, one permutation per epoch
+    drawn from default_rng(seed). Runs through the single-model kernel
+    nn.sgd_epochs; a diverging update raises RuntimeError naming the epoch
+    and the batch.
     """
     if server_pool is None or server_pool.size == 0:
         raise ValueError("server update requires a non-empty labeled pool")
-    out = params.copy()
-    rng = np.random.default_rng(seed)
-    opt = OptimState(learning_rate=server_learning_rate, momentum=0.0,
-                     weight_decay=0.0, velocity=np.zeros(spec.num_params))
-    for _ in range(server_epochs):
-        order = rng.permutation(server_pool.size)
-        for idx in _batches(order, batch_size):
-            batch = Batch(server_pool.inputs[idx], server_pool.labels[idx])
-            _, grad = loss_and_grad(out, spec, batch, batch.labels,
-                                    np.ones(idx.size, dtype=np.float64))
-            out = sgd_step(out, grad, opt)
-    return out
+    try:
+        return sgd_epochs(params, spec, server_pool.inputs, server_pool.labels, server_epochs,
+                          batch_size, server_learning_rate, np.random.default_rng(seed))
+    except NonFiniteError as exc:
+        raise RuntimeError(f"server update: {exc}") from None
 
 
 def run_round(

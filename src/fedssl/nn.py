@@ -1,5 +1,6 @@
 """Minimal MLP substrate: flat parameter vectors, forward pass, analytic
-cross-entropy gradients, heavy-ball SGD, and a finite-difference oracle.
+cross-entropy gradients, heavy-ball SGD, a single-model kernel for whole
+epochs of plain SGD, and a finite-difference oracle.
 
 All math is float64. Parameters live in a single flat vector (the unit of
 transport and aggregation); the layout is, per layer, the weight matrix in
@@ -10,6 +11,10 @@ parameters [K, P] and inputs [K, B, d], one slice per client. Slice k of a
 stacked result is bitwise the result of the unstacked call on slice k:
 stacked matmul runs the same gemm per 2-D slice, and every reduction runs
 along one slice.
+
+loss_and_grad and the epoch kernel sgd_epochs share one forward pass, one
+cross-entropy head and one backward pass, which run on prebuilt (W, b)
+views; the kernel builds its views once per call instead of once per batch.
 """
 
 from __future__ import annotations
@@ -161,17 +166,16 @@ class OptimState:
 
 
 def _unflatten(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) per layer into the flat vector; for a [K, P] stack,
-    W is [K, fan_in, fan_out] and b is [K, 1, fan_out], so that it
-    broadcasts over the rows of its own slice.
+    """Views (W, b) per layer into the flat vector: W is [fan_in, fan_out]
+    and b is [1, fan_out]; for a [K, P] stack, W is [K, fan_in, fan_out] and
+    b is [K, 1, fan_out], so that it broadcasts over the rows of its own
+    slice.
     """
     if values.shape[-1] != spec.num_params:
         raise ValueError(f"parameter vector length {values.shape[-1]} != expected {spec.num_params}")
-    if values.ndim == 1:
-        return [(values[w0:b0].reshape(d_in, d_out), values[b0:b1])
-                for w0, b0, b1, d_in, d_out in spec._layout]
-    k = values.shape[0]
-    return [(values[:, w0:b0].reshape(k, d_in, d_out), values[:, None, b0:b1])
+    lead = values.shape[:-1]
+    return [(values[..., w0:b0].reshape(*lead, d_in, d_out),
+             values[..., None, b0:b1])
             for w0, b0, b1, d_in, d_out in spec._layout]
 
 
@@ -215,17 +219,64 @@ def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray):
         raise ValueError(f"stack of {params.values.shape[0]} parameter vectors does not match "
                          f"inputs shape {inputs.shape}")
     layers = _unflatten(params.values, spec)
+    logits, caches = _forward_layers(layers, inputs, spec.activation)
+    return logits, caches, layers
+
+
+def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
+                    activation: str) -> tuple[np.ndarray, list]:
+    """The forward pass through prebuilt (W, b) views: logits and the
+    per-layer (input, pre-act, post-act) caches the backward pass reads.
+    """
     a = inputs
     caches = []
     for i, (w, b) in enumerate(layers):
         z = a @ w + b
         if i < len(layers) - 1:
-            a_next = _activate(z, spec.activation)
+            a_next = _activate(z, activation)
             caches.append((a, z, a_next))
             a = a_next
         else:
             caches.append((a, z, z))
-    return caches[-1][1], caches, layers
+    return caches[-1][1], caches
+
+
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+    """Masked mean cross-entropy per slice, its gradient with respect to the
+    logits, and the softmax probabilities.
+    """
+    num_classes = logits.shape[-1]
+    b = targets.shape[-1]
+    log_probs = _log_softmax(logits)
+    # flat index of each row's target entry
+    at_target = np.arange(0, targets.size * num_classes, num_classes) + targets.reshape(-1)
+    ce = -log_probs.reshape(-1)[at_target].reshape(targets.shape)
+    # the row-vector product is the dot product of each slice
+    loss = (weights[..., None, :] @ ce[..., :, None])[..., 0, 0] / b
+
+    probs = np.exp(log_probs)
+    dlogits = probs.copy()
+    dlogits.reshape(-1)[at_target] -= 1.0
+    dlogits *= (weights / b)[..., None]
+    return loss, dlogits, probs
+
+
+def _backward_layers(layers: list[tuple[np.ndarray, np.ndarray]], caches: list,
+                     dlogits: np.ndarray, grad_layers: list[tuple[np.ndarray, np.ndarray]],
+                     activation: str) -> None:
+    """Backpropagate dlogits through the layers, writing every gradient into
+    its prebuilt (gW, gb) view.
+    """
+    upstream = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        a_in = caches[i][0]
+        gw, gb = grad_layers[i]
+        np.matmul(a_in.swapaxes(-1, -2), upstream, out=gw)
+        upstream.sum(axis=-2, keepdims=True, out=gb)
+        if i > 0:
+            da = upstream @ layers[i][0].swapaxes(-1, -2)
+            _, z_prev, a_prev = caches[i - 1]
+            upstream = da * _activate_grad(z_prev, a_prev, activation)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -272,7 +323,6 @@ def loss_and_grad(
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     rows = batch.inputs.shape[:-1]
-    b = rows[-1]
     if params.values.shape[:-1] != rows[:-1]:
         raise ValueError(f"params shape {params.values.shape} does not match batch shape "
                          f"{batch.inputs.shape}")
@@ -284,32 +334,9 @@ def loss_and_grad(
         raise ValueError("targets out of class range")
 
     logits, caches, layers = _forward(params, spec, batch.inputs)
-    log_probs = _log_softmax(logits)
-    flat_rows = np.arange(targets.size)
-    flat_targets = targets.reshape(-1)
-    ce = -log_probs.reshape(-1, spec.num_classes)[flat_rows, flat_targets].reshape(rows)
-    # the row-vector product is the dot product of each slice
-    loss = (weights[..., None, :] @ ce[..., :, None])[..., 0, 0] / b
-
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
-    dlogits.reshape(-1, spec.num_classes)[flat_rows, flat_targets] -= 1.0
-    dlogits *= (weights / b)[..., None]
-
+    loss, dlogits, probs = _cross_entropy(logits, targets, weights)
     grad_values = np.zeros_like(params.values)
-    grad_layers = _unflatten(grad_values, spec)
-
-    upstream = dlogits
-    for i in range(len(layers) - 1, -1, -1):
-        a_in, z, a_out = caches[i]
-        w, _ = layers[i]
-        gw, gb = grad_layers[i]
-        gw[:] = a_in.swapaxes(-1, -2) @ upstream
-        gb[:] = upstream.sum(axis=-2, keepdims=True)
-        if i > 0:
-            da = upstream @ w.swapaxes(-1, -2)
-            _, z_prev, a_prev = caches[i - 1]
-            upstream = da * _activate_grad(z_prev, a_prev, spec.activation)
+    _backward_layers(layers, caches, dlogits, _unflatten(grad_values, spec), spec.activation)
 
     if not (np.isfinite(loss).all() and np.isfinite(grad_values).all()):
         finite = np.isfinite(loss) & np.isfinite(grad_values).all(axis=-1)
@@ -319,6 +346,15 @@ def loss_and_grad(
     if return_probs:
         return loss, grad, probs
     return loss, grad
+
+
+def _heavy_ball(velocity: np.ndarray, grad_values: np.ndarray, values: np.ndarray,
+                momentum: float, weight_decay: float) -> None:
+    """v <- m*v + g + wd*theta, in place."""
+    velocity *= momentum
+    velocity += grad_values
+    if weight_decay != 0.0:
+        velocity += weight_decay * values
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVector:
@@ -332,11 +368,74 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVe
         raise ValueError(
             f"velocity length {opt.velocity.shape[0]} != params length {len(params)}"
         )
-    opt.velocity *= opt.momentum
-    opt.velocity += grad.values
-    if opt.weight_decay != 0.0:
-        opt.velocity += opt.weight_decay * params.values
+    _heavy_ball(opt.velocity, grad.values, params.values, opt.momentum, opt.weight_decay)
     return ParamVector(params.values - opt.learning_rate * opt.velocity, params.spec_hash)
+
+
+def sgd_epochs(
+    params: ParamVector,
+    spec: ModelSpec,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    rng: np.random.Generator,
+) -> ParamVector:
+    """Supervised epochs of plain SGD (no momentum, no weight decay) on the
+    mean cross-entropy of one model over a labeled pool [N, d].
+
+    Each epoch visits the pool in the order of one rng.permutation(N), in
+    consecutive batches of batch_size (the last one may be smaller). The
+    result is bitwise that of loss_and_grad with all-ones weights followed
+    by sgd_step, batch by batch: the same float operations run, on views
+    into one working parameter vector and one gradient buffer built once,
+    with the inputs and labels gathered once per epoch and validated once.
+    A non-finite loss or gradient, or non-finite parameters after the last
+    step, raise NonFiniteError naming the epoch and the batch.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if params.values.shape != (spec.num_params,):
+        raise ValueError(f"parameter vector shape {params.values.shape} != expected "
+                         f"({spec.num_params},)")
+    if inputs.ndim != 2 or inputs.shape[0] < 1 or inputs.shape[1] != spec.input_dim:
+        raise ValueError(f"pool inputs shape {inputs.shape} inconsistent with input_dim "
+                         f"{spec.input_dim}")
+    if labels.shape != inputs.shape[:1]:
+        raise ValueError(f"labels shape {labels.shape} != pool size {inputs.shape[0]}")
+    if np.any(labels < 0) or np.any(labels >= spec.num_classes):
+        raise ValueError("labels out of class range")
+    if epochs < 0 or batch_size < 1 or learning_rate <= 0:
+        raise ValueError(f"need epochs >= 0, batch_size >= 1 and learning_rate > 0, got "
+                         f"{epochs}, {batch_size}, {learning_rate}")
+
+    values = params.values.copy()
+    grad_values = np.zeros_like(values)
+    velocity = np.zeros_like(values)
+    layers = _unflatten(values, spec)
+    grad_layers = _unflatten(grad_values, spec)
+    n = inputs.shape[0]
+    weights = np.ones(min(batch_size, n), dtype=np.float64)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_inputs, epoch_labels = inputs[order], labels[order]
+        for b, start in enumerate(range(0, n, batch_size)):
+            x = epoch_inputs[start:start + batch_size]
+            y = epoch_labels[start:start + batch_size]
+            logits, caches = _forward_layers(layers, x, spec.activation)
+            loss, dlogits, _ = _cross_entropy(logits, y, weights[:y.size])
+            _backward_layers(layers, caches, dlogits, grad_layers, spec.activation)
+            if not (math.isfinite(loss) and np.isfinite(grad_values).all()):
+                raise NonFiniteError(
+                    f"non-finite loss or gradient at epoch {epoch} batch {b}")
+            _heavy_ball(velocity, grad_values, values, 0.0, 0.0)
+            values -= learning_rate * velocity
+    # an overflowing step shows in the next batch's loss or gradient, but not
+    # after the last step or in a unit no later batch activates
+    if epochs and not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite parameters after epoch {epochs - 1} batch {b}")
+    return ParamVector(values, params.spec_hash)
 
 
 def central_diff(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

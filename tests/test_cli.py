@@ -107,3 +107,18 @@ def test_run_propagates_trial_errors(tmp_path, capsys):
     path = _write(tmp_path, bad, name="bad.ini")
     assert main(["run", path, "--out", str(tmp_path / "err")]) == 1
     assert "trial 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_run_reports_a_diverging_server_update(tmp_path, capsys):
+    # labels at the server, and a learning rate that overflows its update
+    bad = TINY.replace("labeled_per_client = 2",
+                       "labeled_per_client = 2\nserver_holds_labels = true")
+    bad = bad.replace("hidden_dims = 6",
+                      "hidden_dims = 6\ntopology = labels_at_server_sequential\n"
+                      "server_epochs = 3\nserver_learning_rate = 1e200")
+    path = _write(tmp_path, bad, name="diverge.ini")
+    assert main(["run", path, "--out", str(tmp_path / "err")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 0: server update: non-finite ")
+    assert " at epoch " in err and " batch " in err

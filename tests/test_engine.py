@@ -660,6 +660,85 @@ def test_server_update_requires_pool():
         server_update(init_params(SPEC, 0), None, 1, 0.1, 8, 0, SPEC)
 
 
+def _server_loop(params, pool, epochs, lr, batch_size, seed, spec):
+    """The per-batch server loop the kernel replaced, kept as its oracle:
+    the trained parameters, or the (epoch, batch) of the first non-finite
+    loss or gradient.
+    """
+    out = params.copy()
+    rng = np.random.default_rng(seed)
+    opt = OptimState(learning_rate=lr, momentum=0.0, weight_decay=0.0,
+                     velocity=np.zeros(spec.num_params))
+    for epoch in range(epochs):
+        order = rng.permutation(pool.size)
+        for b, start in enumerate(range(0, pool.size, batch_size)):
+            idx = order[start:start + batch_size]
+            batch = Batch(pool.inputs[idx], pool.labels[idx])
+            try:
+                _, grad = loss_and_grad(out, spec, batch, batch.labels,
+                                        np.ones(idx.size, dtype=np.float64))
+            except FloatingPointError:
+                return epoch, b
+            out = sgd_step(out, grad, opt)
+    return out
+
+
+@pytest.mark.parametrize("n, batch_size, epochs, hidden, activation", [
+    (37, 8, 3, (4,), "relu"),     # several epochs, ragged last batch of 5
+    (37, 8, 3, (4,), "tanh"),
+    (37, 8, 2, (5, 4), "relu"),   # two hidden layers
+    (37, 8, 2, (5, 4), "tanh"),
+    (12, 12, 2, (4,), "relu"),    # one batch, exactly the pool
+    (12, 50, 3, (5, 4), "tanh"),  # one batch, larger than the pool
+])
+def test_server_update_equals_the_per_batch_loop(n, batch_size, epochs, hidden, activation):
+    spec = ModelSpec(input_dim=3, hidden_dims=hidden, num_classes=3, activation=activation)
+    full = gen_blobs(3, 3, 13, 0.4, seed=2)
+    keep = np.random.default_rng(0).permutation(full.size)[:n]
+    pool = Dataset(full.inputs[keep], full.labels[keep], full.num_classes)
+    params = init_params(spec, 3)
+    before = params.values.copy()
+    out = server_update(params, pool, epochs, 0.3, batch_size, seed=11, spec=spec)
+    expect = _server_loop(params, pool, epochs, 0.3, batch_size, 11, spec)
+    assert out.values.tobytes() == expect.values.tobytes()
+    assert out.spec_hash == params.spec_hash
+    assert np.array_equal(params.values, before)
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_server_update_rejects_a_pool_of_the_wrong_dimension(epochs):
+    pool = gen_blobs(3, 4, 4, 0.2, seed=0)
+    with pytest.raises(ValueError, match="input_dim"):
+        server_update(init_params(SPEC, 0), pool, epochs, 0.1, 8, 0, SPEC)
+
+
+def test_server_update_divergence_names_epoch_and_batch():
+    base = gen_blobs(3, 3, 13, 0.2, seed=0)
+    # inputs this large overflow the logits after a few steps
+    pool = Dataset(base.inputs * 1e20, base.labels, base.num_classes)
+    params = init_params(SPEC, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        epoch, batch = _server_loop(params, pool, 6, 1.0, 8, 4, SPEC)
+        assert epoch >= 1
+        with pytest.raises(RuntimeError,
+                           match=rf"^server update: non-finite loss or gradient at epoch "
+                                 rf"{epoch} batch {batch}$"):
+            server_update(params, pool, 6, 1.0, 8, seed=4, spec=SPEC)
+
+
+def test_server_update_overflow_on_the_last_step_is_named():
+    # no batch follows the last step to see the overflow in its loss
+    pool = _pool()
+    pool = Dataset(pool.inputs * 1e10, pool.labels, pool.num_classes)
+    params = init_params(SPEC, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one batch per epoch: the second epoch's loss sees the first step's overflow
+        assert _server_loop(params, pool, 2, 1e300, pool.size, 0, SPEC) == (1, 0)
+        with pytest.raises(RuntimeError,
+                           match=r"^server update: non-finite parameters after epoch 0 batch 0$"):
+            server_update(params, pool, 1, 1e300, pool.size, seed=0, spec=SPEC)
+
+
 # ---------------------------------------------------------------- run_round
 
 

@@ -1,9 +1,9 @@
 """Golden trace: SHA-256 of every per-trial output file on tiny configs.
 
-One case per variant (labels at the clients) plus a streaming run with the
-labels held at the server. A change that means to keep behaviour must keep
-these digests; a change that moves floats on purpose re-records them and
-says why.
+One case per variant (labels at the clients) plus one run per server
+topology with the labels held at the server, the sequential one streaming.
+A change that means to keep behaviour must keep these digests; a change
+that moves floats on purpose re-records them and says why.
 
 The config echo (config_resolved.ini) is pinned too: for each case, with
 the temporary output directory replaced by a fixed token, and for the
@@ -69,6 +69,9 @@ CASES = {
     "server_sequential_streaming": dict(
         alpha=0.3, streaming=3, server_labels="true",
         topology="labels_at_server_sequential", kind="ts_server_ema"),
+    "server_parallel": dict(
+        alpha=0.3, streaming=0, server_labels="true",
+        topology="labels_at_server_parallel", kind="fedswitch"),
 }
 
 FILES = ("rounds.csv", "transmissions.csv", "kl_ratio.csv", "summary.txt")
@@ -87,6 +90,13 @@ GOLDEN = {
         "kl_ratio.csv": "56b2102245fee161e0483e3cdaac2b818d4a029f109d0d6df7c6e14fb965b5aa",
         "summary.txt": "ae36efb9f868c19d3569d3e547a62c4661f964ad4c05e1166d18750652451be4",
         "config_resolved.ini": "ac83fafb522c465683fb231ede6a34f8726940d020ed45f27f3f5700ceff4876",
+    },
+    "server_parallel": {
+        "rounds.csv": "8054782c2f11a9b753db013e1b96d9cdcb649cf9bf27f00447f20e2b78e32cf9",
+        "transmissions.csv": "04debd9c51c21bbed1aae5ce50d800ae933ecb908de8ce0154348d056d5c4914",
+        "kl_ratio.csv": "cf59a2ebc752ab15cd817570cf99fdd083e097032207c56d656cf3905e3d59fe",
+        "summary.txt": "8e9b3a800bfe00dc64bb2f8f23c3571e4a326725accedc507898df359f2073e4",
+        "config_resolved.ini": "ae06ce375cf4228a14ec8c1d9efba5f836a60056d1312e695868a7aac3fcb52e",
     },
     "server_sequential_streaming": {
         "rounds.csv": "9d61be8a4f97920806b59d6023383efefb2cac11d246da6dee25554fbd1c250d",
