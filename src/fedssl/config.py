@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .data import AugmentConfig
 from .engine import RoundPlan
+from .metrics import CommLedger
 from .semisup import SslHyper
 from .variants import VARIANT_KINDS, VARIANTS
 
@@ -133,6 +134,7 @@ class TrainConfig:
         # delegate the remaining ranges to the objects the runner builds
         self.round_plan(num_clients=1)
         self.hyper()
+        CommLedger(bytes_per_param=self.bytes_per_param)
 
     def round_plan(self, num_clients: int) -> RoundPlan:
         shared = {f.name: getattr(self, f.name) for f in fields(RoundPlan)

@@ -21,6 +21,12 @@ variant, so trajectories of different variants under one seed stay
 comparable. Each batch draws one strong view; the student's KL statistic
 reuses the probabilities the objective computed on it.
 
+run_round records every model that crosses the network in the CommLedger,
+which alone prices it: the downlinks as they are sent, then the uplinks
+once every group has trained, client by client in selected order, the
+student delta before the teacher delta. The KL scalars each client reports
+are not metered.
+
 With the labels at the server, the server fine-tunes the model on its
 labeled pool with plain SGD: server_epochs epochs in batches of
 server_batch_size at server_learning_rate, with no momentum, no weight
@@ -37,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import AugmentConfig, ClientShard, Dataset, weak_augment
-from .metrics import CommLedger, RoundReport, Transmission, evaluate
+from .metrics import CommLedger, RoundReport, evaluate
 from .nn import (
     Batch,
     ModelSpec,
@@ -52,7 +58,6 @@ from .rng import derive_seed
 from .semisup import KlStats, SslHyper, combined_client_grad, prediction_kl
 from .variants import (
     VARIANTS,
-    SwitchDecision,
     VariantConfig,
     switch_decide,
     variant_batch_hook,
@@ -83,14 +88,13 @@ class ServerState:
 
 @dataclass
 class ClientUpdateResult:
-    """A client's round product: deltas, KL scalars, transmission records."""
+    """A client's round product: its deltas and KL scalars."""
 
     client_id: int
     delta: ParamVector
     teacher_delta: ParamVector | None
     kl: KlStats
     num_examples: int
-    uploads: list[Transmission]
 
     def __post_init__(self) -> None:
         if self.num_examples < 0:
@@ -113,7 +117,6 @@ class RoundPlan:
     server_learning_rate: float = 0.05
     momentum: float = 0.0
     weight_decay: float = 0.0
-    bytes_per_param: int = 8
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -129,6 +132,10 @@ class RoundPlan:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0 or self.server_learning_rate <= 0:
             raise ValueError("learning rates must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
 
     @property
     def clients_per_round(self) -> int:
@@ -177,6 +184,7 @@ def lockstep_update(
     one stacked pass over the client axis. Client k keeps its own generator,
     seeded with seeds[k], and draws from it exactly what it would draw
     training alone, so each result is bitwise that of a one-client call.
+    round only labels a non-finite error.
     """
     if "student" not in downlink:
         raise ValueError("downlink must contain the global student")
@@ -240,8 +248,8 @@ def lockstep_update(
                 )
             except NonFiniteError as exc:
                 raise RuntimeError(
-                    f"client {shards[exc.index].client_id}: non-finite loss at epoch "
-                    f"{epoch} batch {b}: {exc}"
+                    f"client {shards[exc.index].client_id}: non-finite loss at round "
+                    f"{round} epoch {epoch} batch {b}: {exc}"
                 ) from None
 
             student = sgd_step(student, grad, opt)
@@ -249,7 +257,7 @@ def lockstep_update(
             if not finite.all():
                 raise RuntimeError(
                     f"client {shards[int(np.argmin(finite))].client_id}: non-finite "
-                    f"parameters after epoch {epoch} batch {b}"
+                    f"parameters at round {round} after epoch {epoch} batch {b}"
                 )
             teacher_kl[:, j] = prediction_kl(source_probs)
             student_kl[:, j] = prediction_kl(student_probs)
@@ -268,24 +276,12 @@ def lockstep_update(
         rows = {role: ParamVector(pv.values[k] if pv.values.ndim == 2 else pv.values,
                                   pv.spec_hash)
                 for role, pv in payload.items()}
-        uploads = [
-            Transmission(
-                round=round,
-                direction="uplink",
-                role=role,
-                client_id=shard.client_id,
-                num_params=len(pv),
-                bytes=len(pv) * plan.bytes_per_param,
-            )
-            for role, pv in rows.items()
-        ]
         results.append(ClientUpdateResult(
             client_id=shard.client_id,
             delta=rows["student"],
             teacher_delta=rows.get("teacher"),
             kl=kls[k],
             num_examples=int(u_pools[k].size + l_pools[k].size),
-            uploads=uploads,
         ))
     return results
 
@@ -375,8 +371,9 @@ def run_round(
     stream_positions: dict[int, int] | None = None,
     client_kl_out: dict[int, KlStats] | None = None,
 ) -> tuple[ServerState, RoundReport]:
-    """One full protocol round. Advances each participating client's
-    streaming position inside stream_positions, which the caller owns.
+    """One full protocol round. Records every downlinked and uplinked model
+    in the ledger, and advances each participating client's streaming
+    position inside stream_positions, which the caller owns.
     When given, client_kl_out receives each participant's KL statistics.
     """
     if plan.num_clients != len(shards):
@@ -391,17 +388,14 @@ def run_round(
 
     rnd = server.round
     traits = VARIANTS[variant.kind]
-    decision: SwitchDecision | None = None
+    send_teacher = None
     if traits.switches:
-        if rnd == 0:
-            # no KL stats exist yet; favoring the teacher is observationally
-            # neutral (teacher == student at init) and exercises the EMA path
-            decision = SwitchDecision(True, variant.iidness_prior, math.inf, 0)
-        else:
-            decision = switch_decide(server.last_kl, variant.iidness_prior, rnd)
+        # round 0 has no KL stats yet; sending the teacher is observationally
+        # neutral (teacher == student at init) and exercises the EMA path
+        send_teacher = rnd == 0 or switch_decide(server.last_kl, variant.iidness_prior)
 
     selected = select_clients(len(shards), plan.clients_per_round, rnd, base_seed)
-    downlink = variant_downlink(variant, server, decision)
+    downlink = variant_downlink(variant, server, send_teacher)
     for cid in selected:
         for role, pv in downlink.items():
             ledger.record(rnd, "downlink", role, cid, len(pv))
@@ -427,7 +421,9 @@ def run_round(
         cid = result.client_id
         if streaming:
             stream_positions[cid] = steps[cid] + 1
-        ledger.extend(result.uploads)
+        for role, pv in (("student", result.delta), ("teacher", result.teacher_delta)):
+            if pv is not None:
+                ledger.record(rnd, "uplink", role, cid, len(pv))
         if client_kl_out is not None:
             client_kl_out[cid] = result.kl
 

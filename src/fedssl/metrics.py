@@ -1,9 +1,10 @@
 """Accuracy evaluation, communication accounting, and training-stability
 statistics.
 
-Every model payload that crosses the network is one ledger entry; bytes are
-num_params times bytes_per_param (8 for the float64 core, 4 for comparison
-runs). The two KL scalars each client reports ride outside the ledger.
+Every model payload that crosses the network, downlink or uplink, is one
+ledger entry, recorded by engine.run_round. The ledger alone prices it:
+bytes are num_params times bytes_per_param (8 for the float64 core, 4 for
+comparison runs). The two KL scalars each client reports are not metered.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class CommLedger:
 
     Per-round totals are kept running as entries arrive through record and
     extend, so a round's rollup costs the same however long the log grows.
+    The pipeline records through record alone; extend appends prebuilt
+    entries after checking them against this ledger's price.
     """
 
     bytes_per_param: int = 8

@@ -366,7 +366,7 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVe
     params.check_compatible(grad)
     if opt.velocity.shape != params.values.shape:
         raise ValueError(
-            f"velocity length {opt.velocity.shape[0]} != params length {len(params)}"
+            f"velocity shape {opt.velocity.shape} != params shape {params.values.shape}"
         )
     _heavy_ball(opt.velocity, grad.values, params.values, opt.momentum, opt.weight_decay)
     return ParamVector(params.values - opt.learning_rate * opt.velocity, params.spec_hash)

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(base: int, *parts: object) -> int:
     """Map (base, parts...) to a stable 64-bit seed via SHA-256."""
     tag = "|".join([str(int(base))] + [str(p) for p in parts])
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def rng_for(base: int, *parts: object) -> np.random.Generator:
-    """Generator for a named purpose, independent of call order."""
-    return np.random.default_rng(derive_seed(base, *parts))

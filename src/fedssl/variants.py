@@ -77,16 +77,6 @@ class VariantConfig:
             raise ValueError("iidness_prior must be non-negative")
 
 
-@dataclass
-class SwitchDecision:
-    """Outcome of the teacher-vs-student downlink rule for one round."""
-
-    send_teacher: bool
-    dkl_teacher: float
-    dkl_student: float
-    round: int
-
-
 def ema_update(teacher: ParamVector, student: ParamVector, alpha: float) -> ParamVector:
     """teacher <- alpha * teacher + (1 - alpha) * student, elementwise.
 
@@ -100,35 +90,30 @@ def ema_update(teacher: ParamVector, student: ParamVector, alpha: float) -> Para
                        teacher.spec_hash)
 
 
-def switch_decide(last_kl: KlStats, beta: float, round: int = 0) -> SwitchDecision:
+def switch_decide(last_kl: KlStats, beta: float) -> bool:
     """Send the teacher iff its prediction skew is strictly closer to the
     IIDness prior than the student's; ties keep the cheaper student-only
     downlink.
     """
-    send = abs(last_kl.dkl_teacher - beta) < abs(last_kl.dkl_student - beta)
-    return SwitchDecision(
-        send_teacher=bool(send),
-        dkl_teacher=last_kl.dkl_teacher,
-        dkl_student=last_kl.dkl_student,
-        round=round,
-    )
+    return bool(abs(last_kl.dkl_teacher - beta) < abs(last_kl.dkl_student - beta))
 
 
 def variant_downlink(
     variant: VariantConfig,
     server,
-    decision: SwitchDecision | None = None,
+    send_teacher: bool | None = None,
 ) -> dict[str, ParamVector]:
     """Models the server sends to every participating client this round.
 
-    `server` must expose global_student and global_teacher.
+    `server` must expose global_student and global_teacher; send_teacher is
+    the switching variant's decision for this round, which the others ignore.
     """
     traits = VARIANTS[variant.kind]
     down = {"student": server.global_student}
     if traits.switches:
-        if decision is None:
+        if send_teacher is None:
             raise ValueError(f"{variant.kind} downlink requires a switch decision")
-        if not decision.send_teacher:
+        if not send_teacher:
             return down
     if traits.teacher:
         if server.global_teacher is None:

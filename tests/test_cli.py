@@ -51,6 +51,13 @@ def test_validate_rejects_bad_value(tmp_path, capsys):
     assert "dirichlet_alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["momentum = 1.5", "weight_decay = -1", "bytes_per_param = 3"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, line):
+    path = _write(tmp_path, f"[training]\n{line}\n")
+    assert main(["validate", path]) == 1
+    assert line.split()[0] in capsys.readouterr().err
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
     assert "not found" in capsys.readouterr().err

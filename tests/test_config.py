@@ -49,6 +49,17 @@ def test_negative_dirichlet_alpha_rejected():
         parse_config_text("[shard]\ndirichlet_alpha = -1\n")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("momentum", "1.5"),
+    ("momentum", "-0.1"),
+    ("weight_decay", "-1"),
+    ("bytes_per_param", "3"),
+])
+def test_training_range_rejected_at_parse(key, value):
+    with pytest.raises(ValueError, match=key):
+        parse_config_text(f"[training]\n{key} = {value}\n")
+
+
 def test_type_mismatch_names_path():
     with pytest.raises(ValueError, match=r"\[training\] rounds"):
         parse_config_text("[training]\nrounds = ten\n")

@@ -110,6 +110,10 @@ def test_plan_validation():
         _plan(local_epochs=-1)
     with pytest.raises(ValueError):
         _plan(unlabeled_batch_size=0)
+    with pytest.raises(ValueError, match="momentum"):
+        _plan(momentum=1.0)
+    with pytest.raises(ValueError, match="weight_decay"):
+        _plan(weight_decay=-0.1)
 
 
 # --------------------------------------------------------- select_clients
@@ -338,10 +342,10 @@ def test_client_delta_reconstruction_bit_exact():
 def test_client_nan_aborts_with_context():
     ds, shards, _ = _setup()
     student = init_params(SPEC, 0)
-    with pytest.raises(RuntimeError, match=r"client 0.*batch"):
+    with pytest.raises(RuntimeError, match=r"^client 0: non-finite \w+ at round 7 .*batch"):
         client_update(
             shards[0], _downlink(student), VariantConfig("fedprox_fixmatch"),
-            _plan(learning_rate=1e300), HYPER, SPEC, AUG, ds, seed=1, round=0,
+            _plan(learning_rate=1e300), HYPER, SPEC, AUG, ds, seed=1, round=7,
         )
 
 
@@ -349,17 +353,15 @@ def test_client_uploads_per_variant():
     ds, shards, _ = _setup()
     student = init_params(SPEC, 0)
     teacher = init_params(SPEC, 1)
-    for kind, n_up in (("fedprox_fixmatch", 1), ("ts_server_ema", 1),
-                       ("ts_client_ema", 2), ("fedswitch", 1)):
+    for kind, uploads_teacher in (("fedprox_fixmatch", False), ("ts_server_ema", False),
+                                  ("ts_client_ema", True), ("fedswitch", False)):
         teach = teacher if kind != "fedprox_fixmatch" else None
         res = client_update(
             shards[0], _downlink(student, teach), VariantConfig(kind),
             _plan(), HYPER, SPEC, AUG, ds, seed=2, round=3,
         )
-        assert len(res.uploads) == n_up
-        assert all(u.direction == "uplink" and u.round == 3 for u in res.uploads)
-        assert res.uploads[0].role == "student"
-        assert res.uploads[0].bytes == SPEC.num_params * 8
+        assert len(res.delta) == SPEC.num_params
+        assert (res.teacher_delta is not None) == uploads_teacher
 
 
 def test_client_missing_student_in_downlink():
@@ -383,7 +385,6 @@ def _same_result(a, b):
         assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
     assert a.kl == b.kl
     assert a.num_examples == b.num_examples
-    assert a.uploads == b.uploads
 
 
 @pytest.mark.parametrize("kind,with_teacher", [
@@ -519,7 +520,8 @@ def test_lockstep_non_finite_client_is_named():
     inputs = ds.inputs.copy()
     inputs[bad] = np.nan
     poisoned = Dataset(inputs, ds.labels, ds.num_classes)
-    with pytest.raises(RuntimeError, match=rf"^client 2: non-finite loss at epoch 0 batch {batch}:"):
+    with pytest.raises(RuntimeError,
+                       match=rf"^client 2: non-finite loss at round 0 epoch 0 batch {batch}:"):
         lockstep_update(shards, _downlink(init_params(SPEC, 0)), VariantConfig("fedprox_fixmatch"),
                         _plan(local_epochs=2), HYPER, SPEC, AUG, poisoned, seeds=seeds, round=0)
 
@@ -559,7 +561,7 @@ def test_lockstep_pseudo_label_counts_equal_one_client_runs(monkeypatch):
 
 def _result(cid, delta_values):
     delta = ParamVector(np.asarray(delta_values, dtype=np.float64), SPEC.spec_hash)
-    return ClientUpdateResult(cid, delta, None, KlStats(0, 0, 0), 10, [])
+    return ClientUpdateResult(cid, delta, None, KlStats(0, 0, 0), 10)
 
 
 def _server(values=None):
@@ -608,7 +610,7 @@ def test_aggregate_rejects_empty_and_mismatch():
         aggregate(srv, [])
     other = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=3)
     bad = ClientUpdateResult(
-        0, init_params(other, 0), None, KlStats(0, 0, 0), 1, []
+        0, init_params(other, 0), None, KlStats(0, 0, 0), 1
     )
     with pytest.raises(ValueError):
         aggregate(srv, [bad])
@@ -808,6 +810,19 @@ def test_round_privacy_surface():
     _, _, ledger, _ = _run(VariantConfig("ts_client_ema"), rounds=3)
     assert ledger.model_count("uplink", "teacher") == 3 * 4
     assert ledger.model_count("uplink", "student") == 3 * 4
+
+
+def test_round_records_each_uplink_with_its_round_and_bytes():
+    _, _, ledger, _ = _run(VariantConfig("ts_client_ema"), rounds=3,
+                           plan_kw={"participation_rate": 0.5})
+    uplinks = [e for e in ledger.entries if e.direction == "uplink"]
+    expected = [(rnd, role, cid)
+                for rnd in range(3)
+                for cid in select_clients(4, 2, rnd, 17)
+                for role in ("student", "teacher")]
+    assert [(e.round, e.role, e.client_id) for e in uplinks] == expected
+    assert all(e.num_params == SPEC.num_params for e in uplinks)
+    assert all(e.bytes == SPEC.num_params * 8 for e in uplinks)
 
 
 def test_round_fedswitch_uplink_matches_baseline():

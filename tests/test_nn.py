@@ -223,6 +223,15 @@ class TestStackedBatches:
             assert np.array_equal(opt.velocity[k], opt1.velocity)
         assert len(out) == spec.num_params
 
+    def test_sgd_step_names_both_shapes_on_a_stacked_mismatch(self):
+        spec, params, x, targets, weights = self._stack()
+        _, grad = loss_and_grad(params, spec, Batch(x), targets, weights)
+        opt = OptimState(0.1, velocity=np.zeros((2, spec.num_params)))
+        p = spec.num_params
+        with pytest.raises(ValueError,
+                           match=rf"^velocity shape \(2, {p}\) != params shape \(4, {p}\)$"):
+            sgd_step(params, grad, opt)
+
 
 class TestSgdStep:
     def test_zero_grad_identity(self):
