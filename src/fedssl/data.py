@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nn import Batch
+from .nn import Batch, Workspace
 from .rng import derive_seed
 
 
@@ -362,41 +362,57 @@ def _generators(batch: Batch, rng) -> list[np.random.Generator]:
 
 
 def weak_augment(batch: Batch, cfg: AugmentConfig,
-                 rng: np.random.Generator | Sequence[np.random.Generator]) -> Batch:
+                 rng: np.random.Generator | Sequence[np.random.Generator],
+                 workspace: Workspace | None = None) -> Batch:
     """Gaussian noise plus a per-example scalar shift; labels untouched.
 
-    The shift scales with each slice's own value span.
+    The shift scales with each slice's own value span. Each generator draws
+    its slice's noise straight into the output, then its shifts. With a
+    workspace, the view lives in it under weak_augment.
     """
+    ws = Workspace() if workspace is None else workspace
     x = batch.inputs
     rngs = _generators(batch, rng)
     rows, dim = x.shape[-2:]
-    noise = np.empty((len(rngs), rows, dim))
-    shift = np.empty((len(rngs), rows, 1))
-    for g, noise_k, shift_k in zip(rngs, noise, shift):
+    out = ws.take("weak_augment", x.shape)
+    shift = ws.take("weak_augment.shift", x.shape[:-1] + (1,))
+    for g, noise_k, shift_k in zip(rngs, out.reshape(-1, rows, dim), shift.reshape(-1, rows, 1)):
         g.standard_normal(out=noise_k)
-        shift_k[:] = g.uniform(-1.0, 1.0, size=(rows, 1))
-    noise = noise.reshape(x.shape)
-    noise *= cfg.weak_noise_sigma
+        # uniform(-1, 1) is -1 + 2 * random(), drawn the same way
+        g.random(out=shift_k)
+    shift *= 2.0
+    shift -= 1.0
+    out *= cfg.weak_noise_sigma
     span = (x.max(axis=(-2, -1), keepdims=True) - x.min(axis=(-2, -1), keepdims=True)
             if x.size else 0.0)
-    shift = shift.reshape(x.shape[:-1] + (1,))
     shift *= cfg.weak_shift_fraction * span
-    return Batch(x + noise + shift, batch.labels)
+    # x + noise + shift, summed in that order
+    np.add(x, out, out=out)
+    out += shift
+    return Batch(out, batch.labels)
 
 
 def strong_augment(batch: Batch, cfg: AugmentConfig,
-                   rng: np.random.Generator | Sequence[np.random.Generator]) -> Batch:
-    """Stronger noise plus random feature zeroing; labels untouched."""
+                   rng: np.random.Generator | Sequence[np.random.Generator],
+                   workspace: Workspace | None = None) -> Batch:
+    """Stronger noise plus random feature zeroing; labels untouched.
+
+    Each generator draws its slice's noise straight into the output, then
+    its zeroing draws. With a workspace, the view lives in it under
+    strong_augment.
+    """
+    ws = Workspace() if workspace is None else workspace
     x = batch.inputs
     rngs = _generators(batch, rng)
-    noise = np.empty((len(rngs),) + x.shape[-2:])
-    draws = np.empty_like(noise)
-    for g, noise_k, draws_k in zip(rngs, noise, draws):
+    rows, dim = x.shape[-2:]
+    out = ws.take("strong_augment", x.shape)
+    draws = ws.take("strong_augment.draws", (rows, dim))
+    drop = ws.take("strong_augment.drop", x.shape, np.bool_)
+    for g, noise_k, drop_k in zip(rngs, out.reshape(-1, rows, dim), drop.reshape(-1, rows, dim)):
         g.standard_normal(out=noise_k)
-        g.random(out=draws_k)
-    noise = noise.reshape(x.shape)
-    noise *= cfg.strong_noise_sigma
-    out = x + noise
-    mask = draws.reshape(x.shape) < cfg.strong_mask_prob
-    out = np.where(mask, 0.0, out)
+        g.random(out=draws)
+        np.less(draws, cfg.strong_mask_prob, out=drop_k)
+    out *= cfg.strong_noise_sigma
+    np.add(x, out, out=out)
+    np.putmask(out, drop, 0.0)
     return Batch(out, batch.labels)

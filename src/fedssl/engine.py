@@ -21,6 +21,14 @@ variant, so trajectories of different variants under one seed stay
 comparable. Each batch draws one strong view; the student's KL statistic
 reuses the probabilities the objective computed on it.
 
+Every per-batch array of a group lives in an nn.Workspace: the gathered
+inputs, both augmented views, the activations and gradients of all three
+passes, and the stacked students, velocities and in-round teachers. Its
+buffers grow to the largest group and batch seen and are then reused, so a
+caller that passes one workspace to every run_round (the runner keeps one
+per trial) allocates them once, in the first round. Only the results leave
+a group, in memory of their own.
+
 run_round records every model that crosses the network in the CommLedger,
 which alone prices it: the downlinks as they are sent, then the uplinks
 once every group has trained, client by client in selected order, the
@@ -50,6 +58,7 @@ from .nn import (
     NonFiniteError,
     OptimState,
     ParamVector,
+    Workspace,
     init_params,
     sgd_epochs,
     sgd_step,
@@ -174,6 +183,7 @@ def lockstep_update(
     seeds: list[int],
     round: int,
     stream_steps: list[int] | None = None,
+    workspace: Workspace | None = None,
 ) -> list[ClientUpdateResult]:
     """The participations of K clients whose local batches share one shape,
     trained in lockstep.
@@ -185,6 +195,12 @@ def lockstep_update(
     seeded with seeds[k], and draws from it exactly what it would draw
     training alone, so each result is bitwise that of a one-client call.
     round only labels a non-finite error.
+
+    Every per-batch array (the gathered inputs, both augmented views, the
+    activations of all three passes, the gradients, the velocities, the
+    students and the in-round teachers) lives in the workspace, which the
+    caller may share across calls: nothing in it outlives a call, and the
+    results own their memory. Without one, a throwaway workspace is used.
     """
     if "student" not in downlink:
         raise ValueError("downlink must contain the global student")
@@ -202,19 +218,25 @@ def lockstep_update(
     if any(p.size != n_u for p in u_pools) or any((p.size > 0) != has_labels for p in l_pools):
         raise ValueError("lockstep clients must share unlabeled pool size and label presence")
 
+    ws = Workspace() if workspace is None else workspace
     snapshot = downlink["student"]
     downlinked_teacher = downlink.get("teacher")
     # the clients' in-round teachers never outlive the round; the first
-    # local EMA step turns the shared [P] downlink into a [K, P] stack
+    # local EMA step turns the shared [P] downlink into a [K, P] stack.
+    # Likewise the K students start as one read-only view of the snapshot,
+    # and the first step writes them into the workspace.
     teacher = downlinked_teacher
-    student = ParamVector(np.tile(snapshot.values, (k_clients, 1)), snapshot.spec_hash)
-    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay,
-                     velocity=np.zeros(student.values.shape))
+    stacked = (k_clients, len(snapshot))
+    student = ParamVector(np.broadcast_to(snapshot.values, stacked), snapshot.spec_hash)
+    velocity = ws.take("lockstep.velocity", stacked)
+    velocity.fill(0.0)
+    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay, velocity=velocity)
     rngs = [np.random.default_rng(s) for s in seeds]
     l_sizes = np.array([p.size for p in l_pools])[:, None]
     n_batches = plan.local_epochs * math.ceil(n_u / plan.unlabeled_batch_size)
     teacher_kl = np.empty((k_clients, n_batches))
     student_kl = np.empty((k_clients, n_batches))
+    dim = dataset.inputs.shape[-1]
     j = 0
 
     for epoch in range(plan.local_epochs):
@@ -225,10 +247,13 @@ def lockstep_update(
             if has_labels:
                 l_order[k, : l_sizes[k, 0]] = l_pools[k][rng.permutation(l_sizes[k, 0])]
         for b, u_idx in enumerate(_batches(u_order, plan.unlabeled_batch_size)):
-            u_batch = Batch(dataset.inputs[u_idx], None)
-            weak = weak_augment(u_batch, aug, rngs)
+            # mode="clip" (the indices are in range by construction) lets
+            # take write straight into the buffer
+            u_batch = Batch(np.take(dataset.inputs, u_idx, axis=0, mode="clip",
+                                    out=ws.take("lockstep.unlabeled", u_idx.shape + (dim,))))
+            weak = weak_augment(u_batch, aug, rngs, workspace=ws)
             pseudo, teacher, source_probs = variant_batch_hook(
-                variant, teacher, student, weak.inputs, spec, hyper
+                variant, teacher, student, weak.inputs, spec, hyper, workspace=ws
             )
             labeled_batch = None
             if has_labels:
@@ -237,14 +262,18 @@ def lockstep_update(
                 take = np.arange(b * plan.labeled_batch_size,
                                  (b + 1) * plan.labeled_batch_size)
                 l_idx = np.take_along_axis(l_order, take % l_sizes, axis=1)
-                labeled_batch = Batch(dataset.inputs[l_idx], dataset.labels[l_idx])
+                labeled_batch = Batch(
+                    np.take(dataset.inputs, l_idx, axis=0, mode="clip",
+                            out=ws.take("lockstep.labeled", l_idx.shape + (dim,))),
+                    np.take(dataset.labels, l_idx, mode="clip",
+                            out=ws.take("lockstep.labels", l_idx.shape, np.int64)))
 
             # student_probs: the pre-step students on the strong view, as the
             # objective saw it; they feed the student-side KL statistic
             try:
                 _, grad, student_probs = combined_client_grad(
                     student, snapshot, labeled_batch, u_batch, pseudo,
-                    hyper, spec, aug, rngs,
+                    hyper, spec, aug, rngs, workspace=ws,
                 )
             except NonFiniteError as exc:
                 raise RuntimeError(
@@ -252,7 +281,7 @@ def lockstep_update(
                     f"{round} epoch {epoch} batch {b}: {exc}"
                 ) from None
 
-            student = sgd_step(student, grad, opt)
+            student = sgd_step(student, grad, opt, workspace=ws)
             finite = np.isfinite(student.values).all(axis=1)
             if not finite.all():
                 raise RuntimeError(
@@ -263,6 +292,7 @@ def lockstep_update(
             student_kl[:, j] = prediction_kl(student_probs)
             j += 1
 
+    # the deltas are fresh arrays, so no result points into the workspace
     delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
     payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
     if n_batches:
@@ -370,11 +400,15 @@ def run_round(
     ledger: CommLedger,
     stream_positions: dict[int, int] | None = None,
     client_kl_out: dict[int, KlStats] | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[ServerState, RoundReport]:
     """One full protocol round. Records every downlinked and uplinked model
     in the ledger, and advances each participating client's streaming
     position inside stream_positions, which the caller owns.
     When given, client_kl_out receives each participant's KL statistics.
+    All lockstep groups train in workspace (a throwaway one without it); a
+    caller that passes the same one to every round allocates its buffers
+    once.
     """
     if plan.num_clients != len(shards):
         raise ValueError("plan.num_clients must match the number of shards")
@@ -407,12 +441,14 @@ def run_round(
         key = (_unlabeled_pool(shards[cid], steps[cid]).size, shards[cid].labeled_idx.size > 0)
         groups.setdefault(key, []).append(cid)
     by_client: dict[int, ClientUpdateResult] = {}
+    ws = Workspace() if workspace is None else workspace
     for cids in groups.values():
         group = lockstep_update(
             [shards[cid] for cid in cids], downlink, variant, plan, hyper, spec, aug, dataset,
             seeds=[derive_seed(base_seed, "client", rnd, cid) for cid in cids],
             round=rnd,
             stream_steps=[steps[cid] for cid in cids],
+            workspace=ws,
         )
         by_client.update((r.client_id, r) for r in group)
 

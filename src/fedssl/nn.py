@@ -15,6 +15,15 @@ along one slice.
 loss_and_grad and the epoch kernel sgd_epochs share one forward pass, one
 cross-entropy head and one backward pass, which run on prebuilt (W, b)
 views; the kernel builds its views once per call instead of once per batch.
+
+Every array these passes make lives in a Workspace: named flat arenas that
+grow to the largest request and are then reused, so a training loop that
+passes one workspace to every call allocates its buffers once instead of
+once per batch. forward_probs, loss_and_grad and sgd_step take an optional
+workspace; given one, their results live in it and are overwritten by the
+next call of the same function on it (sgd_step then updates parameters that
+already live there in place). Called without one, each builds a throwaway
+workspace, so its results own their memory and the same code runs.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ class ModelSpec:
     # per layer: (weight start, bias start, bias end, fan_in, fan_out)
     _layout: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False, compare=False)
+    # per layer, the names of its two Workspace buffers: its output, and the
+    # derivative of its activation
+    _buffers: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
@@ -66,6 +78,8 @@ class ModelSpec:
         object.__setattr__(self, "layer_dims", layer_dims)
         object.__setattr__(self, "num_params", offset)
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_buffers", tuple(
+            (f"layer{i}", f"layer{i}.{self.activation}") for i in range(len(layer_dims))))
 
     @property
     def spec_hash(self) -> str:
@@ -165,6 +179,43 @@ class OptimState:
                    velocity=np.zeros(spec.num_params, dtype=np.float64))
 
 
+class Workspace:
+    """Reusable buffers, one flat arena per name.
+
+    take(name, shape) returns a C-contiguous view of the front of the arena
+    called name, which whatever next writes to that name overwrites. An
+    arena grows, never shrinks, to the largest request, so every shape asked
+    for under one name (a ragged last batch, a smaller lockstep group)
+    reuses the same memory; views taken before a growth keep the old memory.
+    Each name holds one dtype. Nothing is allocated before the first take.
+    """
+
+    def __init__(self) -> None:
+        self._arenas: dict[str, np.ndarray] = {}
+        # (name, shape) -> view of the current arena, so a repeated request
+        # costs one dictionary lookup
+        self._views: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        view = self._views.get((name, shape))
+        if view is None:
+            arena = self._arenas.get(name)
+            if arena is not None and arena.dtype != dtype:
+                raise ValueError(f"workspace buffer {name!r} holds {arena.dtype}, "
+                                 f"not {np.dtype(dtype)}")
+            size = math.prod(shape)
+            if arena is None or arena.size < size:
+                arena = self._arenas[name] = np.empty(size, dtype=dtype)
+                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            view = self._views[(name, shape)] = arena[:size].reshape(shape)
+        return view
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by all arenas."""
+        return sum(a.nbytes for a in self._arenas.values())
+
+
 def _unflatten(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (W, b) per layer into the flat vector: W is [fan_in, fan_out]
     and b is [1, fan_out]; for a [K, P] stack, W is [K, fan_in, fan_out] and
@@ -193,21 +244,20 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(values, spec.spec_hash)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activation_grad(a: np.ndarray, kind: str, ws: Workspace, name: str) -> np.ndarray:
+    """f'(z) from the activation a = f(z), in ws under name. The relu gate
+    is a > 0, which is z > 0, kept as bools: they multiply exactly as their
+    float64 values.
+    """
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.greater(a, 0.0, out=ws.take(name, a.shape, np.bool_))
+    gate = np.multiply(a, a, out=ws.take(name, a.shape))
+    return np.subtract(1.0, gate, out=gate)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
-
-
-def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray):
-    """Run the net, returning logits, per-layer (input, pre-act, post-act)
-    caches and the (W, b) views it used.
+def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray, ws: Workspace):
+    """Run the net, returning logits, the input of every layer and the
+    (W, b) views it used.
 
     Inputs [B, d] or a [K, B, d] stack; stacked params [K, P] pair with the
     stack slice by slice, and a single [P] vector serves every slice.
@@ -219,81 +269,95 @@ def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray):
         raise ValueError(f"stack of {params.values.shape[0]} parameter vectors does not match "
                          f"inputs shape {inputs.shape}")
     layers = _unflatten(params.values, spec)
-    logits, caches = _forward_layers(layers, inputs, spec.activation)
-    return logits, caches, layers
+    logits, layer_inputs = _forward_layers(layers, inputs, spec, ws)
+    return logits, layer_inputs, layers
 
 
 def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
-                    activation: str) -> tuple[np.ndarray, list]:
-    """The forward pass through prebuilt (W, b) views: logits and the
-    per-layer (input, pre-act, post-act) caches the backward pass reads.
+                    spec: ModelSpec, ws: Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The forward pass through prebuilt (W, b) views: the logits and the
+    input of every layer (the inputs, then each hidden activation), which
+    the backward pass reads. Each layer writes its output to its buffer in
+    ws, activated in place.
     """
-    a = inputs
-    caches = []
+    layer_inputs = [inputs]
+    rows = inputs.shape[:-1]
+    last = len(layers) - 1
+    relu = spec.activation == "relu"
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        if i < len(layers) - 1:
-            a_next = _activate(z, activation)
-            caches.append((a, z, a_next))
-            a = a_next
-        else:
-            caches.append((a, z, z))
-    return caches[-1][1], caches
+        z = np.matmul(layer_inputs[-1], w, out=ws.take(spec._buffers[i][0], (*rows, w.shape[-1])))
+        z += b
+        if i < last:
+            layer_inputs.append(np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z))
+    return z, layer_inputs
 
 
-def _cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
-    """Masked mean cross-entropy per slice, its gradient with respect to the
-    logits, and the softmax probabilities.
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                   ws: Workspace, probs_out: np.ndarray | None = None):
+    """Masked mean cross-entropy per slice and its gradient with respect to
+    the logits (in ws under ce.dlogits); with probs_out, also writes the
+    softmax probabilities there.
     """
     num_classes = logits.shape[-1]
     b = targets.shape[-1]
-    log_probs = _log_softmax(logits)
+    dlogits = ws.take("ce.dlogits", logits.shape)
+    log_probs = _log_softmax(logits, ws.take("ce.log_probs", logits.shape), dlogits)
     # flat index of each row's target entry
     at_target = np.arange(0, targets.size * num_classes, num_classes) + targets.reshape(-1)
     ce = -log_probs.reshape(-1)[at_target].reshape(targets.shape)
     # the row-vector product is the dot product of each slice
     loss = (weights[..., None, :] @ ce[..., :, None])[..., 0, 0] / b
 
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
+    np.exp(log_probs, out=dlogits)
+    if probs_out is not None:
+        np.copyto(probs_out, dlogits)
     dlogits.reshape(-1)[at_target] -= 1.0
     dlogits *= (weights / b)[..., None]
-    return loss, dlogits, probs
+    return loss, dlogits
 
 
-def _backward_layers(layers: list[tuple[np.ndarray, np.ndarray]], caches: list,
+def _backward_layers(layers: list[tuple[np.ndarray, np.ndarray]], layer_inputs: list[np.ndarray],
                      dlogits: np.ndarray, grad_layers: list[tuple[np.ndarray, np.ndarray]],
-                     activation: str) -> None:
+                     spec: ModelSpec, ws: Workspace) -> None:
     """Backpropagate dlogits through the layers, writing every gradient into
-    its prebuilt (gW, gb) view.
+    its prebuilt (gW, gb) view. Each hidden activation is overwritten by the
+    gradient with respect to it, once nothing else reads it.
     """
     upstream = dlogits
     for i in range(len(layers) - 1, -1, -1):
-        a_in = caches[i][0]
+        a_in = layer_inputs[i]
         gw, gb = grad_layers[i]
         np.matmul(a_in.swapaxes(-1, -2), upstream, out=gw)
         upstream.sum(axis=-2, keepdims=True, out=gb)
         if i > 0:
-            da = upstream @ layers[i][0].swapaxes(-1, -2)
-            _, z_prev, a_prev = caches[i - 1]
-            upstream = da * _activate_grad(z_prev, a_prev, activation)
+            gate = _activation_grad(a_in, spec.activation, ws, spec._buffers[i - 1][1])
+            upstream = np.matmul(upstream, layers[i][0].swapaxes(-1, -2), out=a_in)
+            upstream *= gate
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(logits: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """log softmax of the logits, written to out; scratch is overwritten."""
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    out -= np.log(np.exp(out, out=scratch).sum(axis=-1, keepdims=True))
+    return out
 
 
-def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
-    """Per-row softmax class probabilities; rows sum to 1 within 1e-9."""
-    logits, _, _ = _forward(params, spec, inputs)
-    return _softmax(logits)
+def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
+                  workspace: Workspace | None = None) -> np.ndarray:
+    """Per-row softmax class probabilities; rows sum to 1 within 1e-9.
+
+    With a workspace, the result lives in it under forward_probs.
+    """
+    ws = Workspace() if workspace is None else workspace
+    logits, _, _ = _forward(params, spec, inputs, ws)
+    return _softmax(logits, ws.take("forward_probs", logits.shape))
 
 
 def loss_and_grad(
@@ -303,6 +367,7 @@ def loss_and_grad(
     targets: np.ndarray,
     weights: np.ndarray,
     return_probs: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[float, ParamVector] | tuple[float, ParamVector, np.ndarray]:
     """Masked mean cross-entropy with its analytic gradient.
 
@@ -318,7 +383,10 @@ def loss_and_grad(
     Returns (loss, grad); with return_probs, (loss, grad, probs), where
     probs are the per-row softmax probabilities of this forward pass, so a
     caller that also needs the model's predictions on the batch does not
-    run the net a second time.
+    run the net a second time. With a workspace, the gradient lives in it
+    under loss_and_grad.grad and the probabilities under loss_and_grad.probs;
+    a call without return_probs leaves the probabilities of an earlier call
+    untouched.
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -333,10 +401,13 @@ def loss_and_grad(
     if np.any(targets < 0) or np.any(targets >= spec.num_classes):
         raise ValueError("targets out of class range")
 
-    logits, caches, layers = _forward(params, spec, batch.inputs)
-    loss, dlogits, probs = _cross_entropy(logits, targets, weights)
-    grad_values = np.zeros_like(params.values)
-    _backward_layers(layers, caches, dlogits, _unflatten(grad_values, spec), spec.activation)
+    ws = Workspace() if workspace is None else workspace
+    logits, layer_inputs, layers = _forward(params, spec, batch.inputs, ws)
+    probs = ws.take("loss_and_grad.probs", logits.shape) if return_probs else None
+    loss, dlogits = _cross_entropy(logits, targets, weights, ws, probs)
+    # the backward pass writes every entry of the gradient
+    grad_values = ws.take("loss_and_grad.grad", params.values.shape)
+    _backward_layers(layers, layer_inputs, dlogits, _unflatten(grad_values, spec), spec, ws)
 
     if not (np.isfinite(loss).all() and np.isfinite(grad_values).all()):
         finite = np.isfinite(loss) & np.isfinite(grad_values).all(axis=-1)
@@ -349,27 +420,36 @@ def loss_and_grad(
 
 
 def _heavy_ball(velocity: np.ndarray, grad_values: np.ndarray, values: np.ndarray,
-                momentum: float, weight_decay: float) -> None:
-    """v <- m*v + g + wd*theta, in place."""
+                momentum: float, weight_decay: float, scratch: np.ndarray) -> None:
+    """v <- m*v + g + wd*theta, in place; scratch receives wd*theta."""
     velocity *= momentum
     velocity += grad_values
     if weight_decay != 0.0:
-        velocity += weight_decay * values
+        velocity += np.multiply(values, weight_decay, out=scratch)
 
 
-def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState) -> ParamVector:
+def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
+             workspace: Workspace | None = None) -> ParamVector:
     """Heavy-ball update: v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
     Elementwise, so a [K, P] stack with a [K, P] velocity steps K clients.
-    Mutates opt.velocity in place and returns the new parameters.
+    Mutates opt.velocity in place and returns the new parameters. With a
+    workspace they live in it under sgd_step, so parameters that already
+    live there are updated in place.
     """
     params.check_compatible(grad)
     if opt.velocity.shape != params.values.shape:
         raise ValueError(
             f"velocity shape {opt.velocity.shape} != params shape {params.values.shape}"
         )
-    _heavy_ball(opt.velocity, grad.values, params.values, opt.momentum, opt.weight_decay)
-    return ParamVector(params.values - opt.learning_rate * opt.velocity, params.spec_hash)
+    ws = Workspace() if workspace is None else workspace
+    shape = params.values.shape
+    scratch = ws.take("sgd_step.scratch", shape)
+    _heavy_ball(opt.velocity, grad.values, params.values, opt.momentum, opt.weight_decay,
+                scratch)
+    step = np.multiply(opt.velocity, opt.learning_rate, out=scratch)
+    return ParamVector(np.subtract(params.values, step, out=ws.take("sgd_step", shape)),
+                       params.spec_hash)
 
 
 def sgd_epochs(
@@ -390,7 +470,8 @@ def sgd_epochs(
     result is bitwise that of loss_and_grad with all-ones weights followed
     by sgd_step, batch by batch: the same float operations run, on views
     into one working parameter vector and one gradient buffer built once,
-    with the inputs and labels gathered once per epoch and validated once.
+    with the inputs and labels gathered once per epoch and validated once,
+    and every per-batch array in one workspace.
     A non-finite loss or gradient, or non-finite parameters after the last
     step, raise NonFiniteError naming the epoch and the batch.
     """
@@ -413,8 +494,10 @@ def sgd_epochs(
     values = params.values.copy()
     grad_values = np.zeros_like(values)
     velocity = np.zeros_like(values)
+    step = np.empty_like(values)
     layers = _unflatten(values, spec)
     grad_layers = _unflatten(grad_values, spec)
+    ws = Workspace()
     n = inputs.shape[0]
     weights = np.ones(min(batch_size, n), dtype=np.float64)
     for epoch in range(epochs):
@@ -423,14 +506,14 @@ def sgd_epochs(
         for b, start in enumerate(range(0, n, batch_size)):
             x = epoch_inputs[start:start + batch_size]
             y = epoch_labels[start:start + batch_size]
-            logits, caches = _forward_layers(layers, x, spec.activation)
-            loss, dlogits, _ = _cross_entropy(logits, y, weights[:y.size])
-            _backward_layers(layers, caches, dlogits, grad_layers, spec.activation)
+            logits, layer_inputs = _forward_layers(layers, x, spec, ws)
+            loss, dlogits = _cross_entropy(logits, y, weights[:y.size], ws)
+            _backward_layers(layers, layer_inputs, dlogits, grad_layers, spec, ws)
             if not (math.isfinite(loss) and np.isfinite(grad_values).all()):
                 raise NonFiniteError(
                     f"non-finite loss or gradient at epoch {epoch} batch {b}")
-            _heavy_ball(velocity, grad_values, values, 0.0, 0.0)
-            values -= learning_rate * velocity
+            _heavy_ball(velocity, grad_values, values, 0.0, 0.0, step)
+            values -= np.multiply(velocity, learning_rate, out=step)
     # an overflowing step shows in the next batch's loss or gradient, but not
     # after the last step or in a unit no later batch activates
     if epochs and not np.isfinite(values).all():

@@ -7,6 +7,11 @@ is shared across trials, mirroring a fixed benchmark corpus.
 
 All output files are deterministic byte-for-byte for a given config: floats
 are written with repr(), rows in fixed order, no timestamps.
+
+Each trial trains every lockstep group of every round in one nn.Workspace,
+made empty before the first round (its buffers are allocated inside the
+first run_round) and dropped after the last, before the trial writes its
+outputs. The CSV files are streamed line by line.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .config import ExperimentConfig, resolved_ini
 from .data import Dataset, ShardPlan, dirichlet_shard, gen_blobs, label_histogram, load_csv, make_stream_schedule
 from .engine import init_server, run_round
 from .metrics import CommLedger, RoundReport, stability_stats
-from .nn import ModelSpec
+from .nn import ModelSpec, Workspace
 from .rng import derive_seed
 from .semisup import KlStats, kl_to_uniform
 from .variants import VARIANT_KINDS, VariantConfig
@@ -97,6 +102,15 @@ def _opt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _write_lines(path: Path, header: str, rows) -> None:
+    """Write the header and each row as one line, without building the
+    whole file in memory; the bytes equal those of joining the lines.
+    """
+    with path.open("w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines(row + "\n" for row in rows)
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     trial: int,
@@ -143,31 +157,29 @@ def _run_trial(
 
     reports: list[RoundReport] = []
     ratio_rows: list[tuple[int, float, float, float | None]] = []
+    workspace = Workspace()
     for _ in range(cfg.training.rounds):
         client_kl: dict[int, KlStats] = {}
         server, report = run_round(
             server, shards, variant, round_plan, hyper, spec, cfg.augment,
             data, eval_data, base_seed=base_seed, ledger=ledger,
-            stream_positions=positions, client_kl_out=client_kl,
+            stream_positions=positions, client_kl_out=client_kl, workspace=workspace,
         )
         reports.append(report)
         pseudo_mean, truth_mean, ratio = _ratio_row(client_kl, truth)
         ratio_rows.append((report.round, pseudo_mean, truth_mean, ratio))
+    # the buffers are freed before the output is written, so the two do not
+    # add up in the peak memory
+    del workspace
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rounds_csv = [RoundReport.csv_header()] + [r.csv_row() for r in reports]
-    (out_dir / "rounds.csv").write_text("\n".join(rounds_csv) + "\n", encoding="utf-8")
-
-    tx_csv = ["round,direction,role,client_id,num_params,bytes"] + [
-        f"{e.round},{e.direction},{e.role},{e.client_id},{e.num_params},{e.bytes}"
-        for e in ledger.entries
-    ]
-    (out_dir / "transmissions.csv").write_text("\n".join(tx_csv) + "\n", encoding="utf-8")
-
-    ratio_csv = ["round,pseudo_kl,truth_kl,ratio"] + [
-        f"{rnd},{repr(p)},{repr(t)},{_opt(r)}" for rnd, p, t, r in ratio_rows
-    ]
-    (out_dir / "kl_ratio.csv").write_text("\n".join(ratio_csv) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "rounds.csv", RoundReport.csv_header(),
+                 (r.csv_row() for r in reports))
+    _write_lines(out_dir / "transmissions.csv", "round,direction,role,client_id,num_params,bytes",
+                 (f"{e.round},{e.direction},{e.role},{e.client_id},{e.num_params},{e.bytes}"
+                  for e in ledger.entries))
+    _write_lines(out_dir / "kl_ratio.csv", "round,pseudo_kl,truth_kl,ratio",
+                 (f"{rnd},{repr(p)},{repr(t)},{_opt(r)}" for rnd, p, t, r in ratio_rows))
 
     accs = [r.acc_student for r in reports]
     final_acc = accs[-1]

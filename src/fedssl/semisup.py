@@ -8,7 +8,9 @@ sum is recoverable from num_batches.
 
 Every per-batch function also takes a [K, B, ...] stack of K client batches
 (with [K, P] parameters and one generator per client) and returns per-client
-results that are bitwise those of K separate calls.
+results that are bitwise those of K separate calls. pseudo_label and the
+objective functions also take an optional nn.Workspace; given one, their
+array results live in it under the function's name (see nn).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AugmentConfig, strong_augment, weak_augment
-from .nn import Batch, ModelSpec, ParamVector, loss_and_grad
+from .nn import Batch, ModelSpec, ParamVector, Workspace, loss_and_grad
 
 
 @dataclass
@@ -83,11 +85,15 @@ class KlStats:
             raise ValueError("num_batches must be non-negative")
 
 
-def pseudo_label(probs: np.ndarray, tau: float, source: str = "student") -> PseudoBatch:
+def pseudo_label(probs: np.ndarray, tau: float, source: str = "student",
+                 workspace: Workspace | None = None) -> PseudoBatch:
     """Argmax labels (ties to the lowest class) masked at confidence tau."""
     probs = _check_probs(probs)
-    labels = probs.argmax(axis=-1)
-    mask = (probs.max(axis=-1) >= tau).astype(np.float64)
+    ws = Workspace() if workspace is None else workspace
+    rows = probs.shape[:-1]
+    labels = probs.argmax(axis=-1, out=ws.take("pseudo_label.labels", rows, np.int64))
+    mask = probs.max(axis=-1, out=ws.take("pseudo_label.mask", rows))
+    np.greater_equal(mask, tau, out=mask)
     return PseudoBatch(labels, mask, source=source)
 
 
@@ -163,6 +169,7 @@ def unsupervised_loss_grad(
     cfg: AugmentConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
     return_probs: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[float, ParamVector] | tuple[float, ParamVector, np.ndarray]:
     """Masked cross-entropy of the student on the strong view against fixed
     pseudo-labels. The pseudo-label source gets no gradient: labels and mask
@@ -173,9 +180,9 @@ def unsupervised_loss_grad(
     """
     if pseudo.pseudo_labels.shape != unlabeled_batch.inputs.shape[:-1]:
         raise ValueError("pseudo batch length must match unlabeled batch")
-    strong = strong_augment(unlabeled_batch, cfg, rng)
+    strong = strong_augment(unlabeled_batch, cfg, rng, workspace=workspace)
     return loss_and_grad(student_params, spec, strong, pseudo.pseudo_labels, pseudo.mask,
-                         return_probs=return_probs)
+                         return_probs=return_probs, workspace=workspace)
 
 
 def combined_client_grad(
@@ -188,6 +195,7 @@ def combined_client_grad(
     spec: ModelSpec,
     cfg: AugmentConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
+    workspace: Workspace | None = None,
 ) -> tuple[float, ParamVector, np.ndarray]:
     """Full local objective: supervised CE (when labels are present) plus
     lambda_u-weighted unsupervised CE plus the exact proximal pull toward
@@ -198,31 +206,38 @@ def combined_client_grad(
     forward pass the unsupervised term already ran. For a stack of K
     clients (student [K, P], batches [K, B, d], one generator per client)
     the loss is a [K] array and grad a [K, P] stack; the snapshot may be a
-    single [P] vector shared by all K.
+    single [P] vector shared by all K. With a workspace, grad lives in it
+    under combined_client_grad.
 
     Consumes each rng in a fixed order (strong view first, then the labeled
     weak view) so call sites line up across variants.
     """
     student_params.check_compatible(server_snapshot)
+    ws = Workspace() if workspace is None else workspace
     loss_u, grad_u, strong_probs = unsupervised_loss_grad(
-        student_params, spec, unlabeled_batch, pseudo, cfg, rng, return_probs=True
+        student_params, spec, unlabeled_batch, pseudo, cfg, rng, return_probs=True, workspace=ws
     )
     total = hyper.lambda_u * loss_u
-    grad = hyper.lambda_u * grad_u.values
+    # the unsupervised gradient is scaled out of loss_and_grad's buffer
+    # before the supervised pass reuses it
+    grad = np.multiply(grad_u.values, hyper.lambda_u,
+                       out=ws.take("combined_client_grad", grad_u.values.shape))
     if labeled_batch is not None:
         if labeled_batch.labels is None:
             raise ValueError("labeled batch must carry labels")
-        weak = weak_augment(labeled_batch, cfg, rng)
+        weak = weak_augment(labeled_batch, cfg, rng, workspace=ws)
         loss_s, grad_s = loss_and_grad(
             student_params, spec, weak, weak.labels,
-            np.ones(weak.labels.shape, dtype=np.float64),
+            np.ones(weak.labels.shape, dtype=np.float64), workspace=ws,
         )
         total += loss_s
-        grad = grad + grad_s.values
+        grad += grad_s.values
     if hyper.mu > 0:
-        diff = student_params.values - server_snapshot.values
+        diff = np.subtract(student_params.values, server_snapshot.values,
+                           out=ws.take("combined_client_grad.prox", grad.shape))
         # the row-vector product is the dot product of each slice
         total += 0.5 * hyper.mu * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-        grad = grad + hyper.mu * diff
+        diff *= hyper.mu
+        grad += diff
     total = float(total) if np.ndim(total) == 0 else total
     return total, ParamVector(grad, student_params.spec_hash), strong_probs

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelSpec, ParamVector, forward_probs
+from .nn import ModelSpec, ParamVector, Workspace, forward_probs
 from .semisup import KlStats, PseudoBatch, SslHyper, pseudo_label
 
 
@@ -77,17 +77,24 @@ class VariantConfig:
             raise ValueError("iidness_prior must be non-negative")
 
 
-def ema_update(teacher: ParamVector, student: ParamVector, alpha: float) -> ParamVector:
+def ema_update(teacher: ParamVector, student: ParamVector, alpha: float,
+               workspace: Workspace | None = None) -> ParamVector:
     """teacher <- alpha * teacher + (1 - alpha) * student, elementwise.
 
     Either side may be a [K, P] stack; a single [P] teacher EMA-ed toward a
-    stack of students becomes a stack of teachers.
+    stack of students becomes a stack of teachers. With a workspace the
+    result lives in it under ema_update, so a teacher that already lives
+    there is updated in place.
     """
     teacher.check_compatible(student)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    return ParamVector(alpha * teacher.values + (1.0 - alpha) * student.values,
-                       teacher.spec_hash)
+    ws = Workspace() if workspace is None else workspace
+    shape = max(teacher.values.shape, student.values.shape, key=len)
+    pulled = np.multiply(student.values, 1.0 - alpha, out=ws.take("ema_update.student", shape))
+    out = np.multiply(teacher.values, alpha, out=ws.take("ema_update", shape))
+    out += pulled
+    return ParamVector(out, teacher.spec_hash)
 
 
 def switch_decide(last_kl: KlStats, beta: float) -> bool:
@@ -129,6 +136,7 @@ def variant_batch_hook(
     weak_inputs: np.ndarray,
     spec: ModelSpec,
     hyper: SslHyper,
+    workspace: Workspace | None = None,
 ) -> tuple[PseudoBatch, ParamVector | None, np.ndarray]:
     """Per-batch variant step: maintain the client's in-round teacher copy
     and produce pseudo-labels from the weak view.
@@ -143,6 +151,9 @@ def variant_batch_hook(
     For K clients in lockstep, student_params is a [K, P] stack and
     weak_inputs [K, B, d]; the teacher is the shared [P] downlink until its
     first local EMA step makes it a stack, and every output is per client.
+    With a workspace, the outputs live in it (see ema_update, forward_probs
+    and pseudo_label), so the local teacher is updated in place from its
+    second step on.
     """
     traits = VARIANTS[variant.kind]
     # only the switching variant may run a round without a teacher
@@ -150,13 +161,16 @@ def variant_batch_hook(
         raise ValueError(f"{variant.kind} requires a downlinked teacher")
 
     if not traits.teacher or local_teacher is None:
-        probs = forward_probs(student_params, spec, weak_inputs)
-        return pseudo_label(probs, hyper.tau, source="student"), local_teacher, probs
+        probs = forward_probs(student_params, spec, weak_inputs, workspace=workspace)
+        return (pseudo_label(probs, hyper.tau, source="student", workspace=workspace),
+                local_teacher, probs)
 
     if traits.local_ema:
-        local_teacher = ema_update(local_teacher, student_params, variant.ema_alpha)
-    probs = forward_probs(local_teacher, spec, weak_inputs)
-    return pseudo_label(probs, hyper.tau, source="teacher"), local_teacher, probs
+        local_teacher = ema_update(local_teacher, student_params, variant.ema_alpha,
+                                   workspace=workspace)
+    probs = forward_probs(local_teacher, spec, weak_inputs, workspace=workspace)
+    return (pseudo_label(probs, hyper.tau, source="teacher", workspace=workspace),
+            local_teacher, probs)
 
 
 def variant_uplink(

@@ -3,6 +3,7 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from fedssl.nn import (
     ModelSpec,
     OptimState,
     ParamVector,
+    Workspace,
     forward_probs,
     init_params,
     loss_and_grad,
@@ -410,45 +412,139 @@ def test_lockstep_group_equals_one_client_calls(kind, with_teacher):
     assert len({r.delta.values.tobytes() for r in group}) == len(shards)
 
 
+def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, stream_step=0):
+    """Independent re-derivation of one ts_client_ema participation with the
+    unstacked per-batch functions, each on its own fresh arrays.
+    """
+    snapshot, downlinked = downlink["student"], downlink["teacher"]
+    rng = np.random.default_rng(seed)
+    pool = shard.unlabeled_idx if shard.stream_splits is None else (
+        shard.stream_splits[stream_step % len(shard.stream_splits)])
+    ub, lb = plan.unlabeled_batch_size, plan.labeled_batch_size
+    student, teacher = snapshot, downlinked
+    opt = OptimState.fresh(spec, plan.learning_rate, plan.momentum, plan.weight_decay)
+    teacher_kls, student_kls = [], []
+    for _ in range(plan.local_epochs):
+        u_order = pool[rng.permutation(pool.size)]
+        l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
+        for b, start in enumerate(range(0, u_order.size, ub)):
+            u_batch = Batch(ds.inputs[u_order[start:start + ub]], None)
+            weak = weak_augment(u_batch, AUG, rng)
+            teacher = ema_update(teacher, student, variant.ema_alpha)
+            source_probs = forward_probs(teacher, spec, weak.inputs)
+            pseudo = pseudo_label(source_probs, HYPER.tau, source="teacher")
+            labeled = None
+            if l_order.size:
+                l_idx = np.take(l_order, np.arange(b * lb, (b + 1) * lb), mode="wrap")
+                labeled = Batch(ds.inputs[l_idx], ds.labels[l_idx])
+            _, grad, strong_probs = combined_client_grad(
+                student, snapshot, labeled, u_batch, pseudo, HYPER, spec, AUG, rng
+            )
+            student = sgd_step(student, grad, opt)
+            teacher_kls.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
+            student_kls.append(kl_to_uniform(batch_prediction_distribution(strong_probs)))
+    return ClientUpdateResult(
+        client_id=shard.client_id,
+        delta=ParamVector(student.values - snapshot.values, snapshot.spec_hash),
+        teacher_delta=ParamVector(teacher.values - downlinked.values, snapshot.spec_hash),
+        kl=KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls)), len(teacher_kls)),
+        num_examples=int(pool.size + shard.labeled_idx.size),
+    )
+
+
 def test_lockstep_group_matches_an_unstacked_replay():
     # independent re-derivation with the unstacked per-batch functions: the
     # client in the middle of a ts_client_ema group, two epochs
     ds, shards, _ = _setup()
     plan = _plan(local_epochs=2)
-    snapshot = init_params(SPEC, 1)
-    downlinked = init_params(SPEC, 2)
+    downlink = _downlink(init_params(SPEC, 1), init_params(SPEC, 2))
     variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
     seeds = [derive_seed(4, "client", 0, sh.client_id) for sh in shards]
-    group = lockstep_update(shards, _downlink(snapshot, downlinked), variant, plan, HYPER,
-                            SPEC, AUG, ds, seeds=seeds, round=0)
+    group = lockstep_update(shards, downlink, variant, plan, HYPER, SPEC, AUG, ds,
+                            seeds=seeds, round=0)
+    _same_result(group[2], _ts_client_ema_replay(ds, shards[2], downlink, variant, plan, seeds[2]))
 
-    shard, rng = shards[2], np.random.default_rng(seeds[2])
-    student, teacher = snapshot, downlinked
-    opt = OptimState.fresh(SPEC, plan.learning_rate)
-    teacher_kls, student_kls = [], []
-    for _ in range(plan.local_epochs):
-        u_order = shard.unlabeled_idx[rng.permutation(shard.unlabeled_idx.size)]
-        l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
-        for b, start in enumerate(range(0, u_order.size, 8)):
-            u_batch = Batch(ds.inputs[u_order[start:start + 8]], None)
-            weak = weak_augment(u_batch, AUG, rng)
-            teacher = ema_update(teacher, student, variant.ema_alpha)
-            source_probs = forward_probs(teacher, SPEC, weak.inputs)
-            pseudo = pseudo_label(source_probs, HYPER.tau, source="teacher")
-            l_idx = np.take(l_order, np.arange(b * 4, (b + 1) * 4), mode="wrap")
-            labeled = Batch(ds.inputs[l_idx], ds.labels[l_idx])
-            _, grad, strong_probs = combined_client_grad(
-                student, snapshot, labeled, u_batch, pseudo, HYPER, SPEC, AUG, rng
-            )
-            student = sgd_step(student, grad, opt)
-            teacher_kls.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
-            student_kls.append(kl_to_uniform(batch_prediction_distribution(strong_probs)))
 
-    res = group[2]
-    assert np.array_equal(res.delta.values, student.values - snapshot.values)
-    assert np.array_equal(res.teacher_delta.values, teacher.values - downlinked.values)
-    assert res.kl == KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls)),
-                             len(teacher_kls))
+def test_lockstep_tanh_two_hidden_layers_match_an_unstacked_replay():
+    # the backward pass through two tanh layers, with momentum and weight
+    # decay; every client of the group against its own replay
+    spec = ModelSpec(input_dim=3, hidden_dims=(4, 3), num_classes=3, activation="tanh")
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=2, momentum=0.9, weight_decay=0.01)
+    downlink = _downlink(init_params(spec, 1), init_params(spec, 2))
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
+    seeds = [derive_seed(6, "client", 0, sh.client_id) for sh in shards]
+    group = lockstep_update(shards, downlink, variant, plan, HYPER, spec, AUG, ds,
+                            seeds=seeds, round=0)
+    for res, shard, seed in zip(group, shards, seeds):
+        _same_result(res, _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec))
+
+
+def _frozen(results):
+    return [(r.delta.values.tobytes(), r.teacher_delta.values.tobytes(), r.kl) for r in results]
+
+
+def test_workspace_carries_no_state_between_calls():
+    # groups of different shapes through one workspace: a streamed round of
+    # ragged segments (13/12/12, so its two groups and their last batches
+    # differ in size), then four clients with labels, which grow every
+    # buffer, then a single client; momentum and weight decay keep the
+    # velocities in play
+    ds, shards, _ = _setup()
+    stream_ds = gen_blobs(3, 3, 41, 0.3, seed=0)
+    streamed = [make_stream_schedule(sh, 3, seed=sh.client_id)
+                for sh in dirichlet_shard(stream_ds, ShardPlan(3, 10.0, 4, seed=0)).shards]
+    assert [s.size for s in streamed[0].stream_splits] == [13, 12, 12]
+    plan = _plan(local_epochs=2, momentum=0.9, weight_decay=0.01)
+    downlink = _downlink(init_params(SPEC, 1), init_params(SPEC, 2))
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
+    # (dataset, clients, stream steps) per group, in the order a round would
+    # train them
+    groups = [(stream_ds, streamed[:1], [0]), (stream_ds, streamed[1:], [1, 2]),
+              (ds, shards, [0, 0, 0, 0]), (ds, shards[1:2], [0])]
+    ws = Workspace()
+    outputs = []
+    for data_, group, steps in groups:
+        seeds = [derive_seed(8, "client", 0, sh.client_id) for sh in group]
+        args = (group, downlink, variant, plan, HYPER, SPEC, AUG, data_, seeds, 0, steps)
+        results = lockstep_update(*args, workspace=ws)
+        for res, fresh, shard, seed, step in zip(results, lockstep_update(*args), group,
+                                                  seeds, steps):
+            _same_result(res, fresh)
+            _same_result(res, _ts_client_ema_replay(data_, shard, downlink, variant, plan,
+                                                    seed, stream_step=step))
+        outputs.append((results, _frozen(results)))
+    # no later call wrote into an earlier call's results
+    for results, frozen in outputs:
+        assert _frozen(results) == frozen
+
+
+def test_lockstep_warm_workspace_allocation_budget():
+    # a crowd-shaped group: 50 clients with 64 unlabeled and 10 labeled
+    # examples each, d = 16, one hidden layer of 32, 10 classes, one batch.
+    # With a warm workspace a call allocates little beyond its results
+    # (two [50, P] delta stacks, 0.7 MiB); without buffer reuse the per-batch
+    # temporaries peak near 7 MiB
+    k_clients, n_u, n_l = 50, 64, 10
+    per_client = n_u + n_l
+    ds = gen_blobs(10, 16, k_clients * per_client // 10, 0.5, seed=0)
+    shards = [ClientShard(k, np.arange(k * per_client, k * per_client + n_l),
+                          np.arange(k * per_client + n_l, (k + 1) * per_client))
+              for k in range(k_clients)]
+    spec = ModelSpec(input_dim=16, hidden_dims=(32,), num_classes=10)
+    plan = _plan(num_clients=k_clients, labeled_batch_size=32, unlabeled_batch_size=64)
+    args = (shards, _downlink(init_params(spec, 0), init_params(spec, 1)),
+            VariantConfig("ts_client_ema", ema_alpha=0.9), plan, SslHyper(0.6, 2.0, 0.001),
+            spec, AugmentConfig(), ds, list(range(k_clients)), 0)
+    ws = Workspace()
+    lockstep_update(*args, workspace=ws)
+    tracemalloc.start()
+    try:
+        lockstep_update(*args, workspace=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_lockstep_rejects_mixed_batch_shapes():

@@ -1,7 +1,9 @@
 """Golden trace: SHA-256 of every per-trial output file on tiny configs.
 
 One case per variant (labels at the clients) plus one run per server
-topology with the labels held at the server, the sequential one streaming.
+topology with the labels held at the server, the sequential one streaming,
+and one deep case: two hidden layers, heavy-ball momentum with weight decay
+and two local epochs of per-batch teacher EMA.
 A change that means to keep behaviour must keep these digests; a change
 that moves floats on purpose re-records them and says why.
 
@@ -41,13 +43,14 @@ rounds = 5
 participation_rate = 1.0
 topology = {topology}
 server_epochs = 2
-hidden_dims = 8
+hidden_dims = {hidden}
 unlabeled_batch_size = 16
 labeled_batch_size = 4
 learning_rate = 0.1
 tau = 0.6
 lambda_u = 2.0
 mu = 0.001
+{extra}
 [augment]
 weak_noise_sigma = 0.05
 weak_shift_fraction = 0.02
@@ -59,24 +62,35 @@ seed = 7
 output = {output}
 """
 
-CLIENT_LABELS = dict(alpha=10.0, streaming=0, server_labels="false",
+MODEL = dict(hidden="8", extra="")
+CLIENT_LABELS = dict(MODEL, alpha=10.0, streaming=0, server_labels="false",
                      topology="labels_at_client")
 CASES = {
     "fedprox_fixmatch": dict(CLIENT_LABELS, kind="fedprox_fixmatch"),
     "ts_server_ema": dict(CLIENT_LABELS, kind="ts_server_ema"),
     "ts_client_ema": dict(CLIENT_LABELS, kind="ts_client_ema"),
     "fedswitch": dict(CLIENT_LABELS, kind="fedswitch"),
+    "deep_momentum": dict(
+        CLIENT_LABELS, kind="ts_client_ema", hidden="8,6",
+        extra="momentum = 0.9\nweight_decay = 0.0001\nlocal_epochs = 2"),
     "server_sequential_streaming": dict(
-        alpha=0.3, streaming=3, server_labels="true",
+        MODEL, alpha=0.3, streaming=3, server_labels="true",
         topology="labels_at_server_sequential", kind="ts_server_ema"),
     "server_parallel": dict(
-        alpha=0.3, streaming=0, server_labels="true",
+        MODEL, alpha=0.3, streaming=0, server_labels="true",
         topology="labels_at_server_parallel", kind="fedswitch"),
 }
 
 FILES = ("rounds.csv", "transmissions.csv", "kl_ratio.csv", "summary.txt")
 
 GOLDEN = {
+    "deep_momentum": {
+        "rounds.csv": "6890eaf67bd54f4291318283d4717f5b1a8af9cc4c7ee9e2f4c48e374b418395",
+        "transmissions.csv": "d31693bdb85921f6e69bc1e17281eff352776738abdb66a5c5983f4f142f4e1c",
+        "kl_ratio.csv": "bcdd1e55464bb821a00c834e5664f21f86ddd72e5ecd93dcdb7349ae026f4af2",
+        "summary.txt": "9755053c6cb99b792996f15ea27b353fcb9b5a490544c36fe9def835a757abb3",
+        "config_resolved.ini": "a40e993ee988c1f7eed7af3bc36230e67b04e5ccd0eead6cfa3504707546d52e",
+    },
     "fedprox_fixmatch": {
         "rounds.csv": "a416bad83159dc53aa525de4348e63962a2baca6aa7870459ec9ef001cb2a638",
         "transmissions.csv": "f5c2a5b4258b3d47cfe9ca72282e30484ebdfac60b815c17f551c914ef1eec58",

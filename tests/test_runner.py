@@ -1,5 +1,6 @@
 """Tests for the multi-trial runner and sweep grid."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,30 @@ def test_run_writes_expected_tree(tmp_path):
         assert (tdir / "transmissions.csv").is_file()
         assert (tdir / "kl_ratio.csv").is_file()
         assert (tdir / "summary.txt").is_file()
+
+
+def test_each_trial_trains_in_one_workspace_allocated_in_its_first_round(tmp_path, monkeypatch):
+    # nothing is allocated before the first round (set-up time stays
+    # put), and a trial's buffers are gone before it writes its outputs
+    seen = []
+    run_round, write_lines = runner.run_round, runner._write_lines
+
+    def recorded(*args, workspace, **kwargs):
+        reused = bool(seen) and seen[-1][0]() is workspace
+        seen.append((weakref.ref(workspace), workspace.nbytes, reused))
+        return run_round(*args, workspace=workspace, **kwargs)
+
+    def writes(*args):
+        assert all(ref() is None for ref, _, _ in seen)
+        write_lines(*args)
+
+    monkeypatch.setattr(runner, "run_round", recorded)
+    monkeypatch.setattr(runner, "_write_lines", writes)
+    run_experiment(_cfg(tmp_path / "exp"))
+    # two trials of three rounds: each starts with a new, empty workspace
+    # and passes it to every round
+    assert [(nbytes > 0, reused) for _, nbytes, reused in seen] == 2 * [
+        (False, False), (True, True), (True, True)]
 
 
 def test_run_summary_values_match_csv(tmp_path):
