@@ -8,6 +8,7 @@ large values approach the global class balance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -154,11 +155,10 @@ def gen_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: i
 def load_csv(path: str | Path, num_classes: int, scale01: bool = False) -> Dataset:
     """Parse `label,f1,...,fd` rows (no header). Errors name the line."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines()]
     rows = []
     labels = []
     dim = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -168,6 +168,8 @@ def load_csv(path: str | Path, num_classes: int, scale01: bool = False) -> Datas
             raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
         if len(values) < 2:
             raise ValueError(f"line {lineno}: expected label plus at least one feature")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"line {lineno}: non-finite field")
         label = values[0]
         if label != int(label) or not 0 <= int(label) < num_classes:
             raise ValueError(f"line {lineno}: label {label!r} out of range [0, {num_classes})")

@@ -21,6 +21,10 @@ variant, so trajectories of different variants under one seed stay
 comparable. Each batch draws one strong view; the student's KL statistic
 reuses the probabilities the objective computed on it.
 
+Every teacher-policy decision, fedswitch's switch included, is made in the
+four hooks of the variants module, which run_round and lockstep_update
+only call.
+
 Every per-batch array of a group lives in an nn.Workspace: the gathered
 inputs, both augmented views, the activations and gradients of all three
 passes, and the stacked students, velocities and in-round teachers. Its
@@ -68,7 +72,6 @@ from .semisup import KlStats, SslHyper, combined_client_grad, prediction_kl
 from .variants import (
     VARIANTS,
     VariantConfig,
-    switch_decide,
     variant_batch_hook,
     variant_downlink,
     variant_server_merge,
@@ -221,13 +224,13 @@ def lockstep_update(
     ws = Workspace() if workspace is None else workspace
     snapshot = downlink["student"]
     downlinked_teacher = downlink.get("teacher")
-    # the clients' in-round teachers never outlive the round; the first
-    # local EMA step turns the shared [P] downlink into a [K, P] stack.
-    # Likewise the K students start as one read-only view of the snapshot,
-    # and the first step writes them into the workspace.
-    teacher = downlinked_teacher
+    # the K students and the K in-round teachers start as read-only [K, P]
+    # views of their downlinks; the first step that changes one writes it
+    # into the workspace
     stacked = (k_clients, len(snapshot))
     student = ParamVector(np.broadcast_to(snapshot.values, stacked), snapshot.spec_hash)
+    teacher = None if downlinked_teacher is None else ParamVector(
+        np.broadcast_to(downlinked_teacher.values, stacked), downlinked_teacher.spec_hash)
     velocity = ws.take("lockstep.velocity", stacked)
     velocity.fill(0.0)
     opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay, velocity=velocity)
@@ -302,10 +305,7 @@ def lockstep_update(
         kls = [KlStats(0.0, 0.0, 0) for _ in shards]
     results = []
     for k, shard in enumerate(shards):
-        # a teacher no batch adapted is still the shared [P] downlink
-        rows = {role: ParamVector(pv.values[k] if pv.values.ndim == 2 else pv.values,
-                                  pv.spec_hash)
-                for role, pv in payload.items()}
+        rows = {role: ParamVector(pv.values[k], pv.spec_hash) for role, pv in payload.items()}
         results.append(ClientUpdateResult(
             client_id=shard.client_id,
             delta=rows["student"],
@@ -421,15 +421,8 @@ def run_round(
         raise ValueError(f"{plan.topology} requires a server labeled pool")
 
     rnd = server.round
-    traits = VARIANTS[variant.kind]
-    send_teacher = None
-    if traits.switches:
-        # round 0 has no KL stats yet; sending the teacher is observationally
-        # neutral (teacher == student at init) and exercises the EMA path
-        send_teacher = rnd == 0 or switch_decide(server.last_kl, variant.iidness_prior)
-
     selected = select_clients(len(shards), plan.clients_per_round, rnd, base_seed)
-    downlink = variant_downlink(variant, server, send_teacher)
+    downlink = variant_downlink(variant, server)
     for cid in selected:
         for role, pv in downlink.items():
             ledger.record(rnd, "downlink", role, cid, len(pv))
@@ -464,37 +457,28 @@ def run_round(
             client_kl_out[cid] = result.kl
 
     aggregated = aggregate(server, results)
-    if plan.topology == "labels_at_client":
-        new_student = aggregated
-    elif plan.topology == "labels_at_server_sequential":
-        new_student = server_update(
-            aggregated, server.server_labeled_pool, plan.server_epochs,
-            plan.server_learning_rate, plan.server_batch_size,
-            derive_seed(base_seed, "server-update", rnd), spec,
-        )
-    else:
+    new_student = aggregated
+    if plan.topology != "labels_at_client":
+        # sequential fine-tunes the aggregate; parallel trains the last
+        # global student and mixes it in by the server's share of examples
+        parallel = plan.topology == "labels_at_server_parallel"
         trained = server_update(
-            server.global_student, server.server_labeled_pool, plan.server_epochs,
-            plan.server_learning_rate, plan.server_batch_size,
+            server.global_student if parallel else aggregated, server.server_labeled_pool,
+            plan.server_epochs, plan.server_learning_rate, plan.server_batch_size,
             derive_seed(base_seed, "server-update", rnd), spec,
         )
-        n_s = server.server_labeled_pool.size
-        n = n_s + sum(r.num_examples for r in results)
-        w = n_s / n
-        new_student = ParamVector(
-            w * trained.values + (1.0 - w) * aggregated.values,
-            aggregated.spec_hash,
-        )
-
-    uploaded_teachers = None
-    if traits.uploads_teacher:
-        base_teacher = downlink["teacher"]
-        uploaded_teachers = [
-            ParamVector(base_teacher.values + r.teacher_delta.values, base_teacher.spec_hash)
-            for r in sorted(results, key=lambda r: r.client_id)
-        ]
+        new_student = trained
+        if parallel:
+            n_s = server.server_labeled_pool.size
+            n = n_s + sum(r.num_examples for r in results)
+            w = n_s / n
+            new_student = ParamVector(
+                w * trained.values + (1.0 - w) * aggregated.values,
+                aggregated.spec_hash,
+            )
+    # select_clients sorts, so the results are in client-id order
     new_teacher = variant_server_merge(variant, server.global_teacher, new_student,
-                                       uploaded_teachers)
+                                       [r.teacher_delta for r in results])
 
     agg_kl = aggregate_kl([r.kl for r in results])
     new_state = replace(

@@ -419,15 +419,6 @@ def loss_and_grad(
     return loss, grad
 
 
-def _heavy_ball(velocity: np.ndarray, grad_values: np.ndarray, values: np.ndarray,
-                momentum: float, weight_decay: float, scratch: np.ndarray) -> None:
-    """v <- m*v + g + wd*theta, in place; scratch receives wd*theta."""
-    velocity *= momentum
-    velocity += grad_values
-    if weight_decay != 0.0:
-        velocity += np.multiply(values, weight_decay, out=scratch)
-
-
 def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
              workspace: Workspace | None = None) -> ParamVector:
     """Heavy-ball update: v <- m*v + g + wd*theta; theta <- theta - lr*v.
@@ -445,8 +436,10 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
     ws = Workspace() if workspace is None else workspace
     shape = params.values.shape
     scratch = ws.take("sgd_step.scratch", shape)
-    _heavy_ball(opt.velocity, grad.values, params.values, opt.momentum, opt.weight_decay,
-                scratch)
+    opt.velocity *= opt.momentum
+    opt.velocity += grad.values
+    if opt.weight_decay != 0.0:
+        opt.velocity += np.multiply(params.values, opt.weight_decay, out=scratch)
     step = np.multiply(opt.velocity, opt.learning_rate, out=scratch)
     return ParamVector(np.subtract(params.values, step, out=ws.take("sgd_step", shape)),
                        params.spec_hash)
@@ -471,7 +464,9 @@ def sgd_epochs(
     by sgd_step, batch by batch: the same float operations run, on views
     into one working parameter vector and one gradient buffer built once,
     with the inputs and labels gathered once per epoch and validated once,
-    and every per-batch array in one workspace.
+    and every per-batch array in one workspace. With momentum and weight
+    decay 0, sgd_step's velocity is bitwise the gradient, so the kernel
+    steps by lr * gradient directly.
     A non-finite loss or gradient, or non-finite parameters after the last
     step, raise NonFiniteError naming the epoch and the batch.
     """
@@ -493,7 +488,6 @@ def sgd_epochs(
 
     values = params.values.copy()
     grad_values = np.zeros_like(values)
-    velocity = np.zeros_like(values)
     step = np.empty_like(values)
     layers = _unflatten(values, spec)
     grad_layers = _unflatten(grad_values, spec)
@@ -512,8 +506,7 @@ def sgd_epochs(
             if not (math.isfinite(loss) and np.isfinite(grad_values).all()):
                 raise NonFiniteError(
                     f"non-finite loss or gradient at epoch {epoch} batch {b}")
-            _heavy_ball(velocity, grad_values, values, 0.0, 0.0, step)
-            values -= np.multiply(velocity, learning_rate, out=step)
+            values -= np.multiply(grad_values, learning_rate, out=step)
     # an overflowing step shows in the next batch's loss or gradient, but not
     # after the last step or in a unit no later batch activates
     if epochs and not np.isfinite(values).all():

@@ -308,36 +308,46 @@ def run_sweep(
             raise ValueError(f"dirichlet alpha must be positive, got {alpha}")
 
     root = Path(cfg.output)
+    # a repeated variant, or alphas equal to six significant digits, would
+    # have two cells write one directory
+    cell_dirs: dict[Path, tuple[str, float]] = {}
+    for kind in kinds:
+        for alpha in alphas:
+            out = root / kind / _alpha_tag(alpha)
+            if out in cell_dirs:
+                raise ValueError(f"sweep cells {cell_dirs[out]} and {(kind, float(alpha))} "
+                                 f"share the output directory {out}")
+            cell_dirs[out] = (kind, float(alpha))
+
     cells: list[SweepCell] = []
     rows = [
         "variant,dirichlet_alpha,final_accuracy_mean,final_accuracy_std,"
         "best_accuracy_mean,trailing_accuracy_std_mean,kl_ratio_mean,"
         "downlink_bytes_mean,uplink_bytes_mean"
     ]
-    for kind in kinds:
-        for alpha in alphas:
-            sub = replace(
-                cfg,
-                shard=replace(cfg.shard, dirichlet_alpha=float(alpha)),
-                variant=replace(cfg.variant, kind=kind),
-                output=str(root / kind / _alpha_tag(alpha)),
-            )
-            summaries, diags = _run_all(sub)
-            cells.append(SweepCell(kind, float(alpha), tuple(summaries)))
+    for out, (kind, alpha) in cell_dirs.items():
+        sub = replace(
+            cfg,
+            shard=replace(cfg.shard, dirichlet_alpha=alpha),
+            variant=replace(cfg.variant, kind=kind),
+            output=str(out),
+        )
+        summaries, diags = _run_all(sub)
+        cells.append(SweepCell(kind, alpha, tuple(summaries)))
 
-            finals = [s.final_accuracy for s in summaries]
-            ratios = [d.trailing_kl_ratio for d in diags if d.trailing_kl_ratio is not None]
-            rows.append(",".join([
-                kind,
-                repr(float(alpha)),
-                repr(float(np.mean(finals))),
-                repr(float(np.std(finals))),
-                repr(float(np.mean([s.best_accuracy for s in summaries]))),
-                repr(float(np.mean([d.trailing_accuracy_std for d in diags]))),
-                _opt(float(np.mean(ratios)) if ratios else None),
-                repr(float(np.mean([s.downlink_bytes for s in summaries]))),
-                repr(float(np.mean([s.uplink_bytes for s in summaries]))),
-            ]))
+        finals = [s.final_accuracy for s in summaries]
+        ratios = [d.trailing_kl_ratio for d in diags if d.trailing_kl_ratio is not None]
+        rows.append(",".join([
+            kind,
+            repr(alpha),
+            repr(float(np.mean(finals))),
+            repr(float(np.std(finals))),
+            repr(float(np.mean([s.best_accuracy for s in summaries]))),
+            repr(float(np.mean([d.trailing_accuracy_std for d in diags]))),
+            _opt(float(np.mean(ratios)) if ratios else None),
+            repr(float(np.mean([s.downlink_bytes for s in summaries]))),
+            repr(float(np.mean([s.uplink_bytes for s in summaries]))),
+        ]))
 
     root.mkdir(parents=True, exist_ok=True)
     (root / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -1,18 +1,18 @@
 """Protocol variants: pseudo-label source, teacher maintenance, transport.
 
-Four variants share one client loop and differ only in the row of VARIANTS
-that names them:
+Four variants share one round loop, which makes no teacher-policy decision
+of its own: it calls the four hooks below, and they decide from the row of
+VARIANTS that names the variant:
 
 - fedprox_fixmatch: no teacher anywhere; the student labels its own batches.
 - ts_server_ema: the server's teacher is downlinked and stays frozen during
   local training; the server EMA-updates it from the aggregated student.
 - ts_client_ema: the downlinked teacher adapts locally (one EMA step per
-  batch) and is uploaded back; the server averages the uploads and then
-  applies the round-level EMA.
+  batch) and is uploaded back as a delta; the server rebuilds and averages
+  the uploads and then applies the round-level EMA.
 - fedswitch: the teacher adapts locally like ts_client_ema but is never
-  uploaded; each round the server sends it only when the previous round's
-  teacher prediction skew sits closer to the IIDness prior than the
-  student's.
+  uploaded; variant_downlink sends it on round 0, then only when the
+  previous round's dkl_T sits closer to the IIDness prior than its dkl_S.
 
 Per-batch EMA folds in the student as of the start of the batch, before
 pseudo-labels are generated, so a zero EMA ratio makes the teacher coincide
@@ -105,27 +105,25 @@ def switch_decide(last_kl: KlStats, beta: float) -> bool:
     return bool(abs(last_kl.dkl_teacher - beta) < abs(last_kl.dkl_student - beta))
 
 
-def variant_downlink(
-    variant: VariantConfig,
-    server,
-    send_teacher: bool | None = None,
-) -> dict[str, ParamVector]:
+def variant_downlink(variant: VariantConfig, server) -> dict[str, ParamVector]:
     """Models the server sends to every participating client this round.
 
-    `server` must expose global_student and global_teacher; send_teacher is
-    the switching variant's decision for this round, which the others ignore.
+    `server` must expose global_student, global_teacher, round and last_kl.
+    The switching variant sends its teacher on round 0, and afterwards only
+    when switch_decide picks it from the previous round's KL statistics.
     """
     traits = VARIANTS[variant.kind]
     down = {"student": server.global_student}
-    if traits.switches:
-        if send_teacher is None:
-            raise ValueError(f"{variant.kind} downlink requires a switch decision")
-        if not send_teacher:
-            return down
-    if traits.teacher:
-        if server.global_teacher is None:
-            raise ValueError(f"{variant.kind} requires a global teacher")
-        down["teacher"] = server.global_teacher
+    if not traits.teacher:
+        return down
+    # round 0 has no KL stats yet; sending the teacher is observationally
+    # neutral (teacher == student at init) and exercises the EMA path
+    if traits.switches and server.round > 0 and not switch_decide(
+            server.last_kl, variant.iidness_prior):
+        return down
+    if server.global_teacher is None:
+        raise ValueError(f"{variant.kind} requires a global teacher")
+    down["teacher"] = server.global_teacher
     return down
 
 
@@ -148,9 +146,8 @@ def variant_batch_hook(
     statistic (dkl_S) is not made here: it comes from the student's
     strong-view probabilities, which the combined objective returns.
 
-    For K clients in lockstep, student_params is a [K, P] stack and
-    weak_inputs [K, B, d]; the teacher is the shared [P] downlink until its
-    first local EMA step makes it a stack, and every output is per client.
+    For K clients in lockstep, student_params and the local teacher are
+    [K, P] stacks and weak_inputs [K, B, d], and every output is per client.
     With a workspace, the outputs live in it (see ema_update, forward_probs
     and pseudo_label), so the local teacher is updated in place from its
     second step on.
@@ -195,13 +192,15 @@ def variant_server_merge(
     variant: VariantConfig,
     global_teacher: ParamVector | None,
     aggregated_student: ParamVector,
-    uploaded_teachers: list[ParamVector] | None = None,
+    teacher_deltas: list[ParamVector | None] | None = None,
 ) -> ParamVector | None:
     """New global teacher after aggregation (None for the teacherless kind).
 
-    A variant whose clients upload their teachers first averages the
-    uploads, then applies the round-level EMA toward the new student; the
-    others EMA the existing global teacher directly.
+    A variant whose clients upload their teachers rebuilds each upload as
+    the global teacher it sent plus the client's teacher delta (given in
+    client-id order), averages the uploads, then applies the round-level
+    EMA toward the new student; the others EMA the existing global teacher
+    directly and ignore teacher_deltas.
     """
     traits = VARIANTS[variant.kind]
     if not traits.teacher:
@@ -210,8 +209,8 @@ def variant_server_merge(
         raise ValueError(f"{variant.kind} requires a global teacher")
     base = global_teacher
     if traits.uploads_teacher:
-        if not uploaded_teachers:
-            raise ValueError(f"{variant.kind} merge requires uploaded teachers")
-        stacked = np.stack([t.values for t in uploaded_teachers])
-        base = ParamVector(stacked.mean(axis=0), global_teacher.spec_hash)
+        if not teacher_deltas or any(d is None for d in teacher_deltas):
+            raise ValueError(f"{variant.kind} merge requires every client's teacher delta")
+        uploads = np.stack([global_teacher.values + d.values for d in teacher_deltas])
+        base = ParamVector(uploads.mean(axis=0), global_teacher.spec_hash)
     return ema_update(base, aggregated_student, variant.ema_alpha)

@@ -129,3 +129,16 @@ def test_run_reports_a_diverging_server_update(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: trial 0: server update: non-finite ")
     assert " at epoch " in err and " batch " in err
+
+
+@pytest.mark.parametrize("label", ["inf", "nan"])
+def test_run_rejects_a_non_finite_csv_label_naming_the_line(tmp_path, capsys, label):
+    csv = tmp_path / "train.csv"
+    csv.write_text(f"0,1.0,2.0\n1,2.0,3.0\n{label},0.5,0.5\n", encoding="utf-8")
+    path = _write(tmp_path, f"[dataset]\ngenerator = csv\ncsv_path = {csv}\n"
+                            f"eval_csv_path = {csv}\nnum_classes = 2\n"
+                            "[shard]\nnum_clients = 1\nlabeled_per_client = 1\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 3: non-finite" in err

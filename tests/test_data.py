@@ -118,6 +118,15 @@ def test_load_csv_ragged_row_names_line(tmp_path):
         load_csv(f, num_classes=2)
 
 
+@pytest.mark.parametrize("row", ["inf,1.0,2.0", "-inf,1.0,2.0", "nan,1.0,2.0", "1,nan,2.0",
+                                 "1,2.0,-inf"])
+def test_load_csv_non_finite_field_names_line(tmp_path, row):
+    f = tmp_path / "d.csv"
+    f.write_text(f"0,1.0,2.0\n{row}\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        load_csv(f, num_classes=2)
+
+
 def test_load_csv_label_out_of_range(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("5,1.0\n")

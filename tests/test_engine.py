@@ -602,6 +602,28 @@ def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_group
             assert kl_out[shard.client_id] == alone.kl
 
 
+def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockstep_groups):
+    # no local batch runs, so no in-round teacher takes an EMA step: each of
+    # the four clients still uplinks its own [P] teacher delta, all zero
+    ds, shards, _ = _setup()
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.5)
+    student, teacher = init_params(SPEC, 1), init_params(SPEC, 2)
+    server = ServerState(student, teacher, round=0, last_kl=KlStats(0.0, 0.0, 0))
+    ledger = CommLedger()
+    new_server, _ = run_round(server, shards, variant, _plan(local_epochs=0), HYPER, SPEC,
+                              AUG, ds, ds, 17, ledger)
+
+    [(group, _, results)] = lockstep_groups
+    assert [sh.client_id for sh in group] == [0, 1, 2, 3]
+    for res in results:
+        assert res.teacher_delta.values.shape == (SPEC.num_params,)
+        assert np.all(res.teacher_delta.values == 0.0)
+    assert ledger.model_count("uplink", "teacher") == 4
+    assert np.array_equal(new_server.global_student.values, student.values)
+    assert np.allclose(new_server.global_teacher.values,
+                       0.5 * teacher.values + 0.5 * student.values, rtol=0, atol=1e-15)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lockstep_non_finite_client_is_named():
     ds, shards, _ = _setup()

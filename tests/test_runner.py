@@ -317,3 +317,11 @@ def test_sweep_rejects_bad_inputs(tmp_path):
         run_sweep(cfg, alphas=[1.0], kinds=["fedavg"])
     with pytest.raises(ValueError, match="positive"):
         run_sweep(cfg, alphas=[-0.5], kinds=["fedswitch"])
+    # cells that would share a directory: alphas that both tag as alpha_0.1,
+    # and a repeated variant; refused before any cell writes
+    with pytest.raises(ValueError, match="share the output directory"):
+        run_sweep(cfg, alphas=[0.1, 0.1000001], kinds=["fedswitch"])
+    with pytest.raises(ValueError, match="share the output directory"):
+        run_sweep(cfg, alphas=[1.0], kinds=["fedswitch", "ts_client_ema", "fedswitch"])
+    assert not (tmp_path / "bad").exists()
+

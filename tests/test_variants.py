@@ -21,9 +21,11 @@ SPEC = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
 
 
 class FakeServer:
-    def __init__(self, student, teacher=None):
+    def __init__(self, student, teacher=None, round=0, last_kl=KlStats(0.0, 0.0, 0)):
         self.global_student = student
         self.global_teacher = teacher
+        self.round = round
+        self.last_kl = last_kl
 
 
 def _pv(values):
@@ -109,9 +111,18 @@ def test_downlink_sets_per_variant():
     assert set(variant_downlink(VariantConfig("fedprox_fixmatch"), srv)) == {"student"}
     assert set(variant_downlink(VariantConfig("ts_server_ema"), srv)) == {"student", "teacher"}
     assert set(variant_downlink(VariantConfig("ts_client_ema"), srv)) == {"student", "teacher"}
-    fs = VariantConfig("fedswitch")
-    assert set(variant_downlink(fs, srv, True)) == {"student", "teacher"}
-    assert set(variant_downlink(fs, srv, False)) == {"student"}
+    fs = VariantConfig("fedswitch", iidness_prior=0.5)
+    teacher_closer = KlStats(dkl_teacher=0.4, dkl_student=1.0, num_batches=2)
+    student_closer = KlStats(dkl_teacher=1.0, dkl_student=0.4, num_batches=2)
+    # round 0 sends the teacher whatever the statistics say
+    for kl in (teacher_closer, student_closer):
+        down = variant_downlink(fs, FakeServer(student, teacher, round=0, last_kl=kl))
+        assert set(down) == {"student", "teacher"}
+        assert down["teacher"] is teacher
+    later = FakeServer(student, teacher, round=3, last_kl=teacher_closer)
+    assert set(variant_downlink(fs, later)) == {"student", "teacher"}
+    later.last_kl = student_closer
+    assert set(variant_downlink(fs, later)) == {"student"}
 
 
 def test_downlink_errors():
@@ -119,7 +130,7 @@ def test_downlink_errors():
     with pytest.raises(ValueError):
         variant_downlink(VariantConfig("ts_server_ema"), srv)
     with pytest.raises(ValueError):
-        variant_downlink(VariantConfig("fedswitch"), srv)  # no decision
+        variant_downlink(VariantConfig("fedswitch"), srv)  # round 0 sends the teacher
 
 
 # ------------------------------------------------------- variant_batch_hook
@@ -243,9 +254,10 @@ def test_merge_ts_client_mean_then_ema():
     n = SPEC.num_params
     t = _pv(np.full(n, 10.0))
     s = _pv(np.full(n, 0.0))
-    ups = [_pv(np.full(n, 2.0)), _pv(np.full(n, 4.0))]
-    out = variant_server_merge(VariantConfig("ts_client_ema", ema_alpha=0.5), t, s, ups)
-    # mean of uploads = 3, then 0.5*3 + 0.5*0 = 1.5; the old teacher is replaced
+    deltas = [_pv(np.full(n, -8.0)), _pv(np.full(n, -6.0))]
+    out = variant_server_merge(VariantConfig("ts_client_ema", ema_alpha=0.5), t, s, deltas)
+    # the uploads are 10 - 8 = 2 and 10 - 6 = 4; their mean 3, then
+    # 0.5*3 + 0.5*0 = 1.5, so the old teacher only enters through the uploads
     assert np.allclose(out.values, np.full(n, 1.5), atol=0)
 
 
@@ -253,6 +265,11 @@ def test_merge_ts_client_requires_uploads():
     with pytest.raises(ValueError):
         variant_server_merge(
             VariantConfig("ts_client_ema"), init_params(SPEC, 0), init_params(SPEC, 1)
+        )
+    with pytest.raises(ValueError):
+        variant_server_merge(
+            VariantConfig("ts_client_ema"), init_params(SPEC, 0), init_params(SPEC, 1),
+            [init_params(SPEC, 2), None],
         )
 
 
