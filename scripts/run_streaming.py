@@ -1,14 +1,17 @@
-"""Compare round-to-round stability when client pools drift mid-run.
+"""Compare round-to-round stability when each participation sees one
+segment of a client's unlabeled pool.
 
 Run:
     python3 scripts/run_streaming.py [--trials N] [--rounds N] [--out DIR]
 
-Each client reveals its unlabeled pool in 10 staged steps over the run at
-dirichlet alpha 0.1, so the reachable data distribution shifts while
-training. Per-batch teacher EMA (ts_client_ema, fedswitch) should damp the
-resulting accuracy wobble relative to plain FedProx-FixMatch; the metric
-is the trailing-window accuracy standard deviation from each trial's
-summary.txt.
+At dirichlet alpha 0.1, each client's unlabeled pool is split once, at
+random, into 10 near-equal segments that keep its class mix, and the
+client's k-th participation trains on segment k mod 10 (the server counts
+participations in ServerState.participations). A client therefore sees a
+different tenth of its data each time it joins, with the same class mix.
+Per-batch teacher EMA (ts_client_ema, fedswitch) should damp the resulting
+accuracy wobble relative to plain FedProx-FixMatch; the metric is the
+trailing-window accuracy standard deviation from each trial's summary.txt.
 """
 
 import argparse

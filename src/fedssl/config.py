@@ -14,11 +14,11 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .data import AugmentConfig
+from .data import AugmentConfig, ShardPlan
 from .engine import RoundPlan
 from .metrics import CommLedger
 from .semisup import SslHyper
-from .variants import VARIANT_KINDS, VARIANTS
+from .variants import VARIANTS, VariantConfig
 
 GENERATORS = ("blobs", "csv")
 
@@ -63,12 +63,8 @@ class ShardConfig:
     streaming_steps: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
-        if self.labeled_per_client < 0:
-            raise ValueError("labeled_per_client must be non-negative")
+        # delegate the shared ranges to the plan the runner builds
+        ShardPlan(self.num_clients, self.dirichlet_alpha, self.labeled_per_client)
         if self.streaming_steps < 0:
             raise ValueError("streaming_steps must be >= 0 (0 disables streaming)")
 
@@ -87,15 +83,13 @@ class VariantSettings:
     iidness_prior: float | str = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"kind must be one of {VARIANT_KINDS}")
-        if self.ema_alpha is not None and not 0.0 <= self.ema_alpha <= 1.0:
-            raise ValueError("ema_alpha must be in [0, 1]")
-        if isinstance(self.iidness_prior, str):
-            if self.iidness_prior != "auto":
-                raise ValueError("iidness_prior must be a number or 'auto'")
-        elif self.iidness_prior < 0:
-            raise ValueError("iidness_prior must be non-negative")
+        auto = self.iidness_prior == "auto"
+        if isinstance(self.iidness_prior, str) and not auto:
+            raise ValueError("iidness_prior must be a number or 'auto'")
+        # delegate the remaining ranges, the kind first, to the config the
+        # runner builds; resolved_alpha would look up an unchecked kind
+        VariantConfig(self.kind, 0.0 if self.ema_alpha is None else self.ema_alpha,
+                      0.0 if auto else self.iidness_prior)
 
     @property
     def resolved_alpha(self) -> float:

@@ -3,13 +3,15 @@ server-side supervised training, and global teacher maintenance.
 
 Clients are stateless: every participation starts from the downlinked
 models with a fresh optimizer, and everything a client computes is a pure
-function of (downlink, shard, hyper-parameters, seed). The orchestrator
-owns the only cross-round client state the protocol allows, the streaming
-position.
+function of (downlink, shard, hyper-parameters, seed, participation count).
+The server counts each client's participations in ServerState, which holds
+everything a trial carries from round to round apart from the ledger and
+the workspace; a streaming client's k-th participation trains on segment
+k mod S of its unlabeled pool.
 
 The clients selected in a round train in lockstep groups: clients whose
-local batches share one shape (the size of this participation's unlabeled
-pool, and whether the client holds labels) are stacked on a client axis,
+local batches share one shape (the sizes of this participation's unlabeled
+pool and of the labeled pool) are stacked on a client axis,
 and each local batch is one pass over the whole group. Every client keeps
 its own rng stream, seeded from (base seed, round, client id), so a
 client's result does not depend on which group it trains in or with whom.
@@ -50,7 +52,7 @@ nn.sgd_epochs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,13 +85,21 @@ TOPOLOGIES = ("labels_at_client", "labels_at_server_sequential", "labels_at_serv
 
 @dataclass
 class ServerState:
-    """Everything the server carries between rounds."""
+    """Everything a trial carries between rounds, apart from the ledger and
+    the workspace.
+
+    participations counts the rounds each client has joined; client_kl holds
+    the KL statistics the last round's participants reported, in client-id
+    order. run_round builds both afresh and never mutates a given state.
+    """
 
     global_student: ParamVector
     global_teacher: ParamVector | None
     round: int
     last_kl: KlStats
     server_labeled_pool: Dataset | None = None
+    participations: dict[int, int] = field(default_factory=dict)
+    client_kl: dict[int, KlStats] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.round < 0:
@@ -192,7 +202,7 @@ def lockstep_update(
     trained in lockstep.
 
     The clients must have equally large unlabeled pools in this
-    participation and must all hold labels or all hold none. Their students
+    participation and equally large labeled pools. Their students
     and optimizer velocities are stacked as [K, P], and every local batch is
     one stacked pass over the client axis. Client k keeps its own generator,
     seeded with seeds[k], and draws from it exactly what it would draw
@@ -216,10 +226,9 @@ def lockstep_update(
         if pool.size == 0:
             raise ValueError(f"client {sh.client_id}: empty unlabeled pool")
     l_pools = [sh.labeled_idx for sh in shards]
-    n_u = u_pools[0].size
-    has_labels = l_pools[0].size > 0
-    if any(p.size != n_u for p in u_pools) or any((p.size > 0) != has_labels for p in l_pools):
-        raise ValueError("lockstep clients must share unlabeled pool size and label presence")
+    n_u, n_l = u_pools[0].size, l_pools[0].size
+    if any(p.size != n_u for p in u_pools) or any(p.size != n_l for p in l_pools):
+        raise ValueError("lockstep clients must share unlabeled and labeled pool sizes")
 
     ws = Workspace() if workspace is None else workspace
     snapshot = downlink["student"]
@@ -235,7 +244,6 @@ def lockstep_update(
     velocity.fill(0.0)
     opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay, velocity=velocity)
     rngs = [np.random.default_rng(s) for s in seeds]
-    l_sizes = np.array([p.size for p in l_pools])[:, None]
     n_batches = plan.local_epochs * math.ceil(n_u / plan.unlabeled_batch_size)
     teacher_kl = np.empty((k_clients, n_batches))
     student_kl = np.empty((k_clients, n_batches))
@@ -244,11 +252,11 @@ def lockstep_update(
 
     for epoch in range(plan.local_epochs):
         u_order = np.empty((k_clients, n_u), dtype=np.int64)
-        l_order = np.zeros((k_clients, int(l_sizes.max())), dtype=np.int64)
+        l_order = np.empty((k_clients, n_l), dtype=np.int64)
         for k, rng in enumerate(rngs):
             u_order[k] = u_pools[k][rng.permutation(n_u)]
-            if has_labels:
-                l_order[k, : l_sizes[k, 0]] = l_pools[k][rng.permutation(l_sizes[k, 0])]
+            if n_l:
+                l_order[k] = l_pools[k][rng.permutation(n_l)]
         for b, u_idx in enumerate(_batches(u_order, plan.unlabeled_batch_size)):
             # mode="clip" (the indices are in range by construction) lets
             # take write straight into the buffer
@@ -259,12 +267,11 @@ def lockstep_update(
                 variant, teacher, student, weak.inputs, spec, hyper, workspace=ws
             )
             labeled_batch = None
-            if has_labels:
+            if n_l:
                 # labeled batches cycle through each client's own pool; the
                 # unlabeled pool drives epoch length
-                take = np.arange(b * plan.labeled_batch_size,
-                                 (b + 1) * plan.labeled_batch_size)
-                l_idx = np.take_along_axis(l_order, take % l_sizes, axis=1)
+                l_idx = l_order[:, np.arange(b * plan.labeled_batch_size,
+                                             (b + 1) * plan.labeled_batch_size) % n_l]
                 labeled_batch = Batch(
                     np.take(dataset.inputs, l_idx, axis=0, mode="clip",
                             out=ws.take("lockstep.labeled", l_idx.shape + (dim,))),
@@ -299,10 +306,10 @@ def lockstep_update(
     delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
     payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
     if n_batches:
-        kls = [KlStats(float(t), float(st), n_batches)
+        kls = [KlStats(float(t), float(st))
                for t, st in zip(teacher_kl.mean(axis=1), student_kl.mean(axis=1))]
     else:
-        kls = [KlStats(0.0, 0.0, 0) for _ in shards]
+        kls = [KlStats(0.0, 0.0) for _ in shards]
     results = []
     for k, shard in enumerate(shards):
         rows = {role: ParamVector(pv.values[k], pv.spec_hash) for role, pv in payload.items()}
@@ -337,28 +344,25 @@ def client_update(
 
 
 def aggregate_kl(stats: list[KlStats]) -> KlStats:
-    """Server-side KL rollup: mean of client means, total batch count."""
+    """Server-side KL rollup: the mean of the client means."""
     if not stats:
         raise ValueError("aggregate_kl needs at least one client's stats")
     return KlStats(
         dkl_teacher=float(np.mean([s.dkl_teacher for s in stats])),
         dkl_student=float(np.mean([s.dkl_student for s in stats])),
-        num_batches=int(sum(s.num_batches for s in stats)),
     )
 
 
 def aggregate(server: ServerState, results: list[ClientUpdateResult]) -> ParamVector:
-    """Server snapshot plus the unweighted mean of client deltas, summed in
+    """Server snapshot plus the unweighted mean of client deltas, stacked in
     client-id order for bit-exact reproducibility.
     """
     if not results:
         raise ValueError("aggregate needs at least one client result")
     ordered = sorted(results, key=lambda r: r.client_id)
-    total = np.zeros_like(server.global_student.values)
     for r in ordered:
         server.global_student.check_compatible(r.delta)
-        total = total + r.delta.values
-    mean = total / len(ordered)
+    mean = np.stack([r.delta.values for r in ordered]).mean(axis=0)
     return ParamVector(server.global_student.values + mean, server.global_student.spec_hash)
 
 
@@ -398,23 +402,18 @@ def run_round(
     eval_data: Dataset,
     base_seed: int,
     ledger: CommLedger,
-    stream_positions: dict[int, int] | None = None,
-    client_kl_out: dict[int, KlStats] | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[ServerState, RoundReport]:
-    """One full protocol round. Records every downlinked and uplinked model
-    in the ledger, and advances each participating client's streaming
-    position inside stream_positions, which the caller owns.
-    When given, client_kl_out receives each participant's KL statistics.
-    All lockstep groups train in workspace (a throwaway one without it); a
-    caller that passes the same one to every round allocates its buffers
-    once.
+    """One full protocol round: a pure function of the server state and
+    the round's inputs, except that it records every downlinked and
+    uplinked model in the ledger. The new state counts each participant's
+    round and holds the KL statistics it reported. All lockstep groups
+    train in workspace (a throwaway one without it), whose buffers carry
+    nothing between calls; a caller that passes the same one to every round
+    allocates them once.
     """
     if plan.num_clients != len(shards):
         raise ValueError("plan.num_clients must match the number of shards")
-    streaming = any(sh.stream_splits is not None for sh in shards)
-    if streaming and stream_positions is None:
-        raise ValueError("streaming shards require a stream_positions dict")
     if plan.topology != "labels_at_client" and (
         server.server_labeled_pool is None or server.server_labeled_pool.size == 0
     ):
@@ -428,10 +427,10 @@ def run_round(
             ledger.record(rnd, "downlink", role, cid, len(pv))
 
     # clients whose local batches share one shape train in lockstep
-    steps = {cid: stream_positions.get(cid, 0) if streaming else 0 for cid in selected}
-    groups: dict[tuple[int, bool], list[int]] = {}
+    steps = {cid: server.participations.get(cid, 0) for cid in selected}
+    groups: dict[tuple[int, int], list[int]] = {}
     for cid in selected:
-        key = (_unlabeled_pool(shards[cid], steps[cid]).size, shards[cid].labeled_idx.size > 0)
+        key = (_unlabeled_pool(shards[cid], steps[cid]).size, shards[cid].labeled_idx.size)
         groups.setdefault(key, []).append(cid)
     by_client: dict[int, ClientUpdateResult] = {}
     ws = Workspace() if workspace is None else workspace
@@ -447,14 +446,9 @@ def run_round(
 
     results = [by_client[cid] for cid in selected]
     for result in results:
-        cid = result.client_id
-        if streaming:
-            stream_positions[cid] = steps[cid] + 1
         for role, pv in (("student", result.delta), ("teacher", result.teacher_delta)):
             if pv is not None:
-                ledger.record(rnd, "uplink", role, cid, len(pv))
-        if client_kl_out is not None:
-            client_kl_out[cid] = result.kl
+                ledger.record(rnd, "uplink", role, result.client_id, len(pv))
 
     aggregated = aggregate(server, results)
     new_student = aggregated
@@ -487,6 +481,8 @@ def run_round(
         global_teacher=new_teacher,
         round=rnd + 1,
         last_kl=agg_kl,
+        participations={**server.participations, **{cid: n + 1 for cid, n in steps.items()}},
+        client_kl={r.client_id: r.kl for r in results},
     )
 
     acc_student = evaluate(new_student, spec, eval_data)
@@ -518,6 +514,6 @@ def init_server(
         global_student=student,
         global_teacher=teacher,
         round=0,
-        last_kl=KlStats(0.0, 0.0, 0),
+        last_kl=KlStats(0.0, 0.0),
         server_labeled_pool=server_labeled_pool,
     )

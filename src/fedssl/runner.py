@@ -89,13 +89,13 @@ def _truth_kl(shards, data: Dataset, num_classes: int) -> dict[int, float]:
     }
 
 
-def _ratio_row(client_kl: dict[int, KlStats], truth: dict[int, float]) -> tuple[float, float, float | None]:
+def _ratio_row(client_kl: dict[int, KlStats], truth: dict[int, float]) -> tuple[float, float | None]:
+    """Mean truth KL of the round's clients, and their mean pseudo/truth ratio."""
     cids = sorted(client_kl)
-    pseudo_mean = float(np.mean([client_kl[c].dkl_teacher for c in cids]))
     truth_mean = float(np.mean([truth[c] for c in cids]))
     ratios = [client_kl[c].dkl_teacher / truth[c] for c in cids if truth[c] > 0.0]
     ratio = float(np.mean(ratios)) if ratios else None
-    return pseudo_mean, truth_mean, ratio
+    return truth_mean, ratio
 
 
 def _opt(value: float | None) -> str:
@@ -153,21 +153,18 @@ def _run_trial(
     hyper = cfg.training.hyper()
     ledger = CommLedger(bytes_per_param=cfg.training.bytes_per_param)
     base_seed = derive_seed(trial_seed, "rounds")
-    positions: dict[int, int] = {}
 
     reports: list[RoundReport] = []
     ratio_rows: list[tuple[int, float, float, float | None]] = []
     workspace = Workspace()
     for _ in range(cfg.training.rounds):
-        client_kl: dict[int, KlStats] = {}
         server, report = run_round(
             server, shards, variant, round_plan, hyper, spec, cfg.augment,
-            data, eval_data, base_seed=base_seed, ledger=ledger,
-            stream_positions=positions, client_kl_out=client_kl, workspace=workspace,
+            data, eval_data, base_seed=base_seed, ledger=ledger, workspace=workspace,
         )
         reports.append(report)
-        pseudo_mean, truth_mean, ratio = _ratio_row(client_kl, truth)
-        ratio_rows.append((report.round, pseudo_mean, truth_mean, ratio))
+        # pseudo_kl is the round's dkl_T: the same mean over the same clients
+        ratio_rows.append((report.round, report.dkl_teacher, *_ratio_row(server.client_kl, truth)))
     # the buffers are freed before the output is written, so the two do not
     # add up in the peak memory
     del workspace

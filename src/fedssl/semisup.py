@@ -3,8 +3,7 @@ KL-to-uniform diagnostics.
 
 The per-batch prediction distribution is the hard argmax histogram, so a
 fully collapsed batch reaches the ln(C) upper bound and a class-balanced
-batch reaches 0. Clients report the mean over their local batches; the raw
-sum is recoverable from num_batches.
+batch reaches 0. Clients report the mean over their local batches.
 
 Every per-batch function also takes a [K, B, ...] stack of K client batches
 (with [K, P] parameters and one generator per client) and returns per-client
@@ -74,15 +73,12 @@ class KlStats:
 
     dkl_teacher: float
     dkl_student: float
-    num_batches: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dkl_teacher) and math.isfinite(self.dkl_student)):
             raise ValueError("KL statistics must be finite")
         if self.dkl_teacher < 0 or self.dkl_student < 0:
             raise ValueError("KL statistics must be non-negative")
-        if self.num_batches < 0:
-            raise ValueError("num_batches must be non-negative")
 
 
 def pseudo_label(probs: np.ndarray, tau: float, source: str = "student",

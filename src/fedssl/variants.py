@@ -70,7 +70,7 @@ class VariantConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
+            raise ValueError(f"unknown variant kind {self.kind!r}, expected one of {VARIANT_KINDS}")
         if not 0.0 <= self.ema_alpha <= 1.0:
             raise ValueError("ema_alpha must be in [0, 1]")
         if self.iidness_prior < 0:

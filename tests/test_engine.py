@@ -4,6 +4,7 @@ import importlib
 import math
 import pkgutil
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,11 +169,11 @@ def test_client_zero_epochs_zero_delta():
         _plan(local_epochs=0), HYPER, SPEC, AUG, ds, seed=7, round=0,
     )
     assert np.all(res.delta.values == 0.0)
-    assert res.kl.num_batches == 0
+    assert res.kl == KlStats(0.0, 0.0)
     assert res.num_examples == shards[0].unlabeled_idx.size + shards[0].labeled_idx.size
 
 
-def test_client_no_gradient_sources_zero_delta():
+def test_client_no_gradient_sources_zero_delta(strong_calls):
     # tau=1 masks everything for a soft model; no labels, no prox, no decay
     ds, shards, _ = _setup(labeled_per_client=0)
     student = init_params(SPEC, 0)
@@ -182,7 +183,7 @@ def test_client_no_gradient_sources_zero_delta():
         _plan(weight_decay=0.0), hyper, SPEC, AUG, ds, seed=3, round=0,
     )
     assert np.all(res.delta.values == 0.0)
-    assert res.kl.num_batches > 0
+    assert strong_calls  # local batches ran
 
 
 def test_client_matches_manual_single_batch_replay():
@@ -219,7 +220,6 @@ def test_client_matches_manual_single_batch_replay():
     assert res.kl == KlStats(
         dkl_teacher=kl_to_uniform(batch_prediction_distribution(source_probs)),
         dkl_student=kl_to_uniform(batch_prediction_distribution(strong_probs)),
-        num_batches=1,
     )
 
 
@@ -265,7 +265,6 @@ def test_client_kl_is_the_mean_over_local_batches():
     assert res.kl == KlStats(
         dkl_teacher=float(np.mean(teacher_kls)),
         dkl_student=float(np.mean(student_kls)),
-        num_batches=len(teacher_kls),
     )
 
 
@@ -305,7 +304,6 @@ def test_client_one_strong_view_per_local_batch(strong_calls, kind, with_teacher
         plan, HYPER, SPEC, AUG, ds, seed=4, round=0,
     )
     batches = plan.local_epochs * math.ceil(shard.unlabeled_idx.size / plan.unlabeled_batch_size)
-    assert res.kl.num_batches == batches
     assert len(strong_calls) == batches
 
 
@@ -447,7 +445,7 @@ def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, s
         client_id=shard.client_id,
         delta=ParamVector(student.values - snapshot.values, snapshot.spec_hash),
         teacher_delta=ParamVector(teacher.values - downlinked.values, snapshot.spec_hash),
-        kl=KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls)), len(teacher_kls)),
+        kl=KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls))),
         num_examples=int(pool.size + shard.labeled_idx.size),
     )
 
@@ -555,8 +553,11 @@ def test_lockstep_rejects_mixed_batch_shapes():
     with pytest.raises(ValueError, match="pool size"):
         lockstep_update([shards[0], other], *args, seeds=[1, 2], round=0)
     unlabeled_only = ClientShard(98, np.array([], dtype=np.int64), shards[1].unlabeled_idx)
-    with pytest.raises(ValueError, match="label presence"):
+    with pytest.raises(ValueError, match="labeled pool sizes"):
         lockstep_update([shards[0], unlabeled_only], *args, seeds=[1, 2], round=0)
+    fewer_labels = ClientShard(97, shards[1].labeled_idx[:-1], shards[1].unlabeled_idx)
+    with pytest.raises(ValueError, match="labeled pool sizes"):
+        lockstep_update([shards[0], fewer_labels], *args, seeds=[1, 2], round=0)
 
 
 @pytest.fixture
@@ -583,15 +584,14 @@ def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_group
     assert [s.size for s in shards[0].stream_splits] == [13, 12, 12]
     plan = _plan(num_clients=3)
     variant = VariantConfig("ts_client_ema", ema_alpha=0.9)
-    server = init_server(SPEC, variant, seed=0)
-    positions = {0: 0, 1: 1, 2: 2}
-    kl_out = {}
-    run_round(server, shards, variant, plan, HYPER, SPEC, AUG, ds, ds, 17, CommLedger(),
-              stream_positions=positions, client_kl_out=kl_out)
+    server = replace(init_server(SPEC, variant, seed=0), participations={0: 0, 1: 1, 2: 2})
+    new_server, _ = run_round(server, shards, variant, plan, HYPER, SPEC, AUG, ds, ds, 17,
+                              CommLedger())
 
     groups = list(lockstep_groups)  # the one-client calls below add their own
     assert [[sh.client_id for sh in g[0]] for g in groups] == [[0], [1, 2]]
-    assert positions == {0: 1, 1: 2, 2: 3}
+    assert new_server.participations == {0: 1, 1: 2, 2: 3}
+    assert server.participations == {0: 0, 1: 1, 2: 2}
     downlink = {"student": server.global_student, "teacher": server.global_teacher}
     for group, kwargs, results in groups:
         for shard, step, res in zip(group, kwargs["stream_steps"], results):
@@ -599,7 +599,7 @@ def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_group
                                   seed=derive_seed(17, "client", 0, shard.client_id),
                                   round=0, stream_step=step)
             _same_result(res, alone)
-            assert kl_out[shard.client_id] == alone.kl
+            assert new_server.client_kl[shard.client_id] == alone.kl
 
 
 def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockstep_groups):
@@ -608,7 +608,7 @@ def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockst
     ds, shards, _ = _setup()
     variant = VariantConfig("ts_client_ema", ema_alpha=0.5)
     student, teacher = init_params(SPEC, 1), init_params(SPEC, 2)
-    server = ServerState(student, teacher, round=0, last_kl=KlStats(0.0, 0.0, 0))
+    server = ServerState(student, teacher, round=0, last_kl=KlStats(0.0, 0.0))
     ledger = CommLedger()
     new_server, _ = run_round(server, shards, variant, _plan(local_epochs=0), HYPER, SPEC,
                               AUG, ds, ds, 17, ledger)
@@ -679,14 +679,14 @@ def test_lockstep_pseudo_label_counts_equal_one_client_runs(monkeypatch):
 
 def _result(cid, delta_values):
     delta = ParamVector(np.asarray(delta_values, dtype=np.float64), SPEC.spec_hash)
-    return ClientUpdateResult(cid, delta, None, KlStats(0, 0, 0), 10)
+    return ClientUpdateResult(cid, delta, None, KlStats(0, 0), 10)
 
 
 def _server(values=None):
     student = init_params(SPEC, 0)
     if values is not None:
         student = ParamVector(np.asarray(values, dtype=np.float64), SPEC.spec_hash)
-    return ServerState(student, None, 0, KlStats(0, 0, 0))
+    return ServerState(student, None, 0, KlStats(0, 0))
 
 
 def test_aggregate_opposite_deltas_cancel():
@@ -728,19 +728,18 @@ def test_aggregate_rejects_empty_and_mismatch():
         aggregate(srv, [])
     other = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=3)
     bad = ClientUpdateResult(
-        0, init_params(other, 0), None, KlStats(0, 0, 0), 1
+        0, init_params(other, 0), None, KlStats(0, 0), 1
     )
     with pytest.raises(ValueError):
         aggregate(srv, [bad])
 
 
 def test_aggregate_kl_mean_of_means():
-    a = KlStats(0.0, 0.2, 3)
-    b = KlStats(math.log(10), 0.4, 5)
+    a = KlStats(0.0, 0.2)
+    b = KlStats(math.log(10), 0.4)
     agg = aggregate_kl([a, b])
     assert agg.dkl_teacher == pytest.approx(math.log(10) / 2, abs=1e-12)
     assert agg.dkl_student == pytest.approx(0.3, abs=1e-12)
-    assert agg.num_batches == 8
 
 
 # ----------------------------------------------------------- server_update
@@ -863,7 +862,7 @@ def test_server_update_overflow_on_the_last_step_is_named():
 
 
 def _run(variant, rounds=3, topology="labels_at_client", stream_steps=None,
-         seed=17, plan_kw=None, num_clients=4, setup_seed=0):
+         seed=17, plan_kw=None, num_clients=4, setup_seed=0, server=None):
     server_side = topology != "labels_at_client"
     ds, shards, pool = _setup(
         num_clients=num_clients, seed=setup_seed,
@@ -874,17 +873,17 @@ def _run(variant, rounds=3, topology="labels_at_client", stream_steps=None,
                   for sh in shards]
     eval_ds = gen_blobs(3, 3, 30, 0.3, seed=999)
     plan = _plan(num_clients=num_clients, topology=topology, **(plan_kw or {}))
-    server = init_server(SPEC, variant, seed=seed, server_labeled_pool=pool)
+    if server is None:
+        server = init_server(SPEC, variant, seed=seed, server_labeled_pool=pool)
     ledger = CommLedger()
-    positions: dict[int, int] = {}
     reports = []
     for _ in range(rounds):
         server, rep = run_round(
             server, shards, variant, plan, HYPER, SPEC, AUG, ds, eval_ds,
-            base_seed=seed, ledger=ledger, stream_positions=positions,
+            base_seed=seed, ledger=ledger,
         )
         reports.append(rep)
-    return server, reports, ledger, positions
+    return server, reports, ledger
 
 
 def test_round_zero_delta_clients_keep_global_fixed():
@@ -907,31 +906,31 @@ def test_round_zero_delta_clients_keep_global_fixed():
 
 
 def test_round_reports_deterministic():
-    _, reps_a, _, _ = _run(VariantConfig("fedswitch", ema_alpha=0.9), rounds=4)
-    _, reps_b, _, _ = _run(VariantConfig("fedswitch", ema_alpha=0.9), rounds=4)
+    _, reps_a, _ = _run(VariantConfig("fedswitch", ema_alpha=0.9), rounds=4)
+    _, reps_b, _ = _run(VariantConfig("fedswitch", ema_alpha=0.9), rounds=4)
     assert [r.csv_row() for r in reps_a] == [r.csv_row() for r in reps_b]
 
 
 def test_round_zero_fedswitch_sends_teacher():
-    _, reports, ledger, _ = _run(VariantConfig("fedswitch"), rounds=1)
+    _, reports, ledger = _run(VariantConfig("fedswitch"), rounds=1)
     assert reports[0].send_teacher is True
     assert ledger.model_count("downlink", "teacher") == 4
 
 
 def test_round_privacy_surface():
     for kind in ("fedprox_fixmatch", "ts_server_ema", "fedswitch"):
-        _, _, ledger, _ = _run(VariantConfig(kind, ema_alpha=0.9), rounds=3)
+        _, _, ledger = _run(VariantConfig(kind, ema_alpha=0.9), rounds=3)
         assert all(e.role in ("student", "teacher") for e in ledger.entries)
         # one student delta per client per round, never a teacher upload
         assert ledger.model_count("uplink", "teacher") == 0
         assert ledger.model_count("uplink", "student") == 3 * 4
-    _, _, ledger, _ = _run(VariantConfig("ts_client_ema"), rounds=3)
+    _, _, ledger = _run(VariantConfig("ts_client_ema"), rounds=3)
     assert ledger.model_count("uplink", "teacher") == 3 * 4
     assert ledger.model_count("uplink", "student") == 3 * 4
 
 
 def test_round_records_each_uplink_with_its_round_and_bytes():
-    _, _, ledger, _ = _run(VariantConfig("ts_client_ema"), rounds=3,
+    _, _, ledger = _run(VariantConfig("ts_client_ema"), rounds=3,
                            plan_kw={"participation_rate": 0.5})
     uplinks = [e for e in ledger.entries if e.direction == "uplink"]
     expected = [(rnd, role, cid)
@@ -944,41 +943,48 @@ def test_round_records_each_uplink_with_its_round_and_bytes():
 
 
 def test_round_fedswitch_uplink_matches_baseline():
-    _, _, led_fs, _ = _run(VariantConfig("fedswitch"), rounds=5)
-    _, _, led_fpf, _ = _run(VariantConfig("fedprox_fixmatch"), rounds=5)
+    _, _, led_fs = _run(VariantConfig("fedswitch"), rounds=5)
+    _, _, led_fpf = _run(VariantConfig("fedprox_fixmatch"), rounds=5)
     assert led_fs.model_count("uplink") == led_fpf.model_count("uplink")
     assert led_fs.total_bytes("uplink") == led_fpf.total_bytes("uplink")
 
 
 def test_round_streaming_positions_advance():
-    _, _, _, positions = _run(
+    server, _, _ = _run(
         VariantConfig("fedprox_fixmatch"), rounds=3, stream_steps=3,
         plan_kw={"participation_rate": 0.5},
     )
-    # 2 of 4 clients participate per round; positions advance only for them
-    assert sum(positions.values()) == 3 * 2
-    assert all(v <= 3 for v in positions.values())
+    # 2 of 4 clients participate per round; only their counts advance
+    joined = [cid for rnd in range(3) for cid in select_clients(4, 2, rnd, 17)]
+    assert server.participations == {cid: joined.count(cid) for cid in set(joined)}
+    assert sorted(server.client_kl) == select_clients(4, 2, 2, 17)
 
 
-def test_round_streaming_requires_positions():
-    variant = VariantConfig("fedprox_fixmatch")
-    ds, shards, _ = _setup()
-    shards = [make_stream_schedule(sh, 2, seed=0) for sh in shards]
-    eval_ds = gen_blobs(3, 3, 30, 0.3, seed=999)
-    server = init_server(SPEC, variant, seed=1)
-    with pytest.raises(ValueError, match="stream_positions"):
-        run_round(server, shards, variant, _plan(), HYPER, SPEC, AUG, ds, eval_ds,
-                  base_seed=0, ledger=CommLedger())
+def test_round_resumes_from_server_state():
+    # a streaming trial saved after round 3 and continued with a fresh
+    # ledger reproduces a straight 6-round run: the state alone carries
+    # each client's stream position and the switch statistic
+    variant = VariantConfig("fedswitch", ema_alpha=0.9)
+    kw = {"stream_steps": 3, "plan_kw": {"participation_rate": 0.5}}
+    straight, reports, _ = _run(variant, rounds=6, **kw)
+    saved, first, _ = _run(variant, rounds=3, **kw)
+    kept = (dict(saved.participations), dict(saved.client_kl))
+    resumed, rest, _ = _run(variant, rounds=3, server=saved, **kw)
+
+    assert [r.csv_row() for r in first + rest] == [r.csv_row() for r in reports]
+    assert np.array_equal(resumed.global_student.values, straight.global_student.values)
+    assert resumed.participations == straight.participations
+    assert (saved.participations, saved.client_kl) == kept
 
 
 def test_round_labels_at_server_topologies_differ_exactly():
     # with zero local epochs the two server topologies relate by the merge weight
     variant = VariantConfig("fedprox_fixmatch")
-    seq_server, _, _, _ = _run(
+    seq_server, _, _ = _run(
         variant, rounds=1, topology="labels_at_server_sequential",
         plan_kw={"local_epochs": 0},
     )
-    par_server, _, _, _ = _run(
+    par_server, _, _ = _run(
         variant, rounds=1, topology="labels_at_server_parallel",
         plan_kw={"local_epochs": 0},
     )
@@ -1010,11 +1016,11 @@ def test_round_requires_pool_for_server_topology():
 def test_fedswitch_alpha_zero_matches_baseline_bitwise():
     # per-batch EMA with alpha=0 keeps the teacher at the student's batch-start
     # params, so pseudo-labels coincide with the baseline's at every batch
-    fs_server, _, _, _ = _run(
+    fs_server, _, _ = _run(
         VariantConfig("fedswitch", ema_alpha=0.0), rounds=5,
         plan_kw={"local_epochs": 2, "unlabeled_batch_size": 4},
     )
-    fpf_server, _, _, _ = _run(
+    fpf_server, _, _ = _run(
         VariantConfig("fedprox_fixmatch"), rounds=5,
         plan_kw={"local_epochs": 2, "unlabeled_batch_size": 4},
     )
@@ -1025,9 +1031,9 @@ def test_fedswitch_alpha_zero_matches_baseline_bitwise():
 def test_ts_server_alpha_zero_matches_baseline_single_step():
     # frozen local teacher equals the live student only for one step per round
     kw = {"local_epochs": 1, "unlabeled_batch_size": 64, "labeled_batch_size": 64}
-    ts_server, _, _, _ = _run(VariantConfig("ts_server_ema", ema_alpha=0.0),
+    ts_server, _, _ = _run(VariantConfig("ts_server_ema", ema_alpha=0.0),
                               rounds=5, plan_kw=kw)
-    fpf_server, _, _, _ = _run(VariantConfig("fedprox_fixmatch"),
+    fpf_server, _, _ = _run(VariantConfig("fedprox_fixmatch"),
                                rounds=5, plan_kw=kw)
     assert np.array_equal(ts_server.global_student.values,
                           fpf_server.global_student.values)

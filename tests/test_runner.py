@@ -154,15 +154,24 @@ def test_kl_ratio_csv_well_formed(tmp_path):
             assert float(ratio) >= 0
 
 
+def test_kl_ratio_pseudo_kl_is_the_rounds_dkl_teacher(tmp_path):
+    out = tmp_path / "pseudo"
+    run_experiment(_cfg(out))
+    for trial in ("trial_000", "trial_001"):
+        rounds = (out / trial / "rounds.csv").read_text().splitlines()
+        ratio = (out / trial / "kl_ratio.csv").read_text().splitlines()
+        dkl_t = [line.split(",")[3] for line in rounds[1:]]
+        assert [line.split(",")[1] for line in ratio[1:]] == dkl_t
+
+
 def test_ratio_row_skips_clients_with_uniform_labels():
-    client_kl = {0: KlStats(0.2, 0.1, 2), 1: KlStats(0.3, 0.1, 2), 2: KlStats(0.5, 0.0, 1)}
+    client_kl = {0: KlStats(0.2, 0.1), 1: KlStats(0.3, 0.1), 2: KlStats(0.5, 0.0)}
     # client 1's true histogram is uniform (truth KL 0); client 3 sat out
     truth = {0: 0.4, 1: 0.0, 2: 1.0, 3: 9.0}
-    pseudo, truth_mean, ratio = _ratio_row(client_kl, truth)
-    assert pseudo == pytest.approx((0.2 + 0.3 + 0.5) / 3, abs=1e-15)
+    truth_mean, ratio = _ratio_row(client_kl, truth)
     assert truth_mean == pytest.approx((0.4 + 0.0 + 1.0) / 3, abs=1e-15)
     assert ratio == pytest.approx((0.2 / 0.4 + 0.5 / 1.0) / 2, abs=1e-15)
-    assert _ratio_row(client_kl, dict.fromkeys(truth, 0.0))[2] is None
+    assert _ratio_row(client_kl, dict.fromkeys(truth, 0.0))[1] is None
 
 
 def test_kl_ratio_csv_leaves_ratio_empty_when_every_client_is_uniform(tmp_path, monkeypatch):

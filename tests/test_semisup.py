@@ -131,9 +131,9 @@ def test_kl_in_range(seed, c):
 
 def test_kl_stats_validation():
     with pytest.raises(ValueError):
-        KlStats(dkl_teacher=-0.1, dkl_student=0.0, num_batches=1)
+        KlStats(dkl_teacher=-0.1, dkl_student=0.0)
     with pytest.raises(ValueError):
-        KlStats(dkl_teacher=float("nan"), dkl_student=0.0, num_batches=1)
+        KlStats(dkl_teacher=float("nan"), dkl_student=0.0)
 
 
 def _skewed_probs(rng, shape):

@@ -21,7 +21,7 @@ SPEC = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
 
 
 class FakeServer:
-    def __init__(self, student, teacher=None, round=0, last_kl=KlStats(0.0, 0.0, 0)):
+    def __init__(self, student, teacher=None, round=0, last_kl=KlStats(0.0, 0.0)):
         self.global_student = student
         self.global_teacher = teacher
         self.round = round
@@ -82,23 +82,23 @@ def test_ema_rejects_mismatch():
 
 
 def test_switch_teacher_closer_to_prior():
-    kl = KlStats(dkl_teacher=0.5, dkl_student=1.0, num_batches=4)
+    kl = KlStats(dkl_teacher=0.5, dkl_student=1.0)
     assert switch_decide(kl, beta=0.6) is True
 
 
 def test_switch_tie_prefers_student():
-    kl = KlStats(dkl_teacher=0.8, dkl_student=0.8, num_batches=1)
+    kl = KlStats(dkl_teacher=0.8, dkl_student=0.8)
     assert switch_decide(kl, beta=0.3) is False
 
 
 def test_switch_student_closer_at_zero_prior():
-    kl = KlStats(dkl_teacher=0.3, dkl_student=0.1, num_batches=1)
+    kl = KlStats(dkl_teacher=0.3, dkl_student=0.1)
     assert switch_decide(kl, beta=0.0) is False
 
 
 def test_switch_symmetric_distance():
     # equal distances on opposite sides of beta also keep the student
-    kl = KlStats(dkl_teacher=0.25, dkl_student=0.75, num_batches=1)
+    kl = KlStats(dkl_teacher=0.25, dkl_student=0.75)
     assert switch_decide(kl, beta=0.5) is False
 
 
@@ -112,8 +112,8 @@ def test_downlink_sets_per_variant():
     assert set(variant_downlink(VariantConfig("ts_server_ema"), srv)) == {"student", "teacher"}
     assert set(variant_downlink(VariantConfig("ts_client_ema"), srv)) == {"student", "teacher"}
     fs = VariantConfig("fedswitch", iidness_prior=0.5)
-    teacher_closer = KlStats(dkl_teacher=0.4, dkl_student=1.0, num_batches=2)
-    student_closer = KlStats(dkl_teacher=1.0, dkl_student=0.4, num_batches=2)
+    teacher_closer = KlStats(dkl_teacher=0.4, dkl_student=1.0)
+    student_closer = KlStats(dkl_teacher=1.0, dkl_student=0.4)
     # round 0 sends the teacher whatever the statistics say
     for kl in (teacher_closer, student_closer):
         down = variant_downlink(fs, FakeServer(student, teacher, round=0, last_kl=kl))
