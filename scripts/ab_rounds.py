@@ -1,0 +1,144 @@
+"""Time one trial round by round in two source trees, taking turns.
+
+Run:
+    python3 scripts/ab_rounds.py --base CHECKOUT --workload desk|crowd|server_labels [--seed S]
+
+Two worker processes run one trial of perfbench/workloads/<workload>.ini
+(its [run] trials set to 1 and seed to S): one imports fedssl from
+CHECKOUT/src, the other from this checkout's src. The workers take turns,
+one run_round at a time, so only one of them computes at any moment; the
+one that goes first alternates from round to round. After each round the
+two csv_row()s must be equal, or the script stops with an error naming the
+round. It prints the quartiles of the per-round time ratio (this checkout
+over the base) and each tree's total round time. BLAS runs single-threaded,
+as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads"
+
+
+def workload_text(workload: str, seed: int, output: Path) -> str:
+    """The workload config for one trial with the given seed and output."""
+    text = (WORKLOADS / f"{workload}.ini").read_text(encoding="utf-8")
+    for key, value in (("trials", "1"), ("seed", str(seed)), ("output", output.as_posix())):
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if n != 1:
+            raise ValueError(f"{workload}.ini needs exactly one '{key} = ' line")
+    return text
+
+
+def worker(src: str, config_text: str) -> None:
+    """Run the trial, waiting for a line on stdin before each round and
+    answering each with one JSON line: its duration and its csv_row().
+    """
+    sys.path.insert(0, src)
+    import fedssl.runner
+
+    protocol = sys.stdout
+    cfg = fedssl.parse_config_text(config_text)
+    inner = fedssl.runner.run_round
+
+    def turn(*args, **kwargs):
+        if not sys.stdin.readline():
+            raise SystemExit(1)
+        start = time.perf_counter()
+        result = inner(*args, **kwargs)
+        elapsed = time.perf_counter() - start
+        protocol.write(json.dumps({"s": elapsed, "row": result[1].csv_row()}) + "\n")
+        protocol.flush()
+        return result
+
+    fedssl.runner.run_round = turn
+    protocol.write(json.dumps({"rounds": cfg.training.rounds}) + "\n")
+    protocol.flush()
+    # run_experiment prints a summary line, which is not part of the protocol
+    with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+        fedssl.runner.run_experiment(cfg)
+
+
+def _start(src: Path, workload: str, seed: int, out: Path) -> subprocess.Popen:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    return subprocess.Popen(
+        [sys.executable, __file__, "--worker", str(src), "--workload", workload,
+         "--seed", str(seed), "--out", str(out)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+
+
+def _reply(proc: subprocess.Popen, name: str) -> dict:
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"the {name} worker exited with {proc.wait()}")
+    return json.loads(line)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, help="the other checkout, holding src/fedssl")
+    ap.add_argument("--workload", required=True,
+                    choices=sorted(p.stem for p in WORKLOADS.glob("*.ini")))
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        worker(args.worker, workload_text(args.workload, args.seed, args.out))
+        return 0
+    if args.base is None or not (args.base / "src" / "fedssl").is_dir():
+        ap.error("--base must name a checkout that holds src/fedssl")
+
+    with tempfile.TemporaryDirectory(prefix="ab_rounds-") as tmp:
+        procs = {name: _start(src.resolve(), args.workload, args.seed, Path(tmp) / name)
+                 for name, src in (("base", args.base / "src"), ("change", ROOT / "src"))}
+        try:
+            rounds = {name: _reply(p, name)["rounds"] for name, p in procs.items()}
+            times: dict[str, list[float]] = {"base": [], "change": []}
+            for rnd in range(rounds["base"]):
+                order = ("base", "change") if rnd % 2 == 0 else ("change", "base")
+                rows = {}
+                for name in order:
+                    procs[name].stdin.write("go\n")
+                    procs[name].stdin.flush()
+                    reply = _reply(procs[name], name)
+                    times[name].append(reply["s"])
+                    rows[name] = reply["row"]
+                if rows["base"] != rows["change"]:
+                    raise RuntimeError(f"round {rnd}: csv rows differ:\n  base   "
+                                       f"{rows['base']}\n  change {rows['change']}")
+            for name, p in procs.items():
+                p.stdin.close()
+                if p.wait() != 0:
+                    raise RuntimeError(f"the {name} worker exited with {p.returncode}")
+        finally:
+            for p in procs.values():
+                if p.poll() is None:
+                    p.kill()
+                    p.wait()
+
+    ratios = [c / b for b, c in zip(times["base"], times["change"])]
+    q1, q2, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{args.workload} seed {args.seed}: {len(ratios)} rounds, every csv row equal")
+    print(f"per-round time ratio change/base: median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f})")
+    print(f"total round time: base {sum(times['base']):.3f} s, "
+          f"change {sum(times['change']):.3f} s "
+          f"({sum(times['change']) / sum(times['base']) - 1:+.1%})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ builds; the key set, the parser and the echo are derived from those fields.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -193,8 +194,18 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+def _real(text: str) -> float:
+    """A finite float: float() also reads nan, inf and overflowing literals,
+    which no key means, and NaN compares false with every bound.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _real_or_auto(text: str) -> float | str:
-    return "auto" if text.lower() == "auto" else float(text)
+    return "auto" if text.lower() == "auto" else _real(text)
 
 
 # field annotation (an optional field parses like its base type, since an
@@ -202,10 +213,10 @@ def _real_or_auto(text: str) -> float | str:
 _CONVERTERS = {
     "str": (str, "a string"),
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_real, "a finite number"),
     "bool": (_boolean, "a boolean"),
     "tuple[int, ...]": (_int_tuple, "comma-separated integers"),
-    "float | str": (_real_or_auto, "a number or 'auto'"),
+    "float | str": (_real_or_auto, "a finite number or 'auto'"),
 }
 
 # INI section -> the ExperimentConfig field it builds; its keys are that

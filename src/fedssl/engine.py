@@ -21,7 +21,10 @@ permutations first, then the unlabeled weak view, then inside the combined
 objective the strong view and the labeled weak view), identically for every
 variant, so trajectories of different variants under one seed stay
 comparable. Each batch draws one strong view; the student's KL statistic
-reuses the probabilities the objective computed on it.
+reuses the probabilities the objective computed on it. Each batch's hard
+labels on both sides (the pseudo-labels, and the argmax of those
+probabilities) are stored, and both KL statistics of every batch are
+computed once per call, after the last batch.
 
 Every teacher-policy decision, fedswitch's switch included, is made in the
 four hooks of the variants module, which run_round and lockstep_update
@@ -29,10 +32,11 @@ only call.
 
 Every per-batch array of a group lives in an nn.Workspace: the gathered
 inputs, both augmented views, the activations and gradients of all three
-passes, and the stacked students, velocities and in-round teachers. Its
-buffers grow to the largest group and batch seen and are then reused, so a
-caller that passes one workspace to every run_round (the runner keeps one
-per trial) allocates them once, in the first round. Only the results leave
+passes, the stacked students, velocities and in-round teachers, and the
+stored hard labels. Its buffers grow to the largest group and batch seen
+and are then reused, so a caller that passes one workspace to every
+run_round (the runner keeps one per trial) allocates them once, in the
+first round. Only the results leave
 a group, in memory of their own.
 
 run_round records every model that crosses the network in the CommLedger,
@@ -51,7 +55,6 @@ nn.sgd_epochs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +73,7 @@ from .nn import (
     sgd_step,
 )
 from .rng import derive_seed
-from .semisup import KlStats, SslHyper, combined_client_grad, prediction_kl
+from .semisup import KlStats, SslHyper, batch_label_kl, combined_client_grad
 from .variants import (
     VARIANTS,
     VariantConfig,
@@ -211,9 +214,10 @@ def lockstep_update(
 
     Every per-batch array (the gathered inputs, both augmented views, the
     activations of all three passes, the gradients, the velocities, the
-    students and the in-round teachers) lives in the workspace, which the
-    caller may share across calls: nothing in it outlives a call, and the
-    results own their memory. Without one, a throwaway workspace is used.
+    students, the in-round teachers and the hard labels the KL statistics
+    are made from) lives in the workspace, which the caller may share
+    across calls: nothing in it outlives a call, and the results own their
+    memory. Without one, a throwaway workspace is used.
     """
     if "student" not in downlink:
         raise ValueError("downlink must contain the global student")
@@ -244,11 +248,13 @@ def lockstep_update(
     velocity.fill(0.0)
     opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay, velocity=velocity)
     rngs = [np.random.default_rng(s) for s in seeds]
-    n_batches = plan.local_epochs * math.ceil(n_u / plan.unlabeled_batch_size)
-    teacher_kl = np.empty((k_clients, n_batches))
-    student_kl = np.empty((k_clients, n_batches))
+    # every local batch's hard labels, teacher side then student side, for
+    # the KL statistics; batch j of epoch e is columns e*n_u + [start, stop)
+    kl_labels = ws.take("lockstep.kl_labels", (2, k_clients, plan.local_epochs * n_u), np.int64)
+    batch_sizes = [min(plan.unlabeled_batch_size, n_u - start)
+                   for start in range(0, n_u, plan.unlabeled_batch_size)] * plan.local_epochs
     dim = dataset.inputs.shape[-1]
-    j = 0
+    col = 0
 
     for epoch in range(plan.local_epochs):
         u_order = np.empty((k_clients, n_u), dtype=np.int64)
@@ -263,7 +269,7 @@ def lockstep_update(
             u_batch = Batch(np.take(dataset.inputs, u_idx, axis=0, mode="clip",
                                     out=ws.take("lockstep.unlabeled", u_idx.shape + (dim,))))
             weak = weak_augment(u_batch, aug, rngs, workspace=ws)
-            pseudo, teacher, source_probs = variant_batch_hook(
+            pseudo, teacher, _ = variant_batch_hook(
                 variant, teacher, student, weak.inputs, spec, hyper, workspace=ws
             )
             labeled_batch = None
@@ -298,14 +304,19 @@ def lockstep_update(
                     f"client {shards[int(np.argmin(finite))].client_id}: non-finite "
                     f"parameters at round {round} after epoch {epoch} batch {b}"
                 )
-            teacher_kl[:, j] = prediction_kl(source_probs)
-            student_kl[:, j] = prediction_kl(student_probs)
-            j += 1
+            # the pseudo-labels are the argmax of the source's probabilities
+            stop = col + u_idx.shape[1]
+            kl_labels[0, :, col:stop] = pseudo.pseudo_labels
+            student_probs.argmax(axis=-1, out=kl_labels[1, :, col:stop])
+            col = stop
 
     # the deltas are fresh arrays, so no result points into the workspace
     delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
     payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
-    if n_batches:
+    if batch_sizes:
+        # each side's [K, n_batches] is C-contiguous, so each client's mean
+        # sums its batches in the order a 1-D mean does
+        teacher_kl, student_kl = batch_label_kl(kl_labels, batch_sizes, spec.num_classes)
         kls = [KlStats(float(t), float(st))
                for t, st in zip(teacher_kl.mean(axis=1), student_kl.mean(axis=1))]
     else:

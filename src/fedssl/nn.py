@@ -13,8 +13,11 @@ stacked matmul runs the same gemm per 2-D slice, and every reduction runs
 along one slice.
 
 loss_and_grad and the epoch kernel sgd_epochs share one forward pass, one
-cross-entropy head and one backward pass, which run on prebuilt (W, b)
-views; the kernel builds its views once per call instead of once per batch.
+cross-entropy head and one backward pass, which run on prebuilt pieces: the
+(W, b) views and their transposes, a buffer set for the batch shape, the
+flat target indices and the 1/b scale. loss_and_grad builds them per call;
+the kernel builds them once per call and reuses them for every batch, and
+tests finiteness once, at the end of the call.
 
 Every array these passes make lives in a Workspace: named flat arenas that
 grow to the largest request and are then reused, so a training loop that
@@ -244,23 +247,44 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(values, spec.spec_hash)
 
 
-def _activation_grad(a: np.ndarray, kind: str, ws: Workspace, name: str) -> np.ndarray:
-    """f'(z) from the activation a = f(z), in ws under name. The relu gate
-    is a > 0, which is z > 0, kept as bools: they multiply exactly as their
-    float64 values.
+class _PassBuffers:
+    """Every array one forward and backward pass over a batch of rows
+    ([B], or [K, B] for a stack) writes, taken from a Workspace once: per
+    layer, its output (activated in place) and a transposed view of it; per
+    hidden layer, the derivative of its activation; and the cross-entropy
+    head's log-probabilities, logit gradient, row maxima and sums, and
+    target log-probabilities, with the flat views the head indexes.
     """
-    if kind == "relu":
-        return np.greater(a, 0.0, out=ws.take(name, a.shape, np.bool_))
-    gate = np.multiply(a, a, out=ws.take(name, a.shape))
-    return np.subtract(1.0, gate, out=gate)
+
+    def __init__(self, spec: ModelSpec, ws: Workspace, rows: tuple[int, ...]) -> None:
+        self.relu = spec.activation == "relu"
+        self.outputs = _layer_outputs(spec, ws, rows)
+        self.outputs_t = [o.swapaxes(-1, -2) for o in self.outputs]
+        # the relu gate is a > 0, which is z > 0, kept as bools: they
+        # multiply exactly as their float64 values
+        gate_dtype = np.bool_ if self.relu else np.float64
+        self.gates = [ws.take(gate, (*rows, d_out), gate_dtype)
+                      for (_, gate), (_, d_out) in zip(spec._buffers[:-1], spec.layer_dims)]
+        shape = (*rows, spec.num_classes)
+        self.log_probs = ws.take("ce.log_probs", shape)
+        self.dlogits = ws.take("ce.dlogits", shape)
+        self.log_probs_flat = self.log_probs.reshape(-1)
+        self.dlogits_flat = self.dlogits.reshape(-1)
+        self.row_max = ws.take("ce.row_max", (*rows, 1))
+        self.row_sum = ws.take("ce.row_sum", (*rows, 1))
+        self.target_log_probs = ws.take("ce.target_log_probs", rows)
 
 
-def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray, ws: Workspace):
-    """Run the net, returning logits, the input of every layer and the
-    (W, b) views it used.
+def _layer_outputs(spec: ModelSpec, ws: Workspace, rows: tuple[int, ...]) -> list[np.ndarray]:
+    """Each layer's output buffer for a batch of rows, in ws."""
+    return [ws.take(out, (*rows, d_out))
+            for (out, _), (_, d_out) in zip(spec._buffers, spec.layer_dims)]
 
-    Inputs [B, d] or a [K, B, d] stack; stacked params [K, P] pair with the
-    stack slice by slice, and a single [P] vector serves every slice.
+
+def _check_inputs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
+    """Inputs [B, d] or a [K, B, d] stack, as float64; stacked params [K, P]
+    pair with the stack slice by slice, and a single [P] vector serves every
+    slice.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim not in (2, 3) or inputs.shape[-1] != spec.input_dim:
@@ -268,70 +292,85 @@ def _forward(params: ParamVector, spec: ModelSpec, inputs: np.ndarray, ws: Works
     if params.values.ndim == 2 and (inputs.ndim != 3 or inputs.shape[0] != params.values.shape[0]):
         raise ValueError(f"stack of {params.values.shape[0]} parameter vectors does not match "
                          f"inputs shape {inputs.shape}")
-    layers = _unflatten(params.values, spec)
-    logits, layer_inputs = _forward_layers(layers, inputs, spec, ws)
-    return logits, layer_inputs, layers
+    return inputs
 
 
 def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
-                    spec: ModelSpec, ws: Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The forward pass through prebuilt (W, b) views: the logits and the
-    input of every layer (the inputs, then each hidden activation), which
-    the backward pass reads. Each layer writes its output to its buffer in
-    ws, activated in place.
+                    outputs: list[np.ndarray], relu: bool) -> np.ndarray:
+    """The forward pass through prebuilt (W, b) views, returning the logits.
+    Each layer writes its output to its buffer in outputs, activated in
+    place; the backward pass reads them there as the later layers' inputs.
     """
-    layer_inputs = [inputs]
-    rows = inputs.shape[:-1]
+    x = inputs
     last = len(layers) - 1
-    relu = spec.activation == "relu"
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(layer_inputs[-1], w, out=ws.take(spec._buffers[i][0], (*rows, w.shape[-1])))
+        z = np.matmul(x, w, out=outputs[i])
         z += b
         if i < last:
-            layer_inputs.append(np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z))
-    return z, layer_inputs
+            x = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+    return z
 
 
-def _cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                   ws: Workspace, probs_out: np.ndarray | None = None):
-    """Masked mean cross-entropy per slice and its gradient with respect to
-    the logits (in ws under ce.dlogits); with probs_out, also writes the
-    softmax probabilities there.
+def _cross_entropy(logits: np.ndarray, at_target: np.ndarray, scale: np.ndarray | float,
+                   bufs: _PassBuffers, target_log_probs: np.ndarray,
+                   probs_out: np.ndarray | None = None) -> np.ndarray:
+    """The cross-entropy head: the gradient of the masked mean cross-entropy
+    with respect to the logits (in bufs.dlogits). Writes each row's target
+    log-probability to target_log_probs, from which _mean_loss makes the
+    loss, and with probs_out, the softmax probabilities there.
+
+    at_target is the flat index of each row's target entry in the logits,
+    and target_log_probs a flat array of one entry per row; scale is the
+    [..., B, 1] column of weights / B, or the float 1 / B when every weight
+    is 1.
     """
-    num_classes = logits.shape[-1]
-    b = targets.shape[-1]
-    dlogits = ws.take("ce.dlogits", logits.shape)
-    log_probs = _log_softmax(logits, ws.take("ce.log_probs", logits.shape), dlogits)
-    # flat index of each row's target entry
-    at_target = np.arange(0, targets.size * num_classes, num_classes) + targets.reshape(-1)
-    ce = -log_probs.reshape(-1)[at_target].reshape(targets.shape)
-    # the row-vector product is the dot product of each slice
-    loss = (weights[..., None, :] @ ce[..., :, None])[..., 0, 0] / b
+    log_probs, dlogits = bufs.log_probs, bufs.dlogits
+    # log softmax, with dlogits as scratch
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=bufs.row_max)
+    np.subtract(logits, bufs.row_max, out=log_probs)
+    np.add.reduce(np.exp(log_probs, out=dlogits), axis=-1, keepdims=True, out=bufs.row_sum)
+    log_probs -= np.log(bufs.row_sum, out=bufs.row_sum)
+    # mode="clip" (the indices are in range by construction) lets take write
+    # straight into its output
+    bufs.log_probs_flat.take(at_target, out=target_log_probs, mode="clip")
 
     np.exp(log_probs, out=dlogits)
     if probs_out is not None:
         np.copyto(probs_out, dlogits)
-    dlogits.reshape(-1)[at_target] -= 1.0
-    dlogits *= (weights / b)[..., None]
-    return loss, dlogits
+    bufs.dlogits_flat[at_target] -= 1.0
+    dlogits *= scale
+    return dlogits
 
 
-def _backward_layers(layers: list[tuple[np.ndarray, np.ndarray]], layer_inputs: list[np.ndarray],
-                     dlogits: np.ndarray, grad_layers: list[tuple[np.ndarray, np.ndarray]],
-                     spec: ModelSpec, ws: Workspace) -> None:
-    """Backpropagate dlogits through the layers, writing every gradient into
-    its prebuilt (gW, gb) view. Each hidden activation is overwritten by the
-    gradient with respect to it, once nothing else reads it.
+def _mean_loss(target_log_probs: np.ndarray, weights_row: np.ndarray) -> np.ndarray:
+    """Masked mean cross-entropy of each slice of target log-probabilities
+    [..., B] with its [..., 1, B] example weights: (1/B) sum_i w_i * CE_i.
+    """
+    ce = -target_log_probs
+    # the row-vector product is the dot product of each slice
+    return (weights_row @ ce[..., :, None])[..., 0, 0] / target_log_probs.shape[-1]
+
+
+def _backward_layers(weights_t: list[np.ndarray], inputs: np.ndarray, dlogits: np.ndarray,
+                     grad_layers: list[tuple[np.ndarray, np.ndarray]], bufs: _PassBuffers) -> None:
+    """Backpropagate dlogits through the layers, given the transposed weight
+    views, writing every gradient into its prebuilt (gW, gb) view. Each
+    hidden activation is overwritten by the gradient with respect to it,
+    once nothing else reads it.
     """
     upstream = dlogits
-    for i in range(len(layers) - 1, -1, -1):
-        a_in = layer_inputs[i]
+    for i in range(len(grad_layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.matmul(a_in.swapaxes(-1, -2), upstream, out=gw)
-        upstream.sum(axis=-2, keepdims=True, out=gb)
+        np.matmul(bufs.outputs_t[i - 1] if i else inputs.swapaxes(-1, -2), upstream, out=gw)
+        np.add.reduce(upstream, axis=-2, keepdims=True, out=gb)
         if i > 0:
-            gate = _activation_grad(a_in, spec.activation, ws, spec._buffers[i - 1][1])
-            upstream = np.matmul(upstream, layers[i][0].swapaxes(-1, -2), out=a_in)
+            a_in, gate = bufs.outputs[i - 1], bufs.gates[i - 1]
+            # f'(z) from the activation a = f(z)
+            if bufs.relu:
+                np.greater(a_in, 0.0, out=gate)
+            else:
+                np.subtract(1.0, np.multiply(a_in, a_in, out=gate), out=gate)
+            upstream = np.matmul(upstream, weights_t[i], out=a_in)
             upstream *= gate
 
 
@@ -342,13 +381,6 @@ def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_softmax(logits: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """log softmax of the logits, written to out; scratch is overwritten."""
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    out -= np.log(np.exp(out, out=scratch).sum(axis=-1, keepdims=True))
-    return out
-
-
 def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
                   workspace: Workspace | None = None) -> np.ndarray:
     """Per-row softmax class probabilities; rows sum to 1 within 1e-9.
@@ -356,7 +388,10 @@ def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
     With a workspace, the result lives in it under forward_probs.
     """
     ws = Workspace() if workspace is None else workspace
-    logits, _, _ = _forward(params, spec, inputs, ws)
+    inputs = _check_inputs(params, spec, inputs)
+    logits = _forward_layers(_unflatten(params.values, spec), inputs,
+                             _layer_outputs(spec, ws, inputs.shape[:-1]),
+                             spec.activation == "relu")
     return _softmax(logits, ws.take("forward_probs", logits.shape))
 
 
@@ -402,12 +437,21 @@ def loss_and_grad(
         raise ValueError("targets out of class range")
 
     ws = Workspace() if workspace is None else workspace
-    logits, layer_inputs, layers = _forward(params, spec, batch.inputs, ws)
+    inputs = _check_inputs(params, spec, batch.inputs)
+    layers = _unflatten(params.values, spec)
+    bufs = _PassBuffers(spec, ws, rows)
+    logits = _forward_layers(layers, inputs, bufs.outputs, bufs.relu)
     probs = ws.take("loss_and_grad.probs", logits.shape) if return_probs else None
-    loss, dlogits = _cross_entropy(logits, targets, weights, ws, probs)
+    # flat index of each row's target entry
+    at_target = (np.arange(0, targets.size * spec.num_classes, spec.num_classes)
+                 + targets.reshape(-1))
+    dlogits = _cross_entropy(logits, at_target, (weights / rows[-1])[..., None], bufs,
+                             bufs.target_log_probs.reshape(-1), probs)
+    loss = _mean_loss(bufs.target_log_probs, weights[..., None, :])
     # the backward pass writes every entry of the gradient
     grad_values = ws.take("loss_and_grad.grad", params.values.shape)
-    _backward_layers(layers, layer_inputs, dlogits, _unflatten(grad_values, spec), spec, ws)
+    _backward_layers([w.swapaxes(-1, -2) for w, _ in layers], inputs, dlogits,
+                     _unflatten(grad_values, spec), bufs)
 
     if not (np.isfinite(loss).all() and np.isfinite(grad_values).all()):
         finite = np.isfinite(loss) & np.isfinite(grad_values).all(axis=-1)
@@ -462,13 +506,21 @@ def sgd_epochs(
     consecutive batches of batch_size (the last one may be smaller). The
     result is bitwise that of loss_and_grad with all-ones weights followed
     by sgd_step, batch by batch: the same float operations run, on views
-    into one working parameter vector and one gradient buffer built once,
-    with the inputs and labels gathered once per epoch and validated once,
-    and every per-batch array in one workspace. With momentum and weight
-    decay 0, sgd_step's velocity is bitwise the gradient, so the kernel
-    steps by lr * gradient directly.
-    A non-finite loss or gradient, or non-finite parameters after the last
-    step, raise NonFiniteError naming the epoch and the batch.
+    into one working parameter vector and one gradient buffer. Everything a
+    batch needs besides its rows is built once per call: the transposed
+    weight views, one buffer set, all-ones weight row and 1/b per batch
+    size, and each epoch's flat target indices, gathered with its inputs.
+    With momentum and weight decay 0, sgd_step's velocity is bitwise the
+    gradient, so the kernel steps by lr * gradient directly.
+
+    Each batch's target log-probabilities are stored, and finiteness is
+    tested once, at the end, on every batch's loss and on the parameters: a
+    non-finite gradient makes the parameters non-finite, and no later step
+    makes them finite again. A failing call reruns its epochs from the
+    generator state it was given, testing every batch, and raises
+    NonFiniteError naming the first batch with a non-finite loss or
+    gradient, or else the last batch, after which the parameters are
+    non-finite.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -490,28 +542,61 @@ def sgd_epochs(
     grad_values = np.zeros_like(values)
     step = np.empty_like(values)
     layers = _unflatten(values, spec)
+    weights_t = [w.T for w, _ in layers]
     grad_layers = _unflatten(grad_values, spec)
-    ws = Workspace()
     n = inputs.shape[0]
-    weights = np.ones(min(batch_size, n), dtype=np.float64)
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_inputs, epoch_labels = inputs[order], labels[order]
-        for b, start in enumerate(range(0, n, batch_size)):
-            x = epoch_inputs[start:start + batch_size]
-            y = epoch_labels[start:start + batch_size]
-            logits, layer_inputs = _forward_layers(layers, x, spec, ws)
-            loss, dlogits = _cross_entropy(logits, y, weights[:y.size], ws)
-            _backward_layers(layers, layer_inputs, dlogits, grad_layers, spec, ws)
-            if not (math.isfinite(loss) and np.isfinite(grad_values).all()):
-                raise NonFiniteError(
-                    f"non-finite loss or gradient at epoch {epoch} batch {b}")
-            values -= np.multiply(grad_values, learning_rate, out=step)
+    # per batch: its rows and, shared by the batches of one size, its
+    # buffers (a ragged last batch's share the workspace's memory), its
+    # all-ones weight row and 1/b
+    ws = Workspace()
+    pieces: dict[int, tuple] = {}
+    batches = []
+    for start in range(0, n, batch_size):
+        size = min(batch_size, n - start)
+        if size not in pieces:
+            pieces[size] = (_PassBuffers(spec, ws, (size,)), np.ones((1, size)), 1.0 / size)
+        batches.append((start, start + size, *pieces[size]))
+    # a row's flat target index is its offset within its batch's logits plus
+    # its label
+    row_offsets = (np.arange(n) % batch_size) * spec.num_classes
+    at_target = np.empty(n, dtype=np.int64)
+    # every batch's target log-probabilities, in epoch order
+    target_log_probs = np.empty((epochs, n))
+
+    def run(check: bool) -> None:
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            epoch_inputs = inputs[order]
+            np.add(row_offsets, labels[order], out=at_target)
+            for b, (start, stop, bufs, weights_row, scale) in enumerate(batches):
+                x = epoch_inputs[start:stop]
+                tlp = target_log_probs[epoch, start:stop]
+                logits = _forward_layers(layers, x, bufs.outputs, bufs.relu)
+                dlogits = _cross_entropy(logits, at_target[start:stop], scale, bufs, tlp)
+                _backward_layers(weights_t, x, dlogits, grad_layers, bufs)
+                if check and not (math.isfinite(_mean_loss(tlp, weights_row))
+                                  and np.isfinite(grad_values).all()):
+                    raise NonFiniteError(
+                        f"non-finite loss or gradient at epoch {epoch} batch {b}")
+                np.subtract(values, np.multiply(grad_values, learning_rate, out=step),
+                            out=values)
+
+    entry_state = rng.bit_generator.state
+    run(check=False)
+    if not epochs:
+        return ParamVector(values, params.spec_hash)
+    # each batch's loss in every epoch
+    losses = [_mean_loss(target_log_probs[:, start:stop], weights_row)
+              for start, stop, _, weights_row, _ in batches]
+    if all(np.isfinite(loss).all() for loss in losses) and np.isfinite(values).all():
+        return ParamVector(values, params.spec_hash)
+    rng.bit_generator.state = entry_state
+    values[:] = params.values
+    run(check=True)
     # an overflowing step shows in the next batch's loss or gradient, but not
     # after the last step or in a unit no later batch activates
-    if epochs and not np.isfinite(values).all():
-        raise NonFiniteError(f"non-finite parameters after epoch {epochs - 1} batch {b}")
-    return ParamVector(values, params.spec_hash)
+    raise NonFiniteError(
+        f"non-finite parameters after epoch {epochs - 1} batch {len(batches) - 1}")
 
 
 def central_diff(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

@@ -3,7 +3,10 @@ KL-to-uniform diagnostics.
 
 The per-batch prediction distribution is the hard argmax histogram, so a
 fully collapsed batch reaches the ln(C) upper bound and a class-balanced
-batch reaches 0. Clients report the mean over their local batches.
+batch reaches 0. Clients report the mean over their local batches; they
+store each batch's hard labels, and batch_label_kl makes every batch's
+statistic of a participation at once, bitwise equal to
+kl_to_uniform(batch_prediction_distribution(probs)) batch by batch.
 
 Every per-batch function also takes a [K, B, ...] stack of K client batches
 (with [K, P] parameters and one generator per client) and returns per-client
@@ -107,11 +110,21 @@ def batch_prediction_distribution(probs: np.ndarray) -> np.ndarray:
     probs = _check_probs(probs)
     batch, num_classes = probs.shape[-2:]
     labels = probs.argmax(axis=-1).reshape(-1, batch)
-    # one integer bincount for every slice: slice k counts into bins
-    # [k*C, (k+1)*C), so the counts are exact
-    offsets = num_classes * np.arange(labels.shape[0])[:, None]
-    counts = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * num_classes)
-    return counts.reshape(probs.shape[:-2] + (num_classes,)) / batch
+    return _histograms(labels, np.array([batch]), num_classes).reshape(
+        probs.shape[:-2] + (num_classes,))
+
+
+def _histograms(labels: np.ndarray, sizes: np.ndarray, num_classes: int) -> np.ndarray:
+    """Normalized histograms [R, J, C] of the labels [R, N]: each row holds
+    J consecutive batches of the given sizes. One integer bincount counts
+    every batch of every row: row r's batch j counts into bins
+    [(r*J + j)*C, (r*J + j + 1)*C), so the counts are exact.
+    """
+    rows, n_batches = labels.shape[0], sizes.size
+    batch_of = np.repeat(np.arange(n_batches), sizes)
+    first_bin = (np.arange(rows)[:, None] * n_batches + batch_of) * num_classes
+    counts = np.bincount((first_bin + labels).ravel(), minlength=rows * n_batches * num_classes)
+    return counts.reshape(rows, n_batches, num_classes) / sizes[:, None]
 
 
 def _kl_rows(p: np.ndarray) -> np.ndarray:
@@ -148,13 +161,25 @@ def kl_to_uniform(p: np.ndarray) -> float:
     return float(np.sum(nz * np.log(nz * p.size)))
 
 
-def prediction_kl(probs: np.ndarray) -> float | np.ndarray:
-    """KL-to-uniform of the hard argmax histogram of a batch, per slice of a
-    stack; equal to kl_to_uniform(batch_prediction_distribution(probs)).
-    The histogram is a distribution by construction, so it is not re-checked.
+def batch_label_kl(labels: np.ndarray, batch_sizes: Sequence[int],
+                   num_classes: int) -> np.ndarray:
+    """KL-to-uniform of the hard-label histogram of every batch, counted
+    with one integer bincount.
+
+    labels [..., N] holds, along its last axis, consecutive batches of the
+    given sizes; the result [..., n_batches] is, batch by batch, bitwise
+    kl_to_uniform(batch_prediction_distribution(probs)) of the probabilities
+    whose argmax the labels are. The histograms are distributions by
+    construction, so they are not re-checked.
     """
-    kl = _kl_rows(batch_prediction_distribution(probs))
-    return float(kl) if kl.ndim == 0 else kl
+    labels = np.asarray(labels, dtype=np.int64)
+    sizes = np.asarray(batch_sizes, dtype=np.int64)
+    if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != labels.shape[-1]:
+        raise ValueError(f"batch sizes {sizes.tolist()} do not split {labels.shape[-1]} labels")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels out of class range")
+    hist = _histograms(labels.reshape(-1, labels.shape[-1]), sizes, num_classes)
+    return _kl_rows(hist).reshape(labels.shape[:-1] + (sizes.size,))
 
 
 def unsupervised_loss_grad(

@@ -140,11 +140,12 @@ def variant_batch_hook(
     and produce pseudo-labels from the weak view.
 
     Returns (pseudo batch, local teacher to carry forward, probabilities of
-    the pseudo-label source on the weak view). The last output feeds the
-    teacher-side KL statistic (dkl_T); on student-labeled batches the
-    student's own weak-view distribution stands in for it. The student-side
-    statistic (dkl_S) is not made here: it comes from the student's
-    strong-view probabilities, which the combined objective returns.
+    the pseudo-label source on the weak view). The pseudo-labels, the argmax
+    of those probabilities, feed the teacher-side KL statistic (dkl_T); on
+    student-labeled batches the student's own weak-view labels stand in for
+    it. The student-side statistic (dkl_S) is not made here: it comes from
+    the student's strong-view probabilities, which the combined objective
+    returns.
 
     For K clients in lockstep, student_params and the local teacher are
     [K, P] stacks and weak_inputs [K, B, d], and every output is per client.

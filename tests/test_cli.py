@@ -131,6 +131,18 @@ def test_run_reports_a_diverging_server_update(tmp_path, capsys):
     assert " at epoch " in err and " batch " in err
 
 
+@pytest.mark.parametrize("section,key,text,expected", [
+    ("variant", "iidness_prior", "nan", "a finite number or 'auto'"),
+    ("training", "learning_rate", "nan", "a finite number"),
+    ("shard", "dirichlet_alpha", "inf", "a finite number"),
+])
+def test_validate_rejects_a_non_finite_number(tmp_path, capsys, section, key, text, expected):
+    path = _write(tmp_path, f"[{section}]\n{key} = {text}\n")
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [{section}] {key}: expected {expected}, got '{text}'\n"
+
+
 @pytest.mark.parametrize("label", ["inf", "nan"])
 def test_run_rejects_a_non_finite_csv_label_naming_the_line(tmp_path, capsys, label):
     csv = tmp_path / "train.csv"

@@ -93,6 +93,32 @@ def test_iidness_prior_auto_and_number():
         parse_config_text("[variant]\niidness_prior = high\n")
 
 
+@pytest.mark.parametrize("section,key,text", [
+    ("training", "learning_rate", "nan"),
+    ("training", "mu", "nan"),
+    ("training", "lambda_u", "inf"),
+    ("training", "tau", "-inf"),
+    ("shard", "dirichlet_alpha", "nan"),
+    ("dataset", "spread", "nan"),
+    ("augment", "weak_noise_sigma", "nan"),
+    ("variant", "ema_alpha", "nan"),
+    ("variant", "iidness_prior", "nan"),
+    ("variant", "iidness_prior", "Infinity"),
+    ("run", "accuracy_threshold", "1e999"),  # float() overflows it to inf
+])
+def test_non_finite_numbers_rejected_at_parse(section, key, text):
+    # NaN compares false with every range check, and would pass them
+    with pytest.raises(ValueError,
+                       match=rf"^\[{section}\] {key}: expected a finite number.*, got '{text}'$"):
+        parse_config_text(f"[{section}]\n{key} = {text}\n")
+
+
+def test_finite_numbers_and_auto_still_parse():
+    cfg = parse_config_text("[variant]\niidness_prior = AUTO\n[training]\nmu = 1e-300\n")
+    assert cfg.variant.iidness_prior == "auto"
+    assert cfg.training.mu == 1e-300
+
+
 def test_topology_placement_consistency():
     with pytest.raises(ValueError, match="placement"):
         parse_config_text("[training]\ntopology = labels_at_server_sequential\n")

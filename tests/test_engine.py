@@ -478,6 +478,24 @@ def test_lockstep_tanh_two_hidden_layers_match_an_unstacked_replay():
         _same_result(res, _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec))
 
 
+def test_lockstep_kl_past_the_eight_way_pairwise_sum():
+    # 3 epochs of 4 batches: each client's mean runs over 12 per-batch
+    # values, past the 8 numpy sums one at a time before going pairwise
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=3)
+    assert plan.local_epochs * math.ceil(shards[0].unlabeled_idx.size / 8) == 12
+    downlink = _downlink(init_params(SPEC, 1), init_params(SPEC, 2))
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
+    seeds = [derive_seed(8, "client", 0, sh.client_id) for sh in shards]
+    group = lockstep_update(shards, downlink, variant, plan, HYPER, SPEC, AUG, ds,
+                            seeds=seeds, round=0)
+    for res, shard, seed in zip(group, shards, seeds):
+        one = client_update(shard, downlink, variant, plan, HYPER, SPEC, AUG, ds,
+                            seed=seed, round=0)
+        replay = _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed)
+        assert res.kl == one.kl == replay.kl
+
+
 def _frozen(results):
     return [(r.delta.values.tobytes(), r.teacher_delta.values.tobytes(), r.kl) for r in results]
 
@@ -856,6 +874,30 @@ def test_server_update_overflow_on_the_last_step_is_named():
         with pytest.raises(RuntimeError,
                            match=r"^server update: non-finite parameters after epoch 0 batch 0$"):
             server_update(params, pool, 1, 1e300, pool.size, seed=0, spec=SPEC)
+
+
+def test_server_update_names_an_infinite_loss_with_a_finite_gradient():
+    # zero weights and last-layer biases (1e308, -1e308, 0): every row's
+    # class-1 probability underflows to 0, so a class-1 target makes the
+    # loss inf, while every gradient entry stays finite, and so do the
+    # parameters after the step
+    base = _pool()
+    pool = Dataset(base.inputs, np.ones(base.size, dtype=np.int64), base.num_classes)
+    values = np.zeros(SPEC.num_params)
+    values[-3:] = (1e308, -1e308, 0.0)
+    params = ParamVector(values, SPEC.spec_hash)
+    batch = Batch(pool.inputs[:8], pool.labels[:8])
+    ws = Workspace()
+    with np.errstate(over="ignore"):
+        assert np.all(forward_probs(params, SPEC, batch.inputs)[:, 1] == 0.0)
+        with pytest.raises(FloatingPointError):
+            loss_and_grad(params, SPEC, batch, batch.labels, np.ones(8), workspace=ws)
+        # the check runs after the backward pass, whose gradient stays in ws
+        assert np.isfinite(ws.take("loss_and_grad.grad", (SPEC.num_params,))).all()
+        with pytest.raises(RuntimeError,
+                           match=r"^server update: non-finite loss or gradient at epoch 0 "
+                                 r"batch 0$"):
+            server_update(params, pool, 2, 0.1, 8, seed=0, spec=SPEC)
 
 
 # ---------------------------------------------------------------- run_round

@@ -13,10 +13,10 @@ from fedssl.semisup import (
     KlStats,
     PseudoBatch,
     SslHyper,
+    batch_label_kl,
     batch_prediction_distribution,
     combined_client_grad,
     kl_to_uniform,
-    prediction_kl,
     pseudo_label,
     unsupervised_loss_grad,
 )
@@ -142,18 +142,41 @@ def _skewed_probs(rng, shape):
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def test_prediction_kl_bitwise_equals_the_checked_path():
+def test_batch_label_kl_bitwise_equals_the_checked_path():
+    # three rows of 600 batches each, of 1 to 12 rows, side by side on the
+    # last axis; every batch against the checked per-batch path
     rng = np.random.default_rng(0)
-    probs = _skewed_probs(rng, (2000, 12, 10))
-    stacked = prediction_kl(probs)
-    hist = batch_prediction_distribution(probs)
+    sizes = rng.integers(1, 13, size=600)
+    probs = [[_skewed_probs(rng, (1, int(b), 10))[0] for b in sizes] for _ in range(3)]
+    labels = np.stack([np.concatenate([p.argmax(axis=-1) for p in row]) for row in probs])
+    kls = batch_label_kl(labels, sizes, 10)
+    assert kls.shape == (3, sizes.size)
     hit = set()
-    for k in range(probs.shape[0]):
-        one = batch_prediction_distribution(probs[k])
-        assert np.array_equal(hist[k], one)
-        assert stacked[k] == kl_to_uniform(one) == prediction_kl(probs[k])
-        hit.add(int((one > 0).sum()))
+    for row, row_kls in zip(probs, kls):
+        for p, kl in zip(row, row_kls):
+            one = batch_prediction_distribution(p)
+            assert kl == kl_to_uniform(one)
+            hit.add(int((one > 0).sum()))
     assert len(hit) >= 6  # rows of many nonzero counts were summed
+    # a leading shape is kept, and one row alone gives its own values
+    assert np.array_equal(batch_label_kl(labels.reshape(3, 1, -1), sizes, 10)[:, 0], kls)
+    assert np.array_equal(batch_label_kl(labels[1], sizes, 10), kls[1])
+    # the checked path's histograms of a stack are those of its slices
+    stack = _skewed_probs(rng, (50, 12, 10))
+    hist = batch_prediction_distribution(stack)
+    for k in range(stack.shape[0]):
+        assert np.array_equal(hist[k], batch_prediction_distribution(stack[k]))
+
+
+def test_batch_label_kl_rejects_bad_sizes_and_labels():
+    labels = np.zeros((2, 6), dtype=np.int64)
+    with pytest.raises(ValueError, match="do not split"):
+        batch_label_kl(labels, [4, 3], 3)
+    with pytest.raises(ValueError, match="do not split"):
+        batch_label_kl(labels, [6, 0], 3)
+    labels[1, 2] = 3
+    with pytest.raises(ValueError, match="class range"):
+        batch_label_kl(labels, [4, 2], 3)
 
 
 def test_pseudo_label_stack_counts_every_row():
