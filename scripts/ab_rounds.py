@@ -10,8 +10,11 @@ one run_round at a time, so only one of them computes at any moment; the
 one that goes first alternates from round to round. After each round the
 two csv_row()s must be equal, or the script stops with an error naming the
 round. It prints the quartiles of the per-round time ratio (this checkout
-over the base) and each tree's total round time. BLAS runs single-threaded,
-as in the benchmark.
+over the base), each tree's total round time, and each worker's peak
+resident memory once its trial has written its outputs (ru_maxrss / 1024,
+the unit of perfbench's peak_rss_mb). BLAS runs single-threaded, as in the
+benchmark. Taking turns times single-threaded code fairly, and a background
+thread unfairly: it keeps running while the other tree computes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import contextlib
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -45,6 +49,8 @@ def workload_text(workload: str, seed: int, output: Path) -> str:
 def worker(src: str, config_text: str) -> None:
     """Run the trial, waiting for a line on stdin before each round and
     answering each with one JSON line: its duration and its csv_row().
+    A last JSON line, once the trial has written its outputs, gives the
+    process's ru_maxrss in KiB.
     """
     sys.path.insert(0, src)
     import fedssl.runner
@@ -69,6 +75,9 @@ def worker(src: str, config_text: str) -> None:
     # run_experiment prints a summary line, which is not part of the protocol
     with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
         fedssl.runner.run_experiment(cfg)
+    protocol.write(json.dumps({"maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss})
+                   + "\n")
+    protocol.flush()
 
 
 def _start(src: Path, workload: str, seed: int, out: Path) -> subprocess.Popen:
@@ -120,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                 if rows["base"] != rows["change"]:
                     raise RuntimeError(f"round {rnd}: csv rows differ:\n  base   "
                                        f"{rows['base']}\n  change {rows['change']}")
+            maxrss_mb = {name: _reply(p, name)["maxrss_kb"] / 1024 for name, p in procs.items()}
             for name, p in procs.items():
                 p.stdin.close()
                 if p.wait() != 0:
@@ -137,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"total round time: base {sum(times['base']):.3f} s, "
           f"change {sum(times['change']):.3f} s "
           f"({sum(times['change']) / sum(times['base']) - 1:+.1%})")
+    print(f"peak RSS (ru_maxrss): base {maxrss_mb['base']:.2f} MB, "
+          f"change {maxrss_mb['change']:.2f} MB "
+          f"({maxrss_mb['change'] - maxrss_mb['base']:+.2f} MB)")
     return 0
 
 

@@ -81,6 +81,8 @@ class ShardPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.dirichlet_alpha):
+            raise ValueError(f"dirichlet_alpha must be finite, got {self.dirichlet_alpha!r}")
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
         if self.dirichlet_alpha <= 0:
@@ -111,6 +113,10 @@ class AugmentConfig:
     strong_mask_prob: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("weak_noise_sigma", "weak_shift_fraction", "strong_noise_sigma",
+                     "strong_mask_prob"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
         if not 0.0 <= self.weak_shift_fraction < 1.0:

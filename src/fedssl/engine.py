@@ -55,6 +55,7 @@ nn.sgd_epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -144,6 +145,10 @@ class RoundPlan:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("participation_rate", "learning_rate", "server_learning_rate",
+                     "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
         if not 0.0 < self.participation_rate <= 1.0:

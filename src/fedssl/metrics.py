@@ -4,12 +4,17 @@ statistics.
 Every model payload that crosses the network, downlink or uplink, is one
 ledger entry, recorded by engine.run_round. The ledger alone prices it:
 bytes are num_params times bytes_per_param (8 for the float64 core, 4 for
-comparison runs). The two KL scalars each client reports are not metered.
+comparison runs). It keeps its entries in typed columns, a few bytes per
+model, and builds a Transmission only when an entry is read back. The two
+KL scalars each client reports are not metered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,8 +27,8 @@ ROLES = ("student", "teacher")
 
 @dataclass(slots=True)
 class Transmission:
-    """One model payload crossing the network. Slotted: a ledger holds one
-    per model sent, tens of thousands per trial at a few hundred clients.
+    """One model payload crossing the network, as CommLedger.entries reads
+    it back.
     """
 
     round: int
@@ -42,71 +47,134 @@ class Transmission:
             raise ValueError("round must be >= 0 and num_params >= 1")
 
 
-_EMPTY_ROUND = {"downlink_models": 0, "downlink_bytes": 0, "uplink_models": 0, "uplink_bytes": 0}
+# a round's running totals are [downlink_models, downlink_bytes,
+# uplink_models, uplink_bytes]: direction code d owns slots 2d and 2d + 1
+_TOTAL_KEYS = ("downlink_models", "downlink_bytes", "uplink_models", "uplink_bytes")
 
 
-@dataclass
 class CommLedger:
     """Append-only transmission log with per-round and per-role rollups.
 
-    Per-round totals are kept running as entries arrive through record and
-    extend, so a round's rollup costs the same however long the log grows.
-    The pipeline records through record alone; extend appends prebuilt
-    entries after checking them against this ledger's price.
+    Each entry is one row of five typed columns (round, direction code, role
+    code, client id, num_params: 18 bytes a model), and its bytes are derived
+    from bytes_per_param. The columns double their capacity when full, so a
+    trial moves them a few times, not hundreds: each move of a growing block
+    fragments the heap, and appending one entry at a time raised desk's peak
+    RSS. entries is a read-only sequence view that builds a Transmission per
+    entry read; rows() yields the same fields as plain tuples. Per-round
+    totals are kept running as entries arrive, so a round's rollup costs the
+    same however long the log grows. The pipeline records through record
+    alone; extend, like the constructor, appends prebuilt entries after
+    checking them against this ledger's price.
     """
 
-    bytes_per_param: int = 8
-    entries: list[Transmission] = field(default_factory=list)
-    _rounds: dict[int, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.bytes_per_param not in (4, 8):
+    def __init__(self, bytes_per_param: int = 8, entries: Iterable[Transmission] = ()) -> None:
+        if bytes_per_param not in (4, 8):
             raise ValueError("bytes_per_param must be 4 or 8")
-        for e in self.entries:
-            self._tally(e)
+        self._bytes_per_param = bytes_per_param
+        # the first _size rows of the columns are entries; the rest is room
+        self._size = 0
+        self._columns = tuple(array(code, [0]) * 64 for code in "ibbiq")
+        self._round, self._direction, self._role, self._client_id, self._num_params = self._columns
+        self._rounds: dict[int, list[int]] = {}
+        if entries:
+            self.extend(entries)
 
-    def _tally(self, e: Transmission) -> None:
-        totals = self._rounds.get(e.round)
-        if totals is None:
-            totals = self._rounds[e.round] = dict(_EMPTY_ROUND)
-        totals[e.direction + "_models"] += 1
-        totals[e.direction + "_bytes"] += e.bytes
+    @property
+    def bytes_per_param(self) -> int:
+        return self._bytes_per_param
+
+    @property
+    def entries(self) -> LedgerEntries:
+        return LedgerEntries(self)
 
     def record(
         self, round: int, direction: str, role: str, client_id: int, num_params: int
-    ) -> Transmission:
-        entry = Transmission(
-            round=round,
-            direction=direction,
-            role=role,
-            client_id=client_id,
-            num_params=num_params,
-            bytes=num_params * self.bytes_per_param,
-        )
-        self.entries.append(entry)
-        self._tally(entry)
-        return entry
+    ) -> None:
+        try:
+            d = DIRECTIONS.index(direction)
+        except ValueError:
+            raise ValueError(f"direction must be one of {DIRECTIONS}") from None
+        try:
+            r = ROLES.index(role)
+        except ValueError:
+            raise ValueError(f"role must be one of {ROLES}") from None
+        if round < 0 or num_params < 1:
+            raise ValueError("round must be >= 0 and num_params >= 1")
+        n = self._size
+        if n == len(self._round):
+            for column in self._columns:
+                column.extend(column)
+        # a value a column cannot hold raises before _size moves, so a
+        # failed call leaves no partial row
+        self._round[n] = round
+        self._client_id[n] = client_id
+        self._num_params[n] = num_params
+        self._direction[n] = d
+        self._role[n] = r
+        self._size = n + 1
+        totals = self._rounds.get(round)
+        if totals is None:
+            totals = self._rounds[round] = [0, 0, 0, 0]
+        totals[2 * d] += 1
+        totals[2 * d + 1] += num_params * self._bytes_per_param
 
-    def extend(self, entries: list[Transmission]) -> None:
+    def extend(self, entries: Iterable[Transmission]) -> None:
         for e in entries:
-            if e.bytes != e.num_params * self.bytes_per_param:
+            if e.bytes != e.num_params * self._bytes_per_param:
                 raise ValueError("entry byte count disagrees with this ledger's scale")
-            self.entries.append(e)
-            self._tally(e)
+            self.record(e.round, e.direction, e.role, e.client_id, e.num_params)
+
+    def rows(self) -> Iterator[tuple[int, str, str, int, int, int]]:
+        """Each entry's (round, direction, role, client_id, num_params,
+        bytes), in recording order, without building a Transmission.
+        """
+        bpp = self._bytes_per_param
+        for rnd, d, r, cid, n in islice(zip(*self._columns), self._size):
+            yield rnd, DIRECTIONS[d], ROLES[r], cid, n, n * bpp
 
     def model_count(self, direction: str, role: str | None = None) -> int:
         return sum(
             1
-            for e in self.entries
-            if e.direction == direction and (role is None or e.role == role)
+            for d, r in islice(zip(self._direction, self._role), self._size)
+            if DIRECTIONS[d] == direction and (role is None or ROLES[r] == role)
         )
 
     def total_bytes(self, direction: str) -> int:
-        return sum(e.bytes for e in self.entries if e.direction == direction)
+        if direction not in DIRECTIONS:
+            return 0
+        slot = 2 * DIRECTIONS.index(direction) + 1
+        return sum(totals[slot] for totals in self._rounds.values())
 
     def round_totals(self, round: int) -> dict[str, int]:
-        return dict(self._rounds.get(round, _EMPTY_ROUND))
+        return dict(zip(_TOTAL_KEYS, self._rounds.get(round, (0, 0, 0, 0))))
+
+
+class LedgerEntries(Sequence):
+    """A read-only view of a CommLedger's entries, in recording order. Each
+    item read is a Transmission built from the ledger's columns; the view
+    follows entries recorded after it was taken.
+    """
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: CommLedger) -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return self._ledger._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        led = self._ledger
+        n = led._num_params[i]
+        return Transmission(led._round[i], DIRECTIONS[led._direction[i]], ROLES[led._role[i]],
+                            led._client_id[i], n, n * led._bytes_per_param)
+
+    def __iter__(self) -> Iterator[Transmission]:
+        return (Transmission(*row) for row in self._ledger.rows())
 
 
 @dataclass

@@ -173,8 +173,8 @@ def _run_trial(
     _write_lines(out_dir / "rounds.csv", RoundReport.csv_header(),
                  (r.csv_row() for r in reports))
     _write_lines(out_dir / "transmissions.csv", "round,direction,role,client_id,num_params,bytes",
-                 (f"{e.round},{e.direction},{e.role},{e.client_id},{e.num_params},{e.bytes}"
-                  for e in ledger.entries))
+                 (f"{rnd},{direction},{role},{cid},{num_params},{size}"
+                  for rnd, direction, role, cid, num_params, size in ledger.rows()))
     _write_lines(out_dir / "kl_ratio.csv", "round,pseudo_kl,truth_kl,ratio",
                  (f"{rnd},{repr(p)},{repr(t)},{_opt(r)}" for rnd, p, t, r in ratio_rows))
 

@@ -62,6 +62,9 @@ class SslHyper:
     mu: float = 0.001
 
     def __post_init__(self) -> None:
+        for name in ("tau", "lambda_u", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         if self.lambda_u < 0:

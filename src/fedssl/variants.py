@@ -21,6 +21,7 @@ with the pseudo-labeling student exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,9 @@ class VariantConfig:
     def __post_init__(self) -> None:
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}, expected one of {VARIANT_KINDS}")
+        for name in ("ema_alpha", "iidness_prior"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.ema_alpha <= 1.0:
             raise ValueError("ema_alpha must be in [0, 1]")
         if self.iidness_prior < 0:

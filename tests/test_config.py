@@ -8,6 +8,12 @@ from fedssl.config import (
     parse_config_text,
     resolved_ini,
 )
+from fedssl.data import AugmentConfig, ShardPlan
+from fedssl.engine import RoundPlan
+from fedssl.semisup import SslHyper
+from fedssl.variants import VariantConfig
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_minimal_config_fully_defaulted():
@@ -117,6 +123,35 @@ def test_finite_numbers_and_auto_still_parse():
     cfg = parse_config_text("[variant]\niidness_prior = AUTO\n[training]\nmu = 1e-300\n")
     assert cfg.variant.iidness_prior == "auto"
     assert cfg.training.mu == 1e-300
+
+
+def _round_plan(**overrides):
+    return RoundPlan(10, 0.5, 1, 0, "labels_at_client", **overrides)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: _round_plan(learning_rate=NAN), "learning_rate"),
+    (lambda: _round_plan(learning_rate=INF), "learning_rate"),
+    (lambda: _round_plan(server_learning_rate=NAN), "server_learning_rate"),
+    (lambda: _round_plan(server_learning_rate=INF), "server_learning_rate"),
+    (lambda: _round_plan(weight_decay=NAN), "weight_decay"),
+    (lambda: _round_plan(weight_decay=INF), "weight_decay"),
+    (lambda: VariantConfig("fedswitch", 0.9, NAN), "iidness_prior"),
+    (lambda: VariantConfig("fedswitch", 0.9, INF), "iidness_prior"),
+    (lambda: SslHyper(0.9, NAN, NAN), "lambda_u"),
+    (lambda: SslHyper(0.9, INF, 0.0), "lambda_u"),
+    (lambda: SslHyper(0.9, 1.0, NAN), "mu"),
+    (lambda: SslHyper(0.9, 1.0, INF), "mu"),
+    (lambda: AugmentConfig(NAN, 0, 0, 0), "weak_noise_sigma"),
+    (lambda: AugmentConfig(0.05, 0.02, NAN, 0.2), "strong_noise_sigma"),
+    (lambda: AugmentConfig(0.05, 0.02, INF, 0.2), "strong_noise_sigma"),
+    (lambda: ShardPlan(10, NAN, 1), "dirichlet_alpha"),
+    (lambda: ShardPlan(10, INF, 1), "dirichlet_alpha"),
+])
+def test_engine_side_configs_reject_non_finite_numbers(build, field):
+    # built directly, past the parser; each would pass every range check
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|inf)$"):
+        build()
 
 
 def test_topology_placement_consistency():

@@ -1,10 +1,14 @@
 """Tests for evaluation, the communication ledger, and stability stats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedssl.data import Dataset, gen_blobs
 from fedssl.metrics import (
+    DIRECTIONS,
+    ROLES,
     CommLedger,
     RoundReport,
     Transmission,
@@ -54,14 +58,14 @@ def test_evaluate_permutation_invariant():
 
 def test_ledger_bytes_eight_per_param():
     led = CommLedger()
-    e = led.record(0, "downlink", "student", 3, 100)
-    assert e.bytes == 800
+    led.record(0, "downlink", "student", 3, 100)
+    assert led.entries[-1].bytes == 800
 
 
 def test_ledger_bytes_configurable_four():
     led = CommLedger(bytes_per_param=4)
-    e = led.record(0, "uplink", "teacher", 1, 100)
-    assert e.bytes == 400
+    led.record(0, "uplink", "teacher", 1, 100)
+    assert led.entries[-1].bytes == 400
     with pytest.raises(ValueError):
         CommLedger(bytes_per_param=2)
 
@@ -125,6 +129,94 @@ def test_ledger_round_totals_match_a_rescan():
     assert CommLedger(4, list(led.entries)).round_totals(3) == rescan(3)
 
 
+def _mixed_ledger():
+    """A ledger of recorded and extended entries, and those entries in order."""
+    led = CommLedger(bytes_per_param=4)
+    expected = []
+    for rnd in range(3):
+        for cid in (0, 5, 9):
+            led.record(rnd, "downlink", "student", cid, 300 + rnd)
+            expected.append(Transmission(rnd, "downlink", "student", cid, 300 + rnd, 4 * (300 + rnd)))
+        extended = [Transmission(rnd, "uplink", role, 5, 70, 280) for role in ROLES[: 1 + rnd % 2]]
+        led.extend(extended)
+        expected += extended
+    return led, expected
+
+
+def test_ledger_entries_view_reads_back_what_was_recorded():
+    led, expected = _mixed_ledger()
+    view = led.entries
+    assert len(view) == len(expected) == 13
+    assert list(view) == expected
+    assert view[-1] == expected[-1] and view[0] == expected[0]
+    assert view[2:5] == expected[2:5]
+    with pytest.raises(IndexError):
+        view[len(expected)]
+    assert [tuple(getattr(e, f) for f in Transmission.__slots__) for e in expected] == list(led.rows())
+    # a view follows later records
+    led.record(7, "uplink", "teacher", 1, 10)
+    assert len(view) == 14 and view[-1] == Transmission(7, "uplink", "teacher", 1, 10, 40)
+
+
+def test_ledger_rebuilt_from_its_entries_has_the_same_totals():
+    led, _ = _mixed_ledger()
+    copy = CommLedger(4, list(led.entries))
+    assert list(copy.entries) == list(led.entries)
+    for rnd in range(4):
+        assert copy.round_totals(rnd) == led.round_totals(rnd)
+    for direction in DIRECTIONS:
+        assert copy.total_bytes(direction) == led.total_bytes(direction)
+
+
+def test_ledger_totals_and_counts_match_a_rescan():
+    led, entries = _mixed_ledger()
+    for direction in DIRECTIONS:
+        assert led.total_bytes(direction) == sum(e.bytes for e in entries if e.direction == direction)
+        assert led.model_count(direction) == sum(e.direction == direction for e in entries)
+        for role in ROLES:
+            assert led.model_count(direction, role) == sum(
+                e.direction == direction and e.role == role for e in entries)
+    assert led.model_count("sideways") == 0 and led.total_bytes("sideways") == 0
+
+
+def test_ledger_record_rejects_bad_entries():
+    led = CommLedger()
+    led.record(0, "uplink", "student", 0, 10)
+    with pytest.raises(ValueError, match=r"^direction must be one of \('downlink', 'uplink'\)$"):
+        led.record(0, "sideways", "student", 0, 10)
+    with pytest.raises(ValueError, match=r"^role must be one of \('student', 'teacher'\)$"):
+        led.record(0, "uplink", "optimizer", 0, 10)
+    for rnd, num_params in ((-1, 10), (0, 0)):
+        with pytest.raises(ValueError, match="^round must be >= 0 and num_params >= 1$"):
+            led.record(rnd, "uplink", "student", 0, num_params)
+    # a value no column can hold fails without leaving a partial row behind
+    with pytest.raises(OverflowError):
+        led.record(0, "uplink", "student", 2**40, 10)
+    led.record(1, "downlink", "teacher", 3, 20)
+    assert list(led.entries) == [Transmission(0, "uplink", "student", 0, 10, 80),
+                                 Transmission(1, "downlink", "teacher", 3, 20, 160)]
+
+
+def test_ledger_memory_budget_at_crowd_shape():
+    # crowd's trial: 300 rounds of 50 clients, each sent and sending a
+    # student and a teacher of 874 parameters, 60,000 records. One object
+    # per entry peaked at 7.0 MiB here; the typed columns peak at 1.2 MiB
+    led = CommLedger()
+    tracemalloc.start()
+    try:
+        for rnd in range(300):
+            for direction in DIRECTIONS:
+                for cid in range(0, 200, 4):
+                    for role in ROLES:
+                        led.record(rnd, direction, role, cid, 874)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(led.entries) == 60_000
+    assert led.total_bytes("uplink") == 30_000 * 874 * 8
+    assert peak < 2 * 2**20
+
+
 def test_ledger_extend_rejects_inconsistent_scale():
     led = CommLedger(bytes_per_param=8)
     bad = Transmission(0, "uplink", "student", 0, 10, 40)
@@ -140,7 +232,7 @@ def test_transmission_validation():
 
 
 def test_transmission_is_slotted():
-    # a ledger holds one entry per model sent; slots keep each small
+    # the entries view builds one per entry read; slots keep each small
     entry = Transmission(0, "uplink", "student", 0, 1, 8)
     assert not hasattr(entry, "__dict__")
     with pytest.raises(AttributeError):
