@@ -3,13 +3,18 @@
 Sharding is quota-based: every client gets the same number of examples,
 with the class mix of its quota drawn from a per-client Dirichlet sample.
 Small concentration values give clients dominated by one or two classes;
-large values approach the global class balance.
+large values approach the global class balance. A quota is split into
+floor shares plus a weighted remainder drawn without replacement, and is
+taken from the ends of per-class stocks; a class that runs out sends its
+shortfall to the classes that remain.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -66,8 +71,17 @@ class ClientShard:
     def __post_init__(self) -> None:
         self.labeled_idx = np.asarray(self.labeled_idx, dtype=np.int64)
         self.unlabeled_idx = np.asarray(self.unlabeled_idx, dtype=np.int64)
-        if np.intersect1d(self.labeled_idx, self.unlabeled_idx).size > 0:
+        if _overlap(self.labeled_idx, self.unlabeled_idx):
             raise ValueError("labeled_idx and unlabeled_idx must be disjoint")
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two index arrays share an entry; no work when one is empty."""
+    if a.size == 0 or b.size == 0:
+        return False
+    if a.size > b.size:
+        a, b = b, a
+    return not set(a.ravel().tolist()).isdisjoint(b.ravel().tolist())
 
 
 @dataclass
@@ -206,125 +220,178 @@ def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return counts / total
 
 
-def _apportion(rng: np.random.Generator, p: np.ndarray, quota: int) -> np.ndarray:
+def _draw_without_replacement(rng: np.random.Generator, weights: Sequence[float],
+                              size: int) -> list[int]:
+    """`size` distinct indices drawn by non-negative weight: a replay of
+    numpy's Generator.choice(len(weights), size, replace=False, p=weights).
+
+    Each pass draws one double per pick still missing, makes the in-order
+    cumulative sums of the weights with the picked entries zeroed, divides
+    them by the last sum, and picks bisect_right of each double, keeping
+    the first pick of each entry. That is numpy's algorithm, so the replay
+    consumes the same doubles and returns the same picks in the same order
+    (tests check it against choice itself); keeping it here ties the
+    sharding to Generator.random alone rather than to the private code of
+    choice, and it skips choice's per-call checks on a ten-entry vector.
+    """
+    weights = list(weights)
+    if len(weights) - weights.count(0.0) < size:
+        raise ValueError(f"fewer positive weights than the {size} picks asked for")
+    picks: list[int] = []
+    while len(picks) < size:
+        draws = rng.random(size - len(picks)).tolist()
+        for i in picks:
+            weights[i] = 0.0
+        cdf = list(accumulate(weights))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        for x in draws:
+            i = bisect_right(cdf, x)
+            # a zeroed entry is never picked, so this keeps first picks
+            if i not in picks:
+                picks.append(i)
+    return picks
+
+
+def _apportion(rng: np.random.Generator, p: np.ndarray, quota: int) -> list[int]:
     """Integer class counts summing to quota with count_c ~ quota * p_c.
 
-    Fractional remainders are resolved by weighted sampling without
-    replacement, so each count deviates from its exact share by less
-    than one example.
+    Each class gets the floor of its share; the remaining examples go to
+    distinct classes drawn without replacement with weights proportional
+    to the fractional parts, so each count deviates from its exact share by
+    less than one example.
     """
-    base = np.floor(quota * p).astype(np.int64)
-    rem = quota - int(base.sum())
+    scaled = quota * p
+    base = np.floor(scaled)
+    counts = base.astype(np.int64).tolist()
+    rem = quota - sum(counts)
     if rem > 0:
-        frac = quota * p - base
-        total = frac.sum()
+        frac = scaled - base
+        total = np.add.reduce(frac)
         q = frac / total if total > 0 else np.full(p.shape, 1.0 / p.size)
-        if int((q > 0).sum()) < rem:
+        if np.count_nonzero(q) < rem:
             q = q + 1e-12
             q = q / q.sum()
-        extra = rng.choice(p.size, size=rem, replace=False, p=q)
-        base[extra] += 1
-    return base
+        for c in _draw_without_replacement(rng, q.tolist(), rem):
+            counts[c] += 1
+    return counts
 
 
 def _draw_quota(
     rng: np.random.Generator,
     p: np.ndarray,
     quota: int,
-    stock: list[list[int]],
-) -> tuple[list[int], list[int]]:
+    stocks: list[np.ndarray],
+    left: list[int],
+) -> tuple[list[np.ndarray], list[int]]:
     """Take `quota` examples from per-class stocks with class mix ~ p.
 
-    Returns (chosen indices, classes that ran out and forced a fallback).
-    Stocks are mutated; the caller guarantees sum(stock) >= quota.
+    Class c's remaining stock is stocks[c][:left[c]]; its examples are
+    taken from the end, and left is lowered. When a class runs out, the
+    shortfall is apportioned again over the classes that remain, with
+    their weights in p (or evenly if those are all zero).
+
+    Returns (the slices taken, classes that ran out and forced a fallback,
+    possibly repeated). The caller guarantees sum(left) >= quota.
     """
-    num_classes = len(stock)
-    chosen: list[int] = []
+    parts: list[np.ndarray] = []
     fallback: list[int] = []
+    shortfall = quota
     want = _apportion(rng, p, quota)
     while True:
-        for c in range(num_classes):
-            take = min(int(want[c]), len(stock[c]))
+        for c, w in enumerate(want):
+            n = left[c]
+            take = w if w < n else n
             if take > 0:
-                chosen.extend(stock[c][-take:])
-                del stock[c][-take:]
-            if take < want[c]:
+                parts.append(stocks[c][n - take:n])
+                left[c] = n - take
+                shortfall -= take
+            if take < w:
                 fallback.append(c)
-        shortfall = quota - len(chosen)
         if shortfall == 0:
             break
-        avail = np.array([len(s) > 0 for s in stock], dtype=bool)
+        avail = np.array([n > 0 for n in left], dtype=bool)
         p_avail = np.where(avail, p, 0.0)
         if p_avail.sum() <= 0.0:
             p_avail = avail.astype(np.float64)
         p_avail = p_avail / p_avail.sum()
         want = _apportion(rng, p_avail, shortfall)
-    return chosen, sorted(set(fallback))
+    return parts, fallback
+
+
+def _sorted_indices(parts: list[np.ndarray]) -> np.ndarray:
+    return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 
 def dirichlet_shard(ds: Dataset, plan: ShardPlan) -> ShardingResult:
     """Partition a dataset across clients with Dirichlet-controlled skew.
 
-    The labeled pool (labeled_per_client * num_clients examples, drawn
-    class-balanced) is either distributed to clients with the same per-client
-    Dirichlet mix as their unlabeled quota, or withheld entirely as a server
-    pool when plan.server_holds_labels is set. Each client's unlabeled quota
-    is floor(pool / num_clients); leftovers stay unassigned.
+    Each class's examples are shuffled once into a stock. The labeled pool
+    (labeled_per_client * num_clients examples, class-balanced: its i-th
+    example comes off the end of class i mod C's stock) is either
+    distributed to clients with the same per-client Dirichlet mix as their
+    unlabeled quota, or withheld entirely as a server pool when
+    plan.server_holds_labels is set. Each client's unlabeled quota is
+    floor(pool / num_clients); leftovers stay unassigned. A quota is drawn
+    by _apportion and taken by _draw_quota; classes that ran out during a
+    client's draws are recorded in its fallback_classes.
     """
     c = ds.num_classes
     k = plan.num_clients
     rng = np.random.default_rng(plan.seed)
 
-    by_class: list[list[int]] = [list(np.nonzero(ds.labels == cls)[0]) for cls in range(c)]
+    stocks = []
     for cls in range(c):
-        order = rng.permutation(len(by_class[cls]))
-        by_class[cls] = [by_class[cls][i] for i in order]
+        members = np.flatnonzero(ds.labels == cls)
+        stocks.append(members[rng.permutation(members.size)])
 
     labeled_total = plan.labeled_per_client * k
     if labeled_total > ds.size:
         raise ValueError(f"labeled pool ({labeled_total}) exceeds dataset size ({ds.size})")
-    labeled_stock: list[list[int]] = [[] for _ in range(c)]
-    for i in range(labeled_total):
-        cls = i % c
-        if not by_class[cls]:
-            raise ValueError(f"class {cls} has too few examples for a balanced labeled pool")
-        labeled_stock[cls].append(by_class[cls].pop())
+    labeled_left = [labeled_total // c + (cls < labeled_total % c) for cls in range(c)]
+    short = [cls for cls in range(c) if labeled_left[cls] > stocks[cls].size]
+    if short:
+        # class cls's stock is empty at the pool's (size * C + cls)-th pick
+        cls = min(short, key=lambda s: stocks[s].size * c + s)
+        raise ValueError(f"class {cls} has too few examples for a balanced labeled pool")
+    # the pool holds each stock's tail in the order it came off the end
+    labeled_stocks = [s[s.size - m:][::-1] for s, m in zip(stocks, labeled_left)]
+    unlabeled_left = [s.size - m for s, m in zip(stocks, labeled_left)]
 
-    unlabeled_stock = by_class
-    n_unlabeled = sum(len(s) for s in unlabeled_stock)
+    n_unlabeled = sum(unlabeled_left)
     quota_u = n_unlabeled // k
     if quota_u < 1:
         raise ValueError(
             f"dataset too small: {n_unlabeled} unlabeled examples across {k} clients"
         )
 
+    alphas = np.full(c, plan.dirichlet_alpha)
+    draw_labeled = not plan.server_holds_labels and plan.labeled_per_client > 0
     shards: list[ClientShard] = []
     fallback_events: list[tuple[int, int]] = []
     for cid in range(k):
-        p = rng.dirichlet(np.full(c, plan.dirichlet_alpha))
-        if plan.server_holds_labels or plan.labeled_per_client == 0:
-            lab_idx: list[int] = []
-            lab_fb: list[int] = []
-        else:
-            lab_idx, lab_fb = _draw_quota(rng, p, plan.labeled_per_client, labeled_stock)
-        unl_idx, unl_fb = _draw_quota(rng, p, quota_u, unlabeled_stock)
-        fallback = sorted(set(lab_fb) | set(unl_fb))
-        for cls in fallback:
-            fallback_events.append((cid, cls))
+        p = rng.dirichlet(alphas)
+        lab_parts: list[np.ndarray] = []
+        lab_fb: list[int] = []
+        if draw_labeled:
+            lab_parts, lab_fb = _draw_quota(rng, p, plan.labeled_per_client,
+                                            labeled_stocks, labeled_left)
+        unl_parts, unl_fb = _draw_quota(rng, p, quota_u, stocks, unlabeled_left)
+        fallback = sorted(set(lab_fb).union(unl_fb))
+        fallback_events.extend((cid, cls) for cls in fallback)
         shards.append(
             ClientShard(
                 client_id=cid,
-                labeled_idx=np.sort(np.array(lab_idx, dtype=np.int64)),
-                unlabeled_idx=np.sort(np.array(unl_idx, dtype=np.int64)),
+                labeled_idx=_sorted_indices(lab_parts),
+                unlabeled_idx=_sorted_indices(unl_parts),
                 fallback_classes=tuple(fallback),
             )
         )
 
     if plan.server_holds_labels:
-        server_idx = np.sort(np.concatenate([np.array(s, dtype=np.int64) for s in labeled_stock])
-                             if labeled_total else np.array([], dtype=np.int64))
+        server_idx = _sorted_indices(labeled_stocks)
     else:
-        server_idx = np.array([], dtype=np.int64)
+        server_idx = np.empty(0, dtype=np.int64)
     return ShardingResult(shards=shards, server_labeled_idx=server_idx,
                           fallback_events=fallback_events)
 

@@ -274,7 +274,7 @@ def lockstep_update(
             u_batch = Batch(np.take(dataset.inputs, u_idx, axis=0, mode="clip",
                                     out=ws.take("lockstep.unlabeled", u_idx.shape + (dim,))))
             weak = weak_augment(u_batch, aug, rngs, workspace=ws)
-            pseudo, teacher, _ = variant_batch_hook(
+            pseudo, teacher = variant_batch_hook(
                 variant, teacher, student, weak.inputs, spec, hyper, workspace=ws
             )
             labeled_batch = None

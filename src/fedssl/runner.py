@@ -16,18 +16,19 @@ outputs. The CSV files are streamed line by line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, resolved_ini
-from .data import Dataset, ShardPlan, dirichlet_shard, gen_blobs, label_histogram, load_csv, make_stream_schedule
+from .data import Dataset, ShardPlan, dirichlet_shard, gen_blobs, load_csv, make_stream_schedule
 from .engine import init_server, run_round
 from .metrics import CommLedger, RoundReport, stability_stats
 from .nn import ModelSpec, Workspace
 from .rng import derive_seed
-from .semisup import KlStats, kl_to_uniform
+from .semisup import KlStats, _histograms, _kl_rows
 from .variants import VARIANT_KINDS, VariantConfig
 
 
@@ -82,11 +83,17 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _truth_kl(shards, data: Dataset, num_classes: int) -> dict[int, float]:
-    """Ground-truth KL-to-uniform of each client's unlabeled label mix."""
-    return {
-        sh.client_id: kl_to_uniform(label_histogram(data.labels[sh.unlabeled_idx], num_classes))
-        for sh in shards
-    }
+    """Ground-truth KL-to-uniform of each client's unlabeled label mix.
+
+    One bincount makes every client's histogram and one _kl_rows call every
+    KL, bitwise kl_to_uniform(label_histogram(...)) of each client's labels.
+    """
+    sizes = np.array([sh.unlabeled_idx.size for sh in shards], dtype=np.int64)
+    if sizes.min() < 1:
+        raise ValueError("empty label vector")
+    labels = data.labels[np.concatenate([sh.unlabeled_idx for sh in shards])]
+    kl = _kl_rows(_histograms(labels[None], sizes, num_classes))[0]
+    return dict(zip([sh.client_id for sh in shards], kl.tolist()))
 
 
 def _ratio_row(client_kl: dict[int, KlStats], truth: dict[int, float]) -> tuple[float, float | None]:
@@ -301,6 +308,8 @@ def run_sweep(
         if kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant '{kind}'")
     for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"dirichlet alpha must be finite, got {alpha}")
         if alpha <= 0:
             raise ValueError(f"dirichlet alpha must be positive, got {alpha}")
 

@@ -139,17 +139,16 @@ def variant_batch_hook(
     spec: ModelSpec,
     hyper: SslHyper,
     workspace: Workspace | None = None,
-) -> tuple[PseudoBatch, ParamVector | None, np.ndarray]:
+) -> tuple[PseudoBatch, ParamVector | None]:
     """Per-batch variant step: maintain the client's in-round teacher copy
     and produce pseudo-labels from the weak view.
 
-    Returns (pseudo batch, local teacher to carry forward, probabilities of
-    the pseudo-label source on the weak view). The pseudo-labels, the argmax
-    of those probabilities, feed the teacher-side KL statistic (dkl_T); on
-    student-labeled batches the student's own weak-view labels stand in for
-    it. The student-side statistic (dkl_S) is not made here: it comes from
-    the student's strong-view probabilities, which the combined objective
-    returns.
+    Returns (pseudo batch, local teacher to carry forward). The
+    pseudo-labels, the argmax of the source's weak-view probabilities, feed
+    the teacher-side KL statistic (dkl_T); on student-labeled batches the
+    student's own weak-view labels stand in for it. The student-side
+    statistic (dkl_S) is not made here: it comes from the student's
+    strong-view probabilities, which the combined objective returns.
 
     For K clients in lockstep, student_params and the local teacher are
     [K, P] stacks and weak_inputs [K, B, d], and every output is per client.
@@ -164,15 +163,13 @@ def variant_batch_hook(
 
     if not traits.teacher or local_teacher is None:
         probs = forward_probs(student_params, spec, weak_inputs, workspace=workspace)
-        return (pseudo_label(probs, hyper.tau, source="student", workspace=workspace),
-                local_teacher, probs)
+        return pseudo_label(probs, hyper.tau, source="student", workspace=workspace), local_teacher
 
     if traits.local_ema:
         local_teacher = ema_update(local_teacher, student_params, variant.ema_alpha,
                                    workspace=workspace)
     probs = forward_probs(local_teacher, spec, weak_inputs, workspace=workspace)
-    return (pseudo_label(probs, hyper.tau, source="teacher", workspace=workspace),
-            local_teacher, probs)
+    return pseudo_label(probs, hyper.tau, source="teacher", workspace=workspace), local_teacher
 
 
 def variant_uplink(

@@ -1,10 +1,13 @@
 """Tests for dataset generation, sharding, streaming, and augmentation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedssl import data as data_module
 from fedssl.data import (
     AugmentConfig,
     ClientShard,
@@ -270,9 +273,176 @@ def test_shard_plan_validation():
         ShardPlan(num_clients=2, dirichlet_alpha=1.0, labeled_per_client=-1)
 
 
+def _labels_only(counts):
+    """A dataset whose class c holds counts[c] examples, in class order."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return Dataset(np.zeros((labels.size, 1)), labels, len(counts))
+
+
+def _sharding_digest(res):
+    """SHA-256 over every index array, fallback record and server index."""
+    h = hashlib.sha256()
+    for sh in res.shards:
+        for arr in (sh.labeled_idx, sh.unlabeled_idx):
+            assert arr.dtype == np.int64
+            h.update(arr.astype("<i8").tobytes())
+            h.update(b"|")
+        h.update(repr(sh.fallback_classes).encode())
+        h.update(b";")
+    h.update(res.server_labeled_idx.astype("<i8").tobytes())
+    h.update(repr(res.fallback_events).encode())
+    return h.hexdigest()
+
+
+# (class counts, plan, digest of the output). crowd's and desk's shapes,
+# labels held at the server, a very skewed alpha, no labeled data, and a
+# class-starved dataset whose quotas fall back more than once in one draw
+PINNED_SHARDINGS = {
+    "crowd": ([1480] * 10, ShardPlan(200, 100.0, 10, seed=11),
+              "db28d130ec34597a4593c0f33de7380130ded6732d2c630856015f3f789fd5fc"),
+    "desk": ([420] * 10, ShardPlan(20, 100.0, 10, seed=12),
+             "d7cd3bf664d51be92068d24847242e16d0d8045d1aafbc75d52172b8aaa3487a"),
+    "server_labels": ([420] * 10, ShardPlan(20, 0.1, 10, server_holds_labels=True, seed=13),
+                      "8f4706ab6c312becf529a7223b1e374aac570e3f9088e4c0bb436a1d1fa7e74e"),
+    "alpha_0.05": ([420] * 10, ShardPlan(20, 0.05, 10, seed=14),
+                   "39a56be1e430894c4a29894de71cd3eedcdaf7d11b50416a1a624ef245634d8d"),
+    "unlabeled_only": ([420] * 10, ShardPlan(20, 1.0, 0, seed=15),
+                       "08c6ce2b053a7111c76c796c98d59467c4de6bdfdce57891b9d0a8a36d23896b"),
+    "starved": ([3, 5, 200, 2, 40, 1, 80, 9], ShardPlan(6, 0.3, 2, seed=16),
+                "7ca96a5bf2902a849bad5491dadeeb4bae5ae9b3cc9aa879aa98c3fdef1c70f6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHARDINGS))
+def test_shard_output_pinned(name, monkeypatch):
+    counts, plan, expected = PINNED_SHARDINGS[name]
+    # count the apportionments of each quota draw: more than one means the
+    # draw fell back to the remaining classes
+    apportion, draw_quota = data_module._apportion, data_module._draw_quota
+    calls = [0]
+    per_draw = []
+
+    def counting_apportion(*args):
+        calls[0] += 1
+        return apportion(*args)
+
+    def counting_draw(*args):
+        before = calls[0]
+        out = draw_quota(*args)
+        per_draw.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(data_module, "_apportion", counting_apportion)
+    monkeypatch.setattr(data_module, "_draw_quota", counting_draw)
+    res = dirichlet_shard(_labels_only(counts), plan)
+    assert _sharding_digest(res) == expected
+    if name == "desk":
+        assert res.fallback_events
+    if name == "starved":
+        assert max(per_draw) >= 3
+    for cid, cls in res.fallback_events:
+        assert type(cid) is int and type(cls) is int
+        assert cls in res.shards[cid].fallback_classes
+
+
+@pytest.mark.parametrize("counts, num_clients, labeled, message", [
+    # the pool is larger than the dataset
+    ([2, 2], 2, 3, "labeled pool (6) exceeds dataset size (4)"),
+    # class 2 runs out at the pool's 6th pick, before class 0 at its 7th
+    ([2, 4, 1], 1, 7, "class 2 has too few examples for a balanced labeled pool"),
+    ([1, 4, 1], 1, 6, "class 0 has too few examples for a balanced labeled pool"),
+    ([3, 3], 4, 1, "dataset too small: 2 unlabeled examples across 4 clients"),
+])
+def test_shard_error_messages(counts, num_clients, labeled, message):
+    plan = ShardPlan(num_clients, 1.0, labeled, seed=0)
+    with pytest.raises(ValueError) as info:
+        dirichlet_shard(_labels_only(counts), plan)
+    assert str(info.value) == message
+
+
 def test_client_shard_rejects_overlap():
     with pytest.raises(ValueError):
         ClientShard(client_id=0, labeled_idx=np.array([1, 2]), unlabeled_idx=np.array([2, 3]))
+
+
+def test_client_shard_overlap_check_reads_unsorted_and_repeated_indices():
+    with pytest.raises(ValueError, match="disjoint"):
+        ClientShard(client_id=0, labeled_idx=np.array([7, 3]), unlabeled_idx=np.array([9, 1, 3]))
+    with pytest.raises(ValueError, match="disjoint"):
+        ClientShard(client_id=0, labeled_idx=np.arange(50, 0, -1), unlabeled_idx=np.array([50]))
+    ClientShard(client_id=0, labeled_idx=np.array([5, 5]), unlabeled_idx=np.array([2, 1, 2]))
+    for empty in (np.array([], dtype=np.int64), []):
+        ClientShard(client_id=0, labeled_idx=empty, unlabeled_idx=np.array([1, 1, 2]))
+        ClientShard(client_id=0, labeled_idx=np.array([1, 1, 2]), unlabeled_idx=empty)
+
+
+# ------------------------------------------------------ the remainder draw
+
+
+def _choice_cases():
+    """(p, size) pairs: Dirichlet weights at three concentrations over 2-12
+    entries with a random number of picks, then hand-made weights with zero
+    entries at every feasible number of picks.
+    """
+    rng = np.random.default_rng(2024)
+    cases = []
+    for alpha in (0.05, 1.0, 100.0):
+        for _ in range(400):
+            n = int(rng.integers(2, 13))
+            p = rng.dirichlet(np.full(n, alpha))
+            positive = int(np.count_nonzero(p))
+            cases.append((p, int(rng.integers(1, positive + 1))))
+    for p in ([0.0, 0.5, 0.0, 0.5], [0.2, 0.0, 0.0, 0.0, 0.8, 0.0], [0.0, 0.0, 1.0],
+              [1 / 3, 1 / 3, 0.0, 1 / 3], [0.0, 1e-12, 0.25, 0.75 - 1e-12, 0.0]):
+        p = np.array(p)
+        for size in range(1, int(np.count_nonzero(p)) + 1):
+            cases.append((p, size))
+    return cases
+
+
+def test_remainder_draw_replays_generator_choice():
+    cases = _choice_cases()
+    assert len(cases) >= 1000
+    for seed, (p, size) in enumerate(cases):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = data_module._draw_without_replacement(ours, p.tolist(), size)
+        expected = numpys.choice(p.size, size=size, replace=False, p=p)
+        assert picks == expected.tolist(), (seed, p, size)
+        assert ours.bit_generator.state == numpys.bit_generator.state, (seed, p, size)
+
+
+class _FixedDoubles:
+    """Stands in for a generator whose random() returns the given doubles."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+
+    def random(self, size):
+        out, self.doubles = self.doubles[:size], self.doubles[size:]
+        return np.array(out)
+
+
+def test_remainder_draw_breaks_ties_to_the_right():
+    # a double equal to a cumulative sum picks the next entry, as numpy's
+    # searchsorted(side="right") does, so a zero weight is never picked
+    weights = [0.0, 0.5, 0.5]
+    cdf = np.cumsum(weights) / np.sum(weights)
+    assert np.searchsorted(cdf, [0.0, 0.5], side="right").tolist() == [1, 2]
+    assert data_module._draw_without_replacement(_FixedDoubles([0.0, 0.5]), weights, 2) == [1, 2]
+    # a repeated pick is dropped and redrawn with the picked weight zeroed:
+    # over cdf [0.25, 0.75, 1.0], 0.3 and 0.5 both pick entry 1, so a second
+    # pass draws one double, 0.5, over cdf [0.5, 0.5, 1.0], which picks 2
+    doubles = _FixedDoubles([0.3, 0.5, 0.5])
+    assert data_module._draw_without_replacement(doubles, [0.25, 0.5, 0.25], 2) == [1, 2]
+    assert doubles.doubles == []
+
+
+def test_remainder_draw_rejects_more_picks_than_positive_weights():
+    p = np.array([0.0, 0.5, 0.0, 0.5])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(4, size=3, replace=False, p=p)
+    with pytest.raises(ValueError, match="fewer positive weights"):
+        data_module._draw_without_replacement(np.random.default_rng(0), p.tolist(), 3)
 
 
 # ---------------------------------------------------------------- streaming

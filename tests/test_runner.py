@@ -8,9 +8,10 @@ import pytest
 
 from fedssl import runner
 from fedssl.config import parse_config_text
+from fedssl.data import ClientShard, Dataset, ShardPlan, dirichlet_shard, label_histogram
 from fedssl.metrics import RoundReport
 from fedssl.runner import _ratio_row, run_experiment, run_sweep
-from fedssl.semisup import KlStats
+from fedssl.semisup import KlStats, kl_to_uniform
 
 BASE = """
 [dataset]
@@ -174,6 +175,29 @@ def test_ratio_row_skips_clients_with_uniform_labels():
     assert _ratio_row(client_kl, dict.fromkeys(truth, 0.0))[1] is None
 
 
+def test_truth_kl_bitwise_equals_per_client_histograms():
+    labels = np.repeat(np.arange(10), 420)
+    ds = Dataset(np.zeros((labels.size, 1)), labels, 10)
+    shard_sets = [dirichlet_shard(ds, ShardPlan(20, alpha, 10, seed=seed)).shards
+                  for alpha, seed in ((100.0, 1), (1.0, 2), (0.05, 3))]
+    # unequal pools, one of a single example and one of a single class
+    shard_sets.append([
+        ClientShard(client_id=4, labeled_idx=[], unlabeled_idx=[0]),
+        ClientShard(client_id=1, labeled_idx=[], unlabeled_idx=np.arange(0, 4200, 7)),
+        ClientShard(client_id=9, labeled_idx=[], unlabeled_idx=np.arange(420, 440)),
+    ])
+    for shards in shard_sets:
+        truth = runner._truth_kl(shards, ds, 10)
+        assert list(truth) == [sh.client_id for sh in shards]
+        for sh in shards:
+            expected = kl_to_uniform(label_histogram(ds.labels[sh.unlabeled_idx], 10))
+            assert type(truth[sh.client_id]) is float
+            assert repr(truth[sh.client_id]) == repr(expected)
+    empty = ClientShard(client_id=0, labeled_idx=[], unlabeled_idx=[])
+    with pytest.raises(ValueError, match="empty label vector"):
+        runner._truth_kl(shard_sets[-1] + [empty], ds, 10)
+
+
 def test_kl_ratio_csv_leaves_ratio_empty_when_every_client_is_uniform(tmp_path, monkeypatch):
     monkeypatch.setattr(
         runner, "_truth_kl",
@@ -334,3 +358,11 @@ def test_sweep_rejects_bad_inputs(tmp_path):
         run_sweep(cfg, alphas=[1.0], kinds=["fedswitch", "ts_client_ema", "fedswitch"])
     assert not (tmp_path / "bad").exists()
 
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_sweep_rejects_a_non_finite_alpha_before_any_cell_runs(tmp_path, bad):
+    cfg = _sweep_cfg(tmp_path / "bad")
+    with pytest.raises(ValueError, match=f"dirichlet alpha must be finite, got {bad}"):
+        run_sweep(cfg, alphas=[0.1, bad], kinds=["fedswitch"])
+    assert not (tmp_path / "bad").exists()

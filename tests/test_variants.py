@@ -149,7 +149,7 @@ def test_hook_ts_server_teacher_frozen():
     teacher = init_params(SPEC, 1)
     before = teacher.values.copy()
     for k in range(3):
-        _, teacher, _ = variant_batch_hook(variant, teacher, student, _weak(k), SPEC, HYPER)
+        _, teacher = variant_batch_hook(variant, teacher, student, _weak(k), SPEC, HYPER)
     assert np.array_equal(teacher.values, before)
 
 
@@ -158,7 +158,7 @@ def test_hook_fedswitch_alpha_zero_tracks_student():
     student = init_params(SPEC, 0)
     teacher = init_params(SPEC, 1)
     weak = _weak(2)
-    pseudo, teacher, probs = variant_batch_hook(variant, teacher, student, weak, SPEC, HYPER)
+    pseudo, teacher = variant_batch_hook(variant, teacher, student, weak, SPEC, HYPER)
     assert np.array_equal(teacher.values, student.values)
     expect = pseudo_label(forward_probs(student, SPEC, weak), HYPER.tau)
     assert np.array_equal(pseudo.pseudo_labels, expect.pseudo_labels)
@@ -174,27 +174,32 @@ def test_hook_ts_client_two_batch_unroll():
     s1 = init_params(SPEC, 3)  # pretend the student moved between batches
 
     teacher = t0
-    _, teacher, probs1 = variant_batch_hook(variant, teacher, s0, _weak(0), SPEC, HYPER)
-    _, teacher, _ = variant_batch_hook(variant, teacher, s1, _weak(1), SPEC, HYPER)
+    pseudo1, teacher = variant_batch_hook(variant, teacher, s0, _weak(0), SPEC, HYPER)
+    _, teacher = variant_batch_hook(variant, teacher, s1, _weak(1), SPEC, HYPER)
 
     t1 = alpha * t0.values + (1 - alpha) * s0.values
     t2 = alpha * t1 + (1 - alpha) * s1.values
     assert np.allclose(teacher.values, t2, atol=0, rtol=0)
-    # pseudo-label probs for batch 1 came from the already-updated teacher
-    expected = forward_probs(ParamVector(t1, SPEC.spec_hash), SPEC, _weak(0))
-    assert np.array_equal(probs1, expected)
+    # batch 1's pseudo-labels came from the already-updated teacher
+    expected = pseudo_label(forward_probs(ParamVector(t1, SPEC.spec_hash), SPEC, _weak(0)),
+                            HYPER.tau)
+    assert np.array_equal(pseudo1.pseudo_labels, expected.pseudo_labels)
+    assert np.array_equal(pseudo1.mask, expected.mask)
+    assert pseudo1.source == "teacher"
 
 
 def test_hook_student_paths():
     weak = _weak(4)
     student = init_params(SPEC, 0)
     for kind in ("fedprox_fixmatch", "fedswitch"):
-        pseudo, teacher, probs = variant_batch_hook(
+        pseudo, teacher = variant_batch_hook(
             VariantConfig(kind), None, student, weak, SPEC, HYPER
         )
         assert teacher is None
         assert pseudo.source == "student"
-        assert np.array_equal(probs, forward_probs(student, SPEC, weak))
+        expected = pseudo_label(forward_probs(student, SPEC, weak), HYPER.tau)
+        assert np.array_equal(pseudo.pseudo_labels, expected.pseudo_labels)
+        assert np.array_equal(pseudo.mask, expected.mask)
 
 
 def test_hook_missing_teacher_errors():
