@@ -9,18 +9,23 @@ CHECKOUT/src, the other from this checkout's src. The workers take turns,
 one run_round at a time, so only one of them computes at any moment; the
 one that goes first alternates from round to round. After each round the
 two csv_row()s must be equal, or the script stops with an error naming the
-round. It prints the quartiles of the per-round time ratio (this checkout
-over the base), each tree's total round time, and each worker's peak
-resident memory once its trial has written its outputs (ru_maxrss / 1024,
-the unit of perfbench's peak_rss_mb). BLAS runs single-threaded, as in the
-benchmark. Taking turns times single-threaded code fairly, and a background
-thread unfairly: it keeps running while the other tree computes.
+round. Each worker runs in a directory of its own and names its output
+directory relatively, so the config it writes with its outputs does not
+depend on where it ran; after the trial, the SHA-256 of every output file
+must be equal in both trees, or the script stops naming the first file
+that differs. It prints the quartiles of the per-round time ratio (this
+checkout over the base), each tree's total round time, and each worker's
+peak resident memory once its trial has written its outputs (ru_maxrss /
+1024, the unit of perfbench's peak_rss_mb). BLAS runs single-threaded, as
+in the benchmark. Taking turns times single-threaded code fairly, and a
+background thread unfairly: it keeps running while the other tree computes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -34,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads"
+# each worker's output directory, relative to its own working directory
+OUTPUT = "out"
 
 
 def workload_text(workload: str, seed: int, output: Path) -> str:
@@ -80,13 +87,30 @@ def worker(src: str, config_text: str) -> None:
     protocol.flush()
 
 
-def _start(src: Path, workload: str, seed: int, out: Path) -> subprocess.Popen:
+def _start(src: Path, workload: str, seed: int, cwd: Path) -> subprocess.Popen:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
+    cwd.mkdir()
     return subprocess.Popen(
-        [sys.executable, __file__, "--worker", str(src), "--workload", workload,
-         "--seed", str(seed), "--out", str(out)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
+         "--workload", workload, "--seed", str(seed), "--out", OUTPUT],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=cwd)
+
+
+def digests(out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every file under out_dir, keyed by its relative path."""
+    return {p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def first_difference(base: dict[str, str], change: dict[str, str]) -> str | None:
+    """The first output file, by path, that only one tree wrote or whose
+    contents differ; None when every file is equal.
+    """
+    for rel in sorted(base.keys() | change.keys()):
+        if base.get(rel) != change.get(rel):
+            return rel
+    return None
 
 
 def _reply(proc: subprocess.Popen, name: str) -> dict:
@@ -134,6 +158,10 @@ def main(argv: list[str] | None = None) -> int:
                 p.stdin.close()
                 if p.wait() != 0:
                     raise RuntimeError(f"the {name} worker exited with {p.returncode}")
+            files = {name: digests(Path(tmp) / name / OUTPUT) for name in procs}
+            differs = first_difference(files["base"], files["change"])
+            if differs is not None:
+                raise RuntimeError(f"output file {differs} differs between the trees")
         finally:
             for p in procs.values():
                 if p.poll() is None:
@@ -142,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
 
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     q1, q2, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{args.workload} seed {args.seed}: {len(ratios)} rounds, every csv row equal")
+    print(f"{args.workload} seed {args.seed}: {len(ratios)} rounds, every csv row equal, "
+          f"{len(files['base'])} output files equal")
     print(f"per-round time ratio change/base: median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f})")
     print(f"total round time: base {sum(times['base']):.3f} s, "
           f"change {sum(times['change']):.3f} s "

@@ -436,6 +436,15 @@ def _generators(batch: Batch, rng) -> list[np.random.Generator]:
     return rngs
 
 
+def _view_arena(ws: Workspace, x: np.ndarray) -> np.ndarray:
+    """The augment arena for a view of x; x must not live in it."""
+    out = ws.take("augment", x.shape)
+    if np.may_share_memory(x, out):
+        raise ValueError("cannot augment a view in place: the batch lives in the "
+                         "workspace's augment arena")
+    return out
+
+
 def weak_augment(batch: Batch, cfg: AugmentConfig,
                  rng: np.random.Generator | Sequence[np.random.Generator],
                  workspace: Workspace | None = None) -> Batch:
@@ -443,13 +452,14 @@ def weak_augment(batch: Batch, cfg: AugmentConfig,
 
     The shift scales with each slice's own value span. Each generator draws
     its slice's noise straight into the output, then its shifts. With a
-    workspace, the view lives in it under weak_augment.
+    workspace, the view lives in it under augment, the arena the strong
+    view shares: the next view either function draws overwrites it.
     """
     ws = Workspace() if workspace is None else workspace
     x = batch.inputs
     rngs = _generators(batch, rng)
     rows, dim = x.shape[-2:]
-    out = ws.take("weak_augment", x.shape)
+    out = _view_arena(ws, x)
     shift = ws.take("weak_augment.shift", x.shape[:-1] + (1,))
     for g, noise_k, shift_k in zip(rngs, out.reshape(-1, rows, dim), shift.reshape(-1, rows, 1)):
         g.standard_normal(out=noise_k)
@@ -474,13 +484,14 @@ def strong_augment(batch: Batch, cfg: AugmentConfig,
 
     Each generator draws its slice's noise straight into the output, then
     its zeroing draws. With a workspace, the view lives in it under
-    strong_augment.
+    augment, overwriting the last weak view: a local batch's unlabeled weak
+    view is dead once it is pseudo-labeled, before the strong view is drawn.
     """
     ws = Workspace() if workspace is None else workspace
     x = batch.inputs
     rngs = _generators(batch, rng)
     rows, dim = x.shape[-2:]
-    out = ws.take("strong_augment", x.shape)
+    out = _view_arena(ws, x)
     draws = ws.take("strong_augment.draws", (rows, dim))
     drop = ws.take("strong_augment.drop", x.shape, np.bool_)
     for g, noise_k, drop_k in zip(rngs, out.reshape(-1, rows, dim), drop.reshape(-1, rows, dim)):

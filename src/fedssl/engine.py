@@ -36,14 +36,23 @@ passes, the stacked students, velocities and in-round teachers, and the
 stored hard labels. Its buffers grow to the largest group and batch seen
 and are then reused, so a caller that passes one workspace to every
 run_round (the runner keeps one per trial) allocates them once, in the
-first round. Only the results leave
-a group, in memory of their own.
+first round. Arrays that are never live at the same time share an arena
+(see nn). Only the results leave a group, in memory of their own.
+
+The group, not the client, is what a round carries from training to
+aggregation and metering: lockstep_update returns its clients' products
+as ClientUpdates, blocks with one row per client (the student deltas as
+one [K, P] stack, the teacher deltas likewise, the KL statistics as [K]
+arrays). run_round joins its groups' blocks in client-id order (a round of
+one group needs no copy), aggregates the mean of the delta stack, and hands
+the teacher-delta stack to the merge. client_update, the one-client case,
+still returns a ClientUpdateResult.
 
 run_round records every model that crosses the network in the CommLedger,
-which alone prices it: the downlinks as they are sent, then the uplinks
-once every group has trained, client by client in selected order, the
-student delta before the teacher delta. The KL scalars each client reports
-are not metered.
+which alone prices it, with one record call per direction: the downlinks
+as they are sent, then the uplinks once every group has trained, client by
+client in selected order, the student delta before the teacher delta. The
+KL scalars each client reports are not metered.
 
 With the labels at the server, the server fine-tunes the model on its
 labeled pool with plain SGD: server_epochs epochs in batches of
@@ -56,6 +65,7 @@ nn.sgd_epochs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,6 +137,85 @@ class ClientUpdateResult:
             raise ValueError("num_examples must be >= 0")
 
 
+class ClientUpdates(Sequence):
+    """The round products of K clients as blocks: their student deltas as
+    one [K, P] stack, their teacher deltas likewise (or None), and their KL
+    statistics and example counts as [K] arrays. Row k is client
+    client_ids[k]'s; reading item k builds its ClientUpdateResult, whose
+    deltas are views of row k.
+
+    A lockstep group returns one; run_round joins its groups in client-id
+    order and aggregates, merges and meters the joined blocks.
+    """
+
+    def __init__(self, client_ids: Sequence[int], delta: ParamVector,
+                 teacher_delta: ParamVector | None, dkl_teacher: np.ndarray,
+                 dkl_student: np.ndarray, num_examples: np.ndarray) -> None:
+        self.client_ids = tuple(client_ids)
+        self.delta, self.teacher_delta = delta, teacher_delta
+        self.dkl_teacher, self.dkl_student = dkl_teacher, dkl_student
+        self.num_examples = num_examples
+        rows = (len(self.client_ids),)
+        for name in ("delta", "teacher_delta"):
+            block = getattr(self, name)
+            if block is not None and block.values.shape[:-1] != rows:
+                raise ValueError(f"{name} must be a [{rows[0]}, P] stack, "
+                                 f"got {block.values.shape}")
+        for name in ("dkl_teacher", "dkl_student", "num_examples"):
+            if getattr(self, name).shape != rows:
+                raise ValueError(f"{name} must hold one value per client")
+
+    def __len__(self) -> int:
+        return len(self.client_ids)
+
+    def __getitem__(self, k: int) -> ClientUpdateResult:
+        k = range(len(self))[k]
+        teacher = self.teacher_delta
+        return ClientUpdateResult(
+            client_id=self.client_ids[k],
+            delta=ParamVector(self.delta.values[k], self.delta.spec_hash),
+            teacher_delta=None if teacher is None else ParamVector(teacher.values[k],
+                                                                   teacher.spec_hash),
+            kl=KlStats(float(self.dkl_teacher[k]), float(self.dkl_student[k])),
+            num_examples=int(self.num_examples[k]),
+        )
+
+    @staticmethod
+    def join(parts: Sequence[ClientUpdates]) -> ClientUpdates:
+        """The rows of every part in one set of blocks, in client-id order.
+        A single part already in that order is returned as it is; otherwise
+        each part's rows are copied straight to their places.
+        """
+        ids = [cid for part in parts for cid in part.client_ids]
+        order = np.argsort(ids, kind="stable")
+        if len(parts) == 1 and np.array_equal(order, np.arange(len(ids))):
+            return parts[0]
+        if len({part.teacher_delta is None for part in parts}) > 1:
+            raise ValueError("either every part or none carries teacher deltas")
+        # place[i]: where the i-th row of the parts, taken in turn, goes
+        place = np.empty(len(ids), dtype=np.intp)
+        place[order] = np.arange(len(ids))
+
+        def gathered(blocks: list[np.ndarray]) -> np.ndarray:
+            out = np.empty((len(ids),) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+            start = 0
+            for block in blocks:
+                out[place[start:start + len(block)]] = block
+                start += len(block)
+            return out
+
+        def stacked(name: str) -> ParamVector | None:
+            blocks = [getattr(part, name) for part in parts]
+            if blocks[0] is None:
+                return None
+            return ParamVector(gathered([b.values for b in blocks]), blocks[0].spec_hash)
+
+        return ClientUpdates(
+            [ids[i] for i in order], stacked("delta"), stacked("teacher_delta"),
+            *(gathered([getattr(part, name) for part in parts])
+              for name in ("dkl_teacher", "dkl_student", "num_examples")))
+
+
 @dataclass
 class RoundPlan:
     """Per-round shape of the protocol plus local optimizer settings."""
@@ -169,7 +258,11 @@ class RoundPlan:
 
     @property
     def clients_per_round(self) -> int:
-        return max(int(self.participation_rate * self.num_clients), 1)
+        """floor(participation_rate * num_clients), at least 1. The product
+        is rounded to 9 decimals first, so float error cannot take a client
+        away: 0.29 * 100 is 28.999999999999996 in floats, and selects 29.
+        """
+        return max(math.floor(round(self.participation_rate * self.num_clients, 9)), 1)
 
 
 def select_clients(num_clients: int, m: int, round: int, seed: int) -> list[int]:
@@ -205,16 +298,17 @@ def lockstep_update(
     round: int,
     stream_steps: list[int] | None = None,
     workspace: Workspace | None = None,
-) -> list[ClientUpdateResult]:
+) -> ClientUpdates:
     """The participations of K clients whose local batches share one shape,
-    trained in lockstep.
+    trained in lockstep, as one set of blocks with a row per client in the
+    order of shards.
 
     The clients must have equally large unlabeled pools in this
     participation and equally large labeled pools. Their students
     and optimizer velocities are stacked as [K, P], and every local batch is
     one stacked pass over the client axis. Client k keeps its own generator,
     seeded with seeds[k], and draws from it exactly what it would draw
-    training alone, so each result is bitwise that of a one-client call.
+    training alone, so each row is bitwise that of a one-client call.
     round only labels a non-finite error.
 
     Every per-batch array (the gathered inputs, both augmented views, the
@@ -322,21 +416,12 @@ def lockstep_update(
         # each side's [K, n_batches] is C-contiguous, so each client's mean
         # sums its batches in the order a 1-D mean does
         teacher_kl, student_kl = batch_label_kl(kl_labels, batch_sizes, spec.num_classes)
-        kls = [KlStats(float(t), float(st))
-               for t, st in zip(teacher_kl.mean(axis=1), student_kl.mean(axis=1))]
+        dkl_teacher, dkl_student = teacher_kl.mean(axis=1), student_kl.mean(axis=1)
     else:
-        kls = [KlStats(0.0, 0.0) for _ in shards]
-    results = []
-    for k, shard in enumerate(shards):
-        rows = {role: ParamVector(pv.values[k], pv.spec_hash) for role, pv in payload.items()}
-        results.append(ClientUpdateResult(
-            client_id=shard.client_id,
-            delta=rows["student"],
-            teacher_delta=rows.get("teacher"),
-            kl=kls[k],
-            num_examples=int(u_pools[k].size + l_pools[k].size),
-        ))
-    return results
+        dkl_teacher = dkl_student = np.zeros(k_clients)
+    return ClientUpdates([sh.client_id for sh in shards], payload["student"],
+                         payload.get("teacher"), dkl_teacher, dkl_student,
+                         np.full(k_clients, n_u + n_l))
 
 
 def client_update(
@@ -353,7 +438,7 @@ def client_update(
     stream_step: int = 0,
 ) -> ClientUpdateResult:
     """One client's full participation, a pure function of its arguments:
-    the one-client case of lockstep_update.
+    row 0 of the one-client case of lockstep_update.
     """
     return lockstep_update([shard], downlink, variant, plan, hyper, spec, aug, dataset,
                            [seed], round, [stream_step])[0]
@@ -369,16 +454,16 @@ def aggregate_kl(stats: list[KlStats]) -> KlStats:
     )
 
 
-def aggregate(server: ServerState, results: list[ClientUpdateResult]) -> ParamVector:
-    """Server snapshot plus the unweighted mean of client deltas, stacked in
-    client-id order for bit-exact reproducibility.
+def aggregate(server: ServerState, updates: ClientUpdates) -> ParamVector:
+    """Server snapshot plus the unweighted mean of the client deltas, one
+    row per client of a [K, P] stack in client-id order, for bit-exact
+    reproducibility.
     """
-    if not results:
+    if not len(updates):
         raise ValueError("aggregate needs at least one client result")
-    ordered = sorted(results, key=lambda r: r.client_id)
-    for r in ordered:
-        server.global_student.check_compatible(r.delta)
-    mean = np.stack([r.delta.values for r in ordered]).mean(axis=0)
+    deltas = ClientUpdates.join([updates]).delta
+    server.global_student.check_compatible(deltas)
+    mean = deltas.values.mean(axis=0)
     return ParamVector(server.global_student.values + mean, server.global_student.spec_hash)
 
 
@@ -438,9 +523,8 @@ def run_round(
     rnd = server.round
     selected = select_clients(len(shards), plan.clients_per_round, rnd, base_seed)
     downlink = variant_downlink(variant, server)
-    for cid in selected:
-        for role, pv in downlink.items():
-            ledger.record(rnd, "downlink", role, cid, len(pv))
+    # every downlinked model has the global student's size
+    ledger.record(rnd, "downlink", tuple(downlink), selected, len(server.global_student))
 
     # clients whose local batches share one shape train in lockstep
     steps = {cid: server.participations.get(cid, 0) for cid in selected}
@@ -448,25 +532,22 @@ def run_round(
     for cid in selected:
         key = (_unlabeled_pool(shards[cid], steps[cid]).size, shards[cid].labeled_idx.size)
         groups.setdefault(key, []).append(cid)
-    by_client: dict[int, ClientUpdateResult] = {}
     ws = Workspace() if workspace is None else workspace
-    for cids in groups.values():
-        group = lockstep_update(
+    # select_clients sorts, so the joined rows are in selected order
+    updates = ClientUpdates.join([
+        lockstep_update(
             [shards[cid] for cid in cids], downlink, variant, plan, hyper, spec, aug, dataset,
             seeds=[derive_seed(base_seed, "client", rnd, cid) for cid in cids],
             round=rnd,
             stream_steps=[steps[cid] for cid in cids],
             workspace=ws,
         )
-        by_client.update((r.client_id, r) for r in group)
+        for cids in groups.values()
+    ])
+    roles = ("student",) if updates.teacher_delta is None else ("student", "teacher")
+    ledger.record(rnd, "uplink", roles, updates.client_ids, len(updates.delta))
 
-    results = [by_client[cid] for cid in selected]
-    for result in results:
-        for role, pv in (("student", result.delta), ("teacher", result.teacher_delta)):
-            if pv is not None:
-                ledger.record(rnd, "uplink", role, result.client_id, len(pv))
-
-    aggregated = aggregate(server, results)
+    aggregated = aggregate(server, updates)
     new_student = aggregated
     if plan.topology != "labels_at_client":
         # sequential fine-tunes the aggregate; parallel trains the last
@@ -480,17 +561,18 @@ def run_round(
         new_student = trained
         if parallel:
             n_s = server.server_labeled_pool.size
-            n = n_s + sum(r.num_examples for r in results)
+            n = n_s + int(updates.num_examples.sum())
             w = n_s / n
             new_student = ParamVector(
                 w * trained.values + (1.0 - w) * aggregated.values,
                 aggregated.spec_hash,
             )
-    # select_clients sorts, so the results are in client-id order
     new_teacher = variant_server_merge(variant, server.global_teacher, new_student,
-                                       [r.teacher_delta for r in results])
+                                       updates.teacher_delta)
 
-    agg_kl = aggregate_kl([r.kl for r in results])
+    client_kl = {cid: KlStats(float(t), float(st)) for cid, t, st in
+                 zip(updates.client_ids, updates.dkl_teacher, updates.dkl_student)}
+    agg_kl = aggregate_kl(list(client_kl.values()))
     new_state = replace(
         server,
         global_student=new_student,
@@ -498,7 +580,7 @@ def run_round(
         round=rnd + 1,
         last_kl=agg_kl,
         participations={**server.participations, **{cid: n + 1 for cid, n in steps.items()}},
-        client_kl={r.client_id: r.kl for r in results},
+        client_kl=client_kl,
     )
 
     acc_student = evaluate(new_student, spec, eval_data)

@@ -4,17 +4,19 @@ statistics.
 Every model payload that crosses the network, downlink or uplink, is one
 ledger entry, recorded by engine.run_round. The ledger alone prices it:
 bytes are num_params times bytes_per_param (8 for the float64 core, 4 for
-comparison runs). It keeps its entries in typed columns, a few bytes per
-model, and builds a Transmission only when an entry is read back. The two
-KL scalars each client reports are not metered.
+comparison runs). It keeps a round's entries of one direction as one
+block (the round, direction and size once, then each entry's role and
+client id), and builds a Transmission only when an entry is read back. The
+two KL scalars each client reports are not metered.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -52,30 +54,52 @@ class Transmission:
 _TOTAL_KEYS = ("downlink_models", "downlink_bytes", "uplink_models", "uplink_bytes")
 
 
+def _code(names: tuple[str, ...], value: str, what: str) -> int:
+    try:
+        return names.index(value)
+    except ValueError:
+        raise ValueError(f"{what} must be one of {names}") from None
+
+
+class _Block:
+    """Consecutive ledger entries of one round, one direction and one model
+    size: the role code and the client id of each, in sent order (5 bytes
+    an entry).
+    """
+
+    __slots__ = ("round", "direction", "num_params", "roles", "client_ids")
+
+    def __init__(self, round: int, direction: int, num_params: int) -> None:
+        self.round, self.direction, self.num_params = round, direction, num_params
+        self.roles = array("b")
+        self.client_ids = array("i")
+
+
 class CommLedger:
     """Append-only transmission log with per-round and per-role rollups.
 
-    Each entry is one row of five typed columns (round, direction code, role
-    code, client id, num_params: 18 bytes a model), and its bytes are derived
-    from bytes_per_param. The columns double their capacity when full, so a
-    trial moves them a few times, not hundreds: each move of a growing block
-    fragments the heap, and appending one entry at a time raised desk's peak
-    RSS. entries is a read-only sequence view that builds a Transmission per
-    entry read; rows() yields the same fields as plain tuples. Per-round
-    totals are kept running as entries arrive, so a round's rollup costs the
-    same however long the log grows. The pipeline records through record
-    alone; extend, like the constructor, appends prebuilt entries after
-    checking them against this ledger's price.
+    The entries are kept in blocks: a block holds one round, one direction
+    and one model size once, and each entry's role and client id (5 bytes a
+    model). A record call that shares the last block's round, direction and
+    size extends it, so run_round, which meters each direction of a round
+    with one call, makes two blocks a round. An entry's bytes are derived
+    from bytes_per_param. entries is a read-only sequence view that builds a
+    Transmission per entry read; rows() yields the same fields as plain
+    tuples. Per-round totals are kept running as entries arrive, so a
+    round's rollup costs the same however long the log grows. extend, like
+    the constructor, appends prebuilt entries after checking them against
+    this ledger's price.
     """
 
     def __init__(self, bytes_per_param: int = 8, entries: Iterable[Transmission] = ()) -> None:
         if bytes_per_param not in (4, 8):
             raise ValueError("bytes_per_param must be 4 or 8")
         self._bytes_per_param = bytes_per_param
-        # the first _size rows of the columns are entries; the rest is room
         self._size = 0
-        self._columns = tuple(array(code, [0]) * 64 for code in "ibbiq")
-        self._round, self._direction, self._role, self._client_id, self._num_params = self._columns
+        self._blocks: list[_Block] = []
+        # the index of each block's first entry, to find the block an entry
+        # index falls in
+        self._starts = array("q")
         self._rounds: dict[int, list[int]] = {}
         if entries:
             self.extend(entries)
@@ -88,36 +112,36 @@ class CommLedger:
     def entries(self) -> LedgerEntries:
         return LedgerEntries(self)
 
-    def record(
-        self, round: int, direction: str, role: str, client_id: int, num_params: int
-    ) -> None:
-        try:
-            d = DIRECTIONS.index(direction)
-        except ValueError:
-            raise ValueError(f"direction must be one of {DIRECTIONS}") from None
-        try:
-            r = ROLES.index(role)
-        except ValueError:
-            raise ValueError(f"role must be one of {ROLES}") from None
+    def record(self, round: int, direction: str, role: str | Sequence[str],
+               client_id: int | Sequence[int], num_params: int) -> None:
+        """Meter models of num_params parameters sent in one direction in
+        one round. role and client_id are one each, or sequences: each
+        client in client_id, in order, is sent (or sends) one model per
+        role, in the order of role.
+        """
+        d = _code(DIRECTIONS, direction, "direction")
+        roles = [_code(ROLES, r, "role") for r in ((role,) if isinstance(role, str) else role)]
         if round < 0 or num_params < 1:
             raise ValueError("round must be >= 0 and num_params >= 1")
-        n = self._size
-        if n == len(self._round):
-            for column in self._columns:
-                column.extend(column)
-        # a value a column cannot hold raises before _size moves, so a
-        # failed call leaves no partial row
-        self._round[n] = round
-        self._client_id[n] = client_id
-        self._num_params[n] = num_params
-        self._direction[n] = d
-        self._role[n] = r
-        self._size = n + 1
+        # an id the column cannot hold raises here, before anything moves
+        ids = array("i", (client_id,) if isinstance(client_id, Integral) else client_id)
+        count = len(roles) * len(ids)
+        if not count:
+            return
+        block = self._blocks[-1] if self._blocks else None
+        if block is None or (block.round, block.direction, block.num_params) != (
+                round, d, num_params):
+            block = _Block(round, d, num_params)
+            self._blocks.append(block)
+            self._starts.append(self._size)
+        block.roles.extend(array("b", roles) * len(ids))
+        block.client_ids.extend(array("i", [cid for cid in ids for _ in roles]))
+        self._size += count
         totals = self._rounds.get(round)
         if totals is None:
             totals = self._rounds[round] = [0, 0, 0, 0]
-        totals[2 * d] += 1
-        totals[2 * d + 1] += num_params * self._bytes_per_param
+        totals[2 * d] += count
+        totals[2 * d + 1] += count * num_params * self._bytes_per_param
 
     def extend(self, entries: Iterable[Transmission]) -> None:
         for e in entries:
@@ -130,20 +154,19 @@ class CommLedger:
         bytes), in recording order, without building a Transmission.
         """
         bpp = self._bytes_per_param
-        for rnd, d, r, cid, n in islice(zip(*self._columns), self._size):
-            yield rnd, DIRECTIONS[d], ROLES[r], cid, n, n * bpp
+        for b in self._blocks:
+            direction, n = DIRECTIONS[b.direction], b.num_params
+            for r, cid in zip(b.roles, b.client_ids):
+                yield b.round, direction, ROLES[r], cid, n, n * bpp
 
     def model_count(self, direction: str, role: str | None = None) -> int:
-        return sum(
-            1
-            for d, r in islice(zip(self._direction, self._role), self._size)
-            if DIRECTIONS[d] == direction and (role is None or ROLES[r] == role)
-        )
+        d = _code(DIRECTIONS, direction, "direction")
+        r = None if role is None else _code(ROLES, role, "role")
+        return sum(len(b.roles) if r is None else b.roles.count(r)
+                   for b in self._blocks if b.direction == d)
 
     def total_bytes(self, direction: str) -> int:
-        if direction not in DIRECTIONS:
-            return 0
-        slot = 2 * DIRECTIONS.index(direction) + 1
+        slot = 2 * _code(DIRECTIONS, direction, "direction") + 1
         return sum(totals[slot] for totals in self._rounds.values())
 
     def round_totals(self, round: int) -> dict[str, int]:
@@ -152,7 +175,7 @@ class CommLedger:
 
 class LedgerEntries(Sequence):
     """A read-only view of a CommLedger's entries, in recording order. Each
-    item read is a Transmission built from the ledger's columns; the view
+    item read is a Transmission built from the ledger's blocks; the view
     follows entries recorded after it was taken.
     """
 
@@ -169,9 +192,10 @@ class LedgerEntries(Sequence):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
         led = self._ledger
-        n = led._num_params[i]
-        return Transmission(led._round[i], DIRECTIONS[led._direction[i]], ROLES[led._role[i]],
-                            led._client_id[i], n, n * led._bytes_per_param)
+        j = bisect_right(led._starts, i) - 1
+        b, k = led._blocks[j], i - led._starts[j]
+        return Transmission(b.round, DIRECTIONS[b.direction], ROLES[b.roles[k]],
+                            b.client_ids[k], b.num_params, b.num_params * led._bytes_per_param)
 
     def __iter__(self) -> Iterator[Transmission]:
         return (Transmission(*row) for row in self._ledger.rows())

@@ -27,6 +27,15 @@ workspace; given one, their results live in it and are overwritten by the
 next call of the same function on it (sgd_step then updates parameters that
 already live there in place). Called without one, each builds a throwaway
 workspace, so its results own their memory and the same code runs.
+
+Arrays whose lifetimes never overlap within a local batch share one arena.
+loss_and_grad's probabilities go in forward_probs' arena: a batch's
+pseudo-labels are made from forward_probs' result before the objective
+runs. Every temporary that dies before its function returns (sgd_step's,
+ema_update's pulled student, the objective's proximal difference) is taken
+from the one SCRATCH arena. In data, the two augmented views share one
+arena. A group of 50 clients with 64 unlabeled examples each, the
+benchmark's crowd shape, thus trains in 5.1 MiB of workspace, not 6.4 MiB.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh")
+# the Workspace arena for temporaries that die before the function that
+# takes them returns, so any such function may take it
+SCRATCH = "scratch"
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,10 @@ class Workspace:
     for under one name (a ragged last batch, a smaller lockstep group)
     reuses the same memory; views taken before a growth keep the old memory.
     Each name holds one dtype. Nothing is allocated before the first take.
+    Functions that share a name must not need its contents at the same
+    time: loss_and_grad's probabilities and forward_probs' share
+    forward_probs, the two augmented views share augment (see data), and
+    scratch (SCRATCH) is for temporaries that die within one call.
     """
 
     def __init__(self) -> None:
@@ -385,7 +401,8 @@ def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
                   workspace: Workspace | None = None) -> np.ndarray:
     """Per-row softmax class probabilities; rows sum to 1 within 1e-9.
 
-    With a workspace, the result lives in it under forward_probs.
+    With a workspace, the result lives in it under forward_probs, which
+    loss_and_grad's probabilities overwrite too.
     """
     ws = Workspace() if workspace is None else workspace
     inputs = _check_inputs(params, spec, inputs)
@@ -419,9 +436,9 @@ def loss_and_grad(
     probs are the per-row softmax probabilities of this forward pass, so a
     caller that also needs the model's predictions on the batch does not
     run the net a second time. With a workspace, the gradient lives in it
-    under loss_and_grad.grad and the probabilities under loss_and_grad.probs;
-    a call without return_probs leaves the probabilities of an earlier call
-    untouched.
+    under loss_and_grad.grad and the probabilities under forward_probs, the
+    arena forward_probs' result lives in; a call without return_probs leaves
+    that arena untouched.
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -441,7 +458,7 @@ def loss_and_grad(
     layers = _unflatten(params.values, spec)
     bufs = _PassBuffers(spec, ws, rows)
     logits = _forward_layers(layers, inputs, bufs.outputs, bufs.relu)
-    probs = ws.take("loss_and_grad.probs", logits.shape) if return_probs else None
+    probs = ws.take("forward_probs", logits.shape) if return_probs else None
     # flat index of each row's target entry
     at_target = (np.arange(0, targets.size * spec.num_classes, spec.num_classes)
                  + targets.reshape(-1))
@@ -470,7 +487,7 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
     Elementwise, so a [K, P] stack with a [K, P] velocity steps K clients.
     Mutates opt.velocity in place and returns the new parameters. With a
     workspace they live in it under sgd_step, so parameters that already
-    live there are updated in place.
+    live there are updated in place; the step is made in its scratch arena.
     """
     params.check_compatible(grad)
     if opt.velocity.shape != params.values.shape:
@@ -479,7 +496,7 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
         )
     ws = Workspace() if workspace is None else workspace
     shape = params.values.shape
-    scratch = ws.take("sgd_step.scratch", shape)
+    scratch = ws.take(SCRATCH, shape)
     opt.velocity *= opt.momentum
     opt.velocity += grad.values
     if opt.weight_decay != 0.0:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AugmentConfig, strong_augment, weak_augment
-from .nn import Batch, ModelSpec, ParamVector, Workspace, loss_and_grad
+from .nn import SCRATCH, Batch, ModelSpec, ParamVector, Workspace, loss_and_grad
 
 
 @dataclass
@@ -136,13 +136,15 @@ def _kl_rows(p: np.ndarray) -> np.ndarray:
     Rows are summed over their nonzero entries only, as a 1-D sum of those
     entries would be: a zero-padded row sum differs in the last bit. Rows
     with equal nonzero counts are summed together, each along its own row.
+    The distinct counts come from a bincount: np.unique would import
+    numpy.ma, about 1 MB of resident memory, on its first call.
     """
     num_classes = p.shape[-1]
     flat = p.reshape(-1, num_classes)
     nonzero = flat > 0
     per_row = nonzero.sum(axis=1)
     out = np.empty(flat.shape[0])
-    for n in np.unique(per_row):
+    for n in np.flatnonzero(np.bincount(per_row)):
         rows = per_row == n
         sub = flat[rows]
         nz = sub[nonzero[rows]].reshape(-1, n)
@@ -231,7 +233,8 @@ def combined_client_grad(
     clients (student [K, P], batches [K, B, d], one generator per client)
     the loss is a [K] array and grad a [K, P] stack; the snapshot may be a
     single [P] vector shared by all K. With a workspace, grad lives in it
-    under combined_client_grad.
+    under combined_client_grad and strong_probs under forward_probs (see
+    loss_and_grad); the proximal difference is made in its scratch arena.
 
     Consumes each rng in a fixed order (strong view first, then the labeled
     weak view) so call sites line up across variants.
@@ -258,7 +261,7 @@ def combined_client_grad(
         grad += grad_s.values
     if hyper.mu > 0:
         diff = np.subtract(student_params.values, server_snapshot.values,
-                           out=ws.take("combined_client_grad.prox", grad.shape))
+                           out=ws.take(SCRATCH, grad.shape))
         # the row-vector product is the dot product of each slice
         total += 0.5 * hyper.mu * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
         diff *= hyper.mu

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelSpec, ParamVector, Workspace, forward_probs
+from .nn import SCRATCH, ModelSpec, ParamVector, Workspace, forward_probs
 from .semisup import KlStats, PseudoBatch, SslHyper, pseudo_label
 
 
@@ -88,14 +88,15 @@ def ema_update(teacher: ParamVector, student: ParamVector, alpha: float,
     Either side may be a [K, P] stack; a single [P] teacher EMA-ed toward a
     stack of students becomes a stack of teachers. With a workspace the
     result lives in it under ema_update, so a teacher that already lives
-    there is updated in place.
+    there is updated in place, and the pulled student is made in its
+    scratch arena (see nn.Workspace).
     """
     teacher.check_compatible(student)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     ws = Workspace() if workspace is None else workspace
     shape = max(teacher.values.shape, student.values.shape, key=len)
-    pulled = np.multiply(student.values, 1.0 - alpha, out=ws.take("ema_update.student", shape))
+    pulled = np.multiply(student.values, 1.0 - alpha, out=ws.take(SCRATCH, shape))
     out = np.multiply(teacher.values, alpha, out=ws.take("ema_update", shape))
     out += pulled
     return ParamVector(out, teacher.spec_hash)
@@ -194,15 +195,15 @@ def variant_server_merge(
     variant: VariantConfig,
     global_teacher: ParamVector | None,
     aggregated_student: ParamVector,
-    teacher_deltas: list[ParamVector | None] | None = None,
+    teacher_deltas: ParamVector | None = None,
 ) -> ParamVector | None:
     """New global teacher after aggregation (None for the teacherless kind).
 
-    A variant whose clients upload their teachers rebuilds each upload as
-    the global teacher it sent plus the client's teacher delta (given in
-    client-id order), averages the uploads, then applies the round-level
-    EMA toward the new student; the others EMA the existing global teacher
-    directly and ignore teacher_deltas.
+    A variant whose clients upload their teachers rebuilds the uploads, one
+    broadcast add of the global teacher it sent to teacher_deltas (the
+    clients' [M, P] stack, in client-id order), averages them, then applies
+    the round-level EMA toward the new student; the others EMA the existing
+    global teacher directly and ignore teacher_deltas.
     """
     traits = VARIANTS[variant.kind]
     if not traits.teacher:
@@ -211,8 +212,11 @@ def variant_server_merge(
         raise ValueError(f"{variant.kind} requires a global teacher")
     base = global_teacher
     if traits.uploads_teacher:
-        if not teacher_deltas or any(d is None for d in teacher_deltas):
-            raise ValueError(f"{variant.kind} merge requires every client's teacher delta")
-        uploads = np.stack([global_teacher.values + d.values for d in teacher_deltas])
+        if teacher_deltas is None or teacher_deltas.values.ndim != 2 or not len(
+                teacher_deltas.values):
+            raise ValueError(f"{variant.kind} merge requires a [M, P] stack of the clients' "
+                             f"teacher deltas")
+        global_teacher.check_compatible(teacher_deltas)
+        uploads = global_teacher.values + teacher_deltas.values
         base = ParamVector(uploads.mean(axis=0), global_teacher.spec_hash)
     return ema_update(base, aggregated_student, variant.ema_alpha)

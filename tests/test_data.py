@@ -22,7 +22,7 @@ from fedssl.data import (
     strong_augment,
     weak_augment,
 )
-from fedssl.nn import Batch
+from fedssl.nn import Batch, Workspace
 
 
 # ---------------------------------------------------------------- gen_blobs
@@ -554,6 +554,21 @@ def test_augment_stack_needs_one_generator_per_slice():
     stack = Batch(np.zeros((3, 4, 5)))
     with pytest.raises(ValueError, match="generators"):
         weak_augment(stack, AugmentConfig(), [np.random.default_rng(0)] * 2)
+
+
+def test_augmented_views_share_one_workspace_arena():
+    # the strong view overwrites the weak view, whose arena it shares, and a
+    # view of a view would read the arena it writes, so it is refused
+    cfg = AugmentConfig()
+    b = _batch()
+    ws = Workspace()
+    weak = weak_augment(b, cfg, np.random.default_rng(7), workspace=ws)
+    strong = strong_augment(b, cfg, np.random.default_rng(8), workspace=ws)
+    assert np.shares_memory(weak.inputs, strong.inputs)
+    assert np.array_equal(strong.inputs, strong_augment(b, cfg, np.random.default_rng(8)).inputs)
+    for fn in (weak_augment, strong_augment):
+        with pytest.raises(ValueError, match="augment arena"):
+            fn(strong, cfg, np.random.default_rng(9), workspace=ws)
 
 
 def test_strong_full_mask_zeroes_everything():

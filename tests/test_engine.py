@@ -23,6 +23,7 @@ from fedssl.data import (
 )
 from fedssl.engine import (
     ClientUpdateResult,
+    ClientUpdates,
     RoundPlan,
     ServerState,
     aggregate,
@@ -102,6 +103,20 @@ def test_plan_clients_per_round_rule():
     assert _plan(num_clients=20, participation_rate=0.25).clients_per_round == 5
     assert _plan(num_clients=100, participation_rate=0.005).clients_per_round == 1
     assert _plan(num_clients=3, participation_rate=1.0).clients_per_round == 3
+
+
+def test_plan_clients_per_round_is_not_cut_short_by_float_error():
+    # 0.29 * 100 is 28.999999999999996 in floats, 0.58 * 50 too, and
+    # 0.7 * 90 is 62.99999999999999
+    assert _plan(num_clients=100, participation_rate=0.29).clients_per_round == 29
+    assert _plan(num_clients=50, participation_rate=0.58).clients_per_round == 29
+    assert _plan(num_clients=90, participation_rate=0.7).clients_per_round == 63
+    # every rate of two decimals on 1 to 200 clients selects the exact floor
+    # of the product, at least 1
+    for pct in range(1, 101):
+        for n in range(1, 201):
+            plan = _plan(num_clients=n, participation_rate=pct / 100)
+            assert plan.clients_per_round == max(pct * n // 100, 1), (pct, n)
 
 
 def test_plan_validation():
@@ -554,6 +569,11 @@ def test_lockstep_warm_workspace_allocation_budget():
             spec, AugmentConfig(), ds, list(range(k_clients)), 0)
     ws = Workspace()
     lockstep_update(*args, workspace=ws)
+    # arenas whose contents are never live together are shared (the two
+    # augmented views; forward_probs' and the objective's probabilities;
+    # the [K, P] temporaries of sgd_step, ema_update and the proximal
+    # pull): 6,708,992 bytes before they were
+    assert ws.nbytes == 5_344_192
     tracemalloc.start()
     try:
         lockstep_update(*args, workspace=ws)
@@ -618,6 +638,86 @@ def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_group
                                   round=0, stream_step=step)
             _same_result(res, alone)
             assert new_server.client_kl[shard.client_id] == alone.kl
+
+
+@pytest.mark.parametrize("kind", ["ts_client_ema", "fedprox_fixmatch"])
+def test_round_of_interleaved_groups_equals_a_client_by_client_reference(kind, lockstep_groups):
+    # five streamed clients with segments of 8/7/7 examples, at stream
+    # positions 0, 1, 0, 2 and 3: clients 0, 2 and 4 train 8 examples and
+    # clients 1 and 3 train 7, so the two groups' client ids interleave.
+    # The new state and every ledger row must be bitwise those of a round
+    # built one client_update at a time, in selected order
+    ds = gen_blobs(3, 3, 41, 0.3, seed=0)
+    shards = [make_stream_schedule(sh, 3, seed=sh.client_id)
+              for sh in dirichlet_shard(ds, ShardPlan(5, 10.0, 2, seed=0)).shards]
+    plan = _plan(num_clients=5, local_epochs=2, momentum=0.5, weight_decay=0.01)
+    variant = VariantConfig(kind, ema_alpha=0.8)
+    steps = {0: 0, 1: 1, 2: 0, 3: 2, 4: 3}
+    server = replace(init_server(SPEC, variant, seed=3), participations=steps)
+    ledger = CommLedger(bytes_per_param=4)
+    new_server, report = run_round(server, shards, variant, plan, HYPER, SPEC, AUG, ds, ds, 21,
+                                   ledger)
+    assert [[sh.client_id for sh in g[0]] for g in lockstep_groups] == [[0, 2, 4], [1, 3]]
+
+    downlink = {"student": server.global_student}
+    if server.global_teacher is not None:
+        downlink["teacher"] = server.global_teacher
+    results = [client_update(shards[cid], downlink, variant, plan, HYPER, SPEC, AUG, ds,
+                             seed=derive_seed(21, "client", 0, cid), round=0,
+                             stream_step=steps[cid])
+               for cid in range(5)]
+    student = server.global_student.values + np.stack([r.delta.values for r in results]).mean(0)
+    assert np.array_equal(new_server.global_student.values, student)
+    if kind == "ts_client_ema":
+        uploads = np.stack([server.global_teacher.values + r.teacher_delta.values
+                            for r in results])
+        teacher = ema_update(ParamVector(uploads.mean(axis=0), SPEC.spec_hash),
+                             ParamVector(student, SPEC.spec_hash), 0.8)
+        assert np.array_equal(new_server.global_teacher.values, teacher.values)
+    else:
+        assert new_server.global_teacher is None
+    assert new_server.client_kl == {r.client_id: r.kl for r in results}
+    assert new_server.last_kl == KlStats(float(np.mean([r.kl.dkl_teacher for r in results])),
+                                         float(np.mean([r.kl.dkl_student for r in results])))
+    assert new_server.participations == {cid: n + 1 for cid, n in steps.items()}
+    assert new_server.round == 1
+    size = SPEC.num_params
+    rows = [(0, "downlink", role, cid, size, 4 * size) for cid in range(5) for role in downlink]
+    rows += [(0, "uplink", role, r.client_id, size, 4 * size) for r in results
+             for role, pv in (("student", r.delta), ("teacher", r.teacher_delta))
+             if pv is not None]
+    assert list(ledger.rows()) == rows
+    assert (report.downlink_bytes, report.uplink_bytes) == (
+        4 * size * len(downlink) * 5, 4 * size * (len(rows) - len(downlink) * 5))
+
+
+def test_client_updates_join_in_client_id_order():
+    rng = np.random.default_rng(1)
+    rows = rng.normal(size=(5, SPEC.num_params))
+
+    def part(cids):
+        return ClientUpdates(cids, ParamVector(rows[cids], SPEC.spec_hash),
+                             ParamVector(-rows[cids], SPEC.spec_hash), np.array(cids) * 0.5,
+                             np.array(cids) * 0.25, np.array(cids) + 10)
+
+    whole = ClientUpdates.join([part([1, 3]), part([0, 2, 4])])
+    assert whole.client_ids == (0, 1, 2, 3, 4)
+    assert np.array_equal(whole.delta.values, rows)
+    assert whole.delta.values.flags["C_CONTIGUOUS"]
+    assert np.array_equal(whole.teacher_delta.values, -rows)
+    assert [whole[k].kl for k in range(5)] == [KlStats(k * 0.5, k * 0.25) for k in range(5)]
+    assert list(whole.num_examples) == [10, 11, 12, 13, 14]
+    assert whole[-1].client_id == 4 and whole[-1].delta.values.base is not None
+    # a single part in order is not copied
+    ordered = part([0, 2])
+    assert ClientUpdates.join([ordered]) is ordered
+    teacherless = part([1])
+    teacherless.teacher_delta = None
+    with pytest.raises(ValueError, match="teacher deltas"):
+        ClientUpdates.join([ordered, teacherless])
+    with pytest.raises(ValueError, match="one value per client"):
+        ClientUpdates([0, 1], ParamVector(rows[:2], SPEC.spec_hash), None, np.zeros(1),
+                      np.zeros(2), np.zeros(2))
 
 
 def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockstep_groups):
@@ -695,9 +795,12 @@ def test_lockstep_pseudo_label_counts_equal_one_client_runs(monkeypatch):
 # -------------------------------------------------------------- aggregate
 
 
-def _result(cid, delta_values):
-    delta = ParamVector(np.asarray(delta_values, dtype=np.float64), SPEC.spec_hash)
-    return ClientUpdateResult(cid, delta, None, KlStats(0, 0), 10)
+def _updates(cids, deltas, num_examples=None, spec_hash=SPEC.spec_hash):
+    """A block of client products with the given [K, P] deltas."""
+    k = len(cids)
+    return ClientUpdates(cids, ParamVector(np.asarray(deltas, dtype=np.float64), spec_hash),
+                         None, np.zeros(k), np.zeros(k),
+                         np.full(k, 10) if num_examples is None else np.asarray(num_examples))
 
 
 def _server(values=None):
@@ -710,46 +813,44 @@ def _server(values=None):
 def test_aggregate_opposite_deltas_cancel():
     n = SPEC.num_params
     srv = _server(np.zeros(n))
-    out = aggregate(srv, [_result(0, np.full(n, 2.0)), _result(1, np.full(n, -2.0))])
+    out = aggregate(srv, _updates([0, 1], [np.full(n, 2.0), np.full(n, -2.0)]))
     assert np.all(out.values == 0.0)
 
 
 def test_aggregate_single_client():
     n = SPEC.num_params
     srv = _server(np.full(n, 1.0))
-    out = aggregate(srv, [_result(0, np.full(n, 0.5))])
+    out = aggregate(srv, _updates([0], [np.full(n, 0.5)]))
     assert np.allclose(out.values, 1.5, atol=0)
 
 
 def test_aggregate_unweighted_mean_ignores_example_counts():
     n = SPEC.num_params
     srv = _server(np.zeros(n))
-    small = _result(0, np.full(n, 3.0))
-    large = _result(1, np.full(n, -1.0))
-    small.num_examples, large.num_examples = 1, 99
-    out = aggregate(srv, [small, large])
+    out = aggregate(srv, _updates([0, 1], [np.full(n, 3.0), np.full(n, -1.0)], [1, 99]))
     assert np.all(out.values == 1.0)
 
 
 def test_aggregate_permutation_invariant_bitwise():
     rng = np.random.default_rng(0)
-    results = [_result(cid, rng.normal(size=SPEC.num_params)) for cid in range(5)]
+    deltas = rng.normal(size=(5, SPEC.num_params))
     srv = _server()
-    fwd = aggregate(srv, results)
-    rev = aggregate(srv, list(reversed(results)))
+    fwd = aggregate(srv, _updates(range(5), deltas))
+    rev = aggregate(srv, _updates(range(4, -1, -1), deltas[::-1]))
+    shuffled = ClientUpdates.join([_updates([3, 0], deltas[[3, 0]]),
+                                   _updates([4, 1, 2], deltas[[4, 1, 2]])])
     assert np.array_equal(fwd.values, rev.values)
+    assert np.array_equal(fwd.values, aggregate(srv, shuffled).values)
+    assert np.array_equal(fwd.values, srv.global_student.values + np.stack(list(deltas)).mean(0))
 
 
 def test_aggregate_rejects_empty_and_mismatch():
     srv = _server()
     with pytest.raises(ValueError):
-        aggregate(srv, [])
+        aggregate(srv, _updates([], np.empty((0, SPEC.num_params))))
     other = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=3)
-    bad = ClientUpdateResult(
-        0, init_params(other, 0), None, KlStats(0, 0), 1
-    )
     with pytest.raises(ValueError):
-        aggregate(srv, [bad])
+        aggregate(srv, _updates([0], init_params(other, 0).values[None], spec_hash=other.spec_hash))
 
 
 def test_aggregate_kl_mean_of_means():

@@ -176,7 +176,16 @@ def test_ledger_totals_and_counts_match_a_rescan():
         for role in ROLES:
             assert led.model_count(direction, role) == sum(
                 e.direction == direction and e.role == role for e in entries)
-    assert led.model_count("sideways") == 0 and led.total_bytes("sideways") == 0
+
+
+def test_ledger_rollups_reject_unknown_names():
+    led, _ = _mixed_ledger()
+    with pytest.raises(ValueError, match=r"^direction must be one of \('downlink', 'uplink'\)$"):
+        led.total_bytes("uplnk")
+    with pytest.raises(ValueError, match=r"^direction must be one of \('downlink', 'uplink'\)$"):
+        led.model_count("sideways")
+    with pytest.raises(ValueError, match=r"^role must be one of \('student', 'teacher'\)$"):
+        led.model_count("uplink", "teachr")
 
 
 def test_ledger_record_rejects_bad_entries():
@@ -199,8 +208,9 @@ def test_ledger_record_rejects_bad_entries():
 
 def test_ledger_memory_budget_at_crowd_shape():
     # crowd's trial: 300 rounds of 50 clients, each sent and sending a
-    # student and a teacher of 874 parameters, 60,000 records. One object
-    # per entry peaked at 7.0 MiB here; the typed columns peak at 1.2 MiB
+    # student and a teacher of 874 parameters, 60,000 records, one entry
+    # at a time. One object per entry peaked at 7.0 MiB here and typed
+    # columns at 1.2 MiB; the blocks, two a round, peak at 0.5 MiB
     led = CommLedger()
     tracemalloc.start()
     try:
@@ -214,7 +224,54 @@ def test_ledger_memory_budget_at_crowd_shape():
         tracemalloc.stop()
     assert len(led.entries) == 60_000
     assert led.total_bytes("uplink") == 30_000 * 874 * 8
-    assert peak < 2 * 2**20
+    assert peak < 2**20
+
+
+def test_ledger_block_records_read_back_entry_by_entry():
+    # record calls of whole blocks and of single entries, mixed at random:
+    # repeated and broken role patterns, a client cut off after its first
+    # role, changes of round, direction and size. Every view of the ledger
+    # must read the entries each call expands to, in call order
+    rng = np.random.default_rng(3)
+    led = CommLedger(bytes_per_param=4)
+    expected = []
+    for _ in range(400):
+        rnd, direction = int(rng.integers(3)), DIRECTIONS[rng.integers(2)]
+        num_params = int(rng.choice([5, 9]))
+        if rng.random() < 0.3:
+            roles = [ROLES[i] for i in rng.integers(2, size=rng.integers(1, 4))]
+            ids = [int(c) for c in rng.integers(6, size=rng.integers(0, 4))]
+            led.record(rnd, direction, roles, ids, num_params)
+        else:
+            roles, ids = [ROLES[rng.integers(2)]], [int(rng.integers(3))]
+            led.record(rnd, direction, roles[0], ids[0], num_params)
+        expected += [Transmission(rnd, direction, role, cid, num_params, 4 * num_params)
+                     for cid in ids for role in roles]
+    assert len(led.entries) == len(expected)
+    assert list(led.entries) == expected
+    assert [led.entries[i] for i in range(-len(expected), 0)] == expected
+    assert list(led.rows()) == [tuple(getattr(e, f) for f in Transmission.__slots__)
+                                for e in expected]
+    for direction in DIRECTIONS:
+        assert led.total_bytes(direction) == sum(
+            e.bytes for e in expected if e.direction == direction)
+        for role in (None, *ROLES):
+            assert led.model_count(direction, role) == sum(
+                e.direction == direction and role in (None, e.role) for e in expected)
+    for rnd in range(3):
+        assert led.round_totals(rnd) == CommLedger(4, expected).round_totals(rnd)
+
+
+def test_ledger_meters_a_round_as_one_block_a_direction():
+    led = CommLedger()
+    led.record(0, "downlink", ("student", "teacher"), [3, 8, 9], 874)
+    led.record(0, "uplink", ("student",), np.array([3, 8, 9]), 874)
+    assert len(led._blocks) == 2
+    assert list(led.rows()) == [
+        (0, "downlink", role, cid, 874, 6992) for cid in (3, 8, 9) for role in ROLES
+    ] + [(0, "uplink", "student", cid, 874, 6992) for cid in (3, 8, 9)]
+    assert led.round_totals(0) == {"downlink_models": 6, "downlink_bytes": 6 * 6992,
+                                   "uplink_models": 3, "uplink_bytes": 3 * 6992}
 
 
 def test_ledger_extend_rejects_inconsistent_scale():

@@ -1,5 +1,8 @@
 """Tests for the multi-trial runner and sweep grid."""
 
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -46,6 +49,23 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def test_a_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, about 1 MB of resident memory, on its
+    # first call; a run calls nothing that does. A fresh process, so no
+    # other test's imports count
+    config = tmp_path / "exp.ini"
+    config.write_text(BASE.replace("rounds = 3", "rounds = 2").replace(
+        "[run]", f"[run]\noutput = {tmp_path / 'exp'}") + "[variant]\nkind = ts_client_ema\n",
+        encoding="utf-8")
+    code = ("import sys, fedssl; fedssl.run_experiment(fedssl.parse_config(sys.argv[1])); "
+            "print('numpy.ma' in sys.modules)")
+    src = Path(runner.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, str(config)], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (tmp_path / "exp" / "trial_001" / "rounds.csv").is_file()
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_run_writes_expected_tree(tmp_path):

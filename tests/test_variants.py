@@ -259,7 +259,7 @@ def test_merge_ts_client_mean_then_ema():
     n = SPEC.num_params
     t = _pv(np.full(n, 10.0))
     s = _pv(np.full(n, 0.0))
-    deltas = [_pv(np.full(n, -8.0)), _pv(np.full(n, -6.0))]
+    deltas = _pv(np.stack([np.full(n, -8.0), np.full(n, -6.0)]))
     out = variant_server_merge(VariantConfig("ts_client_ema", ema_alpha=0.5), t, s, deltas)
     # the uploads are 10 - 8 = 2 and 10 - 6 = 4; their mean 3, then
     # 0.5*3 + 0.5*0 = 1.5, so the old teacher only enters through the uploads
@@ -271,10 +271,11 @@ def test_merge_ts_client_requires_uploads():
         variant_server_merge(
             VariantConfig("ts_client_ema"), init_params(SPEC, 0), init_params(SPEC, 1)
         )
-    with pytest.raises(ValueError):
+    # a single [P] delta is not a [M, P] stack of the clients' uploads
+    with pytest.raises(ValueError, match=r"\[M, P\] stack"):
         variant_server_merge(
             VariantConfig("ts_client_ema"), init_params(SPEC, 0), init_params(SPEC, 1),
-            [init_params(SPEC, 2), None],
+            init_params(SPEC, 2),
         )
 
 
