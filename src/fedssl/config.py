@@ -19,7 +19,7 @@ from .data import AugmentConfig, ShardPlan
 from .engine import RoundPlan
 from .metrics import CommLedger
 from .semisup import SslHyper
-from .variants import VARIANTS, VariantConfig
+from .variants import VariantConfig
 
 GENERATORS = ("blobs", "csv")
 
@@ -88,15 +88,12 @@ class VariantSettings:
         if isinstance(self.iidness_prior, str) and not auto:
             raise ValueError("iidness_prior must be a number or 'auto'")
         # delegate the remaining ranges, the kind first, to the config the
-        # runner builds; resolved_alpha would look up an unchecked kind
-        VariantConfig(self.kind, 0.0 if self.ema_alpha is None else self.ema_alpha,
-                      0.0 if auto else self.iidness_prior)
+        # runner builds
+        VariantConfig(self.kind, self.ema_alpha, 0.0 if auto else self.iidness_prior)
 
     @property
     def resolved_alpha(self) -> float:
-        if self.ema_alpha is not None:
-            return self.ema_alpha
-        return VARIANTS[self.kind].default_alpha
+        return VariantConfig(self.kind, self.ema_alpha).ema_alpha
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -111,7 +111,6 @@ class ShardingResult:
 
     shards: list[ClientShard]
     server_labeled_idx: np.ndarray
-    fallback_events: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -368,7 +367,6 @@ def dirichlet_shard(ds: Dataset, plan: ShardPlan) -> ShardingResult:
     alphas = np.full(c, plan.dirichlet_alpha)
     draw_labeled = not plan.server_holds_labels and plan.labeled_per_client > 0
     shards: list[ClientShard] = []
-    fallback_events: list[tuple[int, int]] = []
     for cid in range(k):
         p = rng.dirichlet(alphas)
         lab_parts: list[np.ndarray] = []
@@ -378,7 +376,6 @@ def dirichlet_shard(ds: Dataset, plan: ShardPlan) -> ShardingResult:
                                             labeled_stocks, labeled_left)
         unl_parts, unl_fb = _draw_quota(rng, p, quota_u, stocks, unlabeled_left)
         fallback = sorted(set(lab_fb).union(unl_fb))
-        fallback_events.extend((cid, cls) for cls in fallback)
         shards.append(
             ClientShard(
                 client_id=cid,
@@ -392,8 +389,7 @@ def dirichlet_shard(ds: Dataset, plan: ShardPlan) -> ShardingResult:
         server_idx = _sorted_indices(labeled_stocks)
     else:
         server_idx = np.empty(0, dtype=np.int64)
-    return ShardingResult(shards=shards, server_labeled_idx=server_idx,
-                          fallback_events=fallback_events)
+    return ShardingResult(shards=shards, server_labeled_idx=server_idx)
 
 
 def make_stream_schedule(shard: ClientShard, num_steps: int, seed: int) -> ClientShard:

@@ -104,13 +104,13 @@ class ServerState:
 
     participations counts the rounds each client has joined; client_kl holds
     the KL statistics the last round's participants reported, in client-id
-    order. run_round builds both afresh and never mutates a given state.
+    order, and last_kl is derived from it. run_round builds both afresh and
+    never mutates a given state.
     """
 
     global_student: ParamVector
     global_teacher: ParamVector | None
     round: int
-    last_kl: KlStats
     server_labeled_pool: Dataset | None = None
     participations: dict[int, int] = field(default_factory=dict)
     client_kl: dict[int, KlStats] = field(default_factory=dict)
@@ -121,6 +121,17 @@ class ServerState:
         if self.global_teacher is not None:
             self.global_student.check_compatible(self.global_teacher)
 
+    @property
+    def last_kl(self) -> KlStats:
+        """The server-side KL rollup: the mean of client_kl's statistics in
+        client-id order, zeros before the first round.
+        """
+        if not self.client_kl:
+            return KlStats(0.0, 0.0)
+        stats = [self.client_kl[cid] for cid in sorted(self.client_kl)]
+        return KlStats(float(np.mean([s.dkl_teacher for s in stats])),
+                       float(np.mean([s.dkl_student for s in stats])))
+
 
 @dataclass
 class ClientUpdateResult:
@@ -130,19 +141,13 @@ class ClientUpdateResult:
     delta: ParamVector
     teacher_delta: ParamVector | None
     kl: KlStats
-    num_examples: int
-
-    def __post_init__(self) -> None:
-        if self.num_examples < 0:
-            raise ValueError("num_examples must be >= 0")
 
 
 class ClientUpdates(Sequence):
     """The round products of K clients as blocks: their student deltas as
     one [K, P] stack, their teacher deltas likewise (or None), and their KL
-    statistics and example counts as [K] arrays. Row k is client
-    client_ids[k]'s; reading item k builds its ClientUpdateResult, whose
-    deltas are views of row k.
+    statistics as [K] arrays. Row k is client client_ids[k]'s; reading item
+    k builds its ClientUpdateResult, whose deltas are views of row k.
 
     A lockstep group returns one; run_round joins its groups in client-id
     order and aggregates, merges and meters the joined blocks.
@@ -150,18 +155,17 @@ class ClientUpdates(Sequence):
 
     def __init__(self, client_ids: Sequence[int], delta: ParamVector,
                  teacher_delta: ParamVector | None, dkl_teacher: np.ndarray,
-                 dkl_student: np.ndarray, num_examples: np.ndarray) -> None:
+                 dkl_student: np.ndarray) -> None:
         self.client_ids = tuple(client_ids)
         self.delta, self.teacher_delta = delta, teacher_delta
         self.dkl_teacher, self.dkl_student = dkl_teacher, dkl_student
-        self.num_examples = num_examples
         rows = (len(self.client_ids),)
         for name in ("delta", "teacher_delta"):
             block = getattr(self, name)
             if block is not None and block.values.shape[:-1] != rows:
                 raise ValueError(f"{name} must be a [{rows[0]}, P] stack, "
                                  f"got {block.values.shape}")
-        for name in ("dkl_teacher", "dkl_student", "num_examples"):
+        for name in ("dkl_teacher", "dkl_student"):
             if getattr(self, name).shape != rows:
                 raise ValueError(f"{name} must hold one value per client")
 
@@ -177,7 +181,6 @@ class ClientUpdates(Sequence):
             teacher_delta=None if teacher is None else ParamVector(teacher.values[k],
                                                                    teacher.spec_hash),
             kl=KlStats(float(self.dkl_teacher[k]), float(self.dkl_student[k])),
-            num_examples=int(self.num_examples[k]),
         )
 
     @staticmethod
@@ -213,7 +216,7 @@ class ClientUpdates(Sequence):
         return ClientUpdates(
             [ids[i] for i in order], stacked("delta"), stacked("teacher_delta"),
             *(gathered([getattr(part, name) for part in parts])
-              for name in ("dkl_teacher", "dkl_student", "num_examples")))
+              for name in ("dkl_teacher", "dkl_student")))
 
 
 @dataclass
@@ -226,10 +229,10 @@ class RoundPlan:
     server_epochs: int
     topology: str
     labeled_batch_size: int = 32
-    unlabeled_batch_size: int = 32
+    unlabeled_batch_size: int = 64
     server_batch_size: int = 32
-    learning_rate: float = 0.05
-    server_learning_rate: float = 0.05
+    learning_rate: float = 0.1
+    server_learning_rate: float = 0.1
     momentum: float = 0.0
     weight_decay: float = 0.0
 
@@ -420,8 +423,7 @@ def lockstep_update(
     else:
         dkl_teacher = dkl_student = np.zeros(k_clients)
     return ClientUpdates([sh.client_id for sh in shards], payload["student"],
-                         payload.get("teacher"), dkl_teacher, dkl_student,
-                         np.full(k_clients, n_u + n_l))
+                         payload.get("teacher"), dkl_teacher, dkl_student)
 
 
 def client_update(
@@ -442,16 +444,6 @@ def client_update(
     """
     return lockstep_update([shard], downlink, variant, plan, hyper, spec, aug, dataset,
                            [seed], round, [stream_step])[0]
-
-
-def aggregate_kl(stats: list[KlStats]) -> KlStats:
-    """Server-side KL rollup: the mean of the client means."""
-    if not stats:
-        raise ValueError("aggregate_kl needs at least one client's stats")
-    return KlStats(
-        dkl_teacher=float(np.mean([s.dkl_teacher for s in stats])),
-        dkl_student=float(np.mean([s.dkl_student for s in stats])),
-    )
 
 
 def aggregate(server: ServerState, updates: ClientUpdates) -> ParamVector:
@@ -526,7 +518,8 @@ def run_round(
     # every downlinked model has the global student's size
     ledger.record(rnd, "downlink", tuple(downlink), selected, len(server.global_student))
 
-    # clients whose local batches share one shape train in lockstep
+    # clients whose local batches share one shape, keyed by their
+    # (unlabeled, labeled) pool sizes, train in lockstep
     steps = {cid: server.participations.get(cid, 0) for cid in selected}
     groups: dict[tuple[int, int], list[int]] = {}
     for cid in selected:
@@ -561,7 +554,7 @@ def run_round(
         new_student = trained
         if parallel:
             n_s = server.server_labeled_pool.size
-            n = n_s + int(updates.num_examples.sum())
+            n = n_s + sum((n_u + n_l) * len(cids) for (n_u, n_l), cids in groups.items())
             w = n_s / n
             new_student = ParamVector(
                 w * trained.values + (1.0 - w) * aggregated.values,
@@ -570,18 +563,16 @@ def run_round(
     new_teacher = variant_server_merge(variant, server.global_teacher, new_student,
                                        updates.teacher_delta)
 
-    client_kl = {cid: KlStats(float(t), float(st)) for cid, t, st in
-                 zip(updates.client_ids, updates.dkl_teacher, updates.dkl_student)}
-    agg_kl = aggregate_kl(list(client_kl.values()))
     new_state = replace(
         server,
         global_student=new_student,
         global_teacher=new_teacher,
         round=rnd + 1,
-        last_kl=agg_kl,
         participations={**server.participations, **{cid: n + 1 for cid, n in steps.items()}},
-        client_kl=client_kl,
+        client_kl={cid: KlStats(float(t), float(st)) for cid, t, st in
+                   zip(updates.client_ids, updates.dkl_teacher, updates.dkl_student)},
     )
+    agg_kl = new_state.last_kl
 
     acc_student = evaluate(new_student, spec, eval_data)
     acc_teacher = evaluate(new_teacher, spec, eval_data) if new_teacher is not None else acc_student
@@ -612,6 +603,5 @@ def init_server(
         global_student=student,
         global_teacher=teacher,
         round=0,
-        last_kl=KlStats(0.0, 0.0),
         server_labeled_pool=server_labeled_pool,
     )

@@ -13,7 +13,6 @@ two KL scalars each client reports are not metered.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Integral
@@ -83,26 +82,21 @@ class CommLedger:
     model). A record call that shares the last block's round, direction and
     size extends it, so run_round, which meters each direction of a round
     with one call, makes two blocks a round. An entry's bytes are derived
-    from bytes_per_param. entries is a read-only sequence view that builds a
-    Transmission per entry read; rows() yields the same fields as plain
-    tuples. Per-round totals are kept running as entries arrive, so a
-    round's rollup costs the same however long the log grows. extend, like
-    the constructor, appends prebuilt entries after checking them against
-    this ledger's price.
+    from bytes_per_param. entries is a read-only view with a length that
+    builds a Transmission per entry as it is iterated; rows() yields the
+    same fields as plain tuples. Per-round totals are kept running as
+    entries arrive, so a round's rollup costs the same however long the log
+    grows. extend appends prebuilt entries after checking them against this
+    ledger's price.
     """
 
-    def __init__(self, bytes_per_param: int = 8, entries: Iterable[Transmission] = ()) -> None:
+    def __init__(self, bytes_per_param: int = 8) -> None:
         if bytes_per_param not in (4, 8):
             raise ValueError("bytes_per_param must be 4 or 8")
         self._bytes_per_param = bytes_per_param
         self._size = 0
         self._blocks: list[_Block] = []
-        # the index of each block's first entry, to find the block an entry
-        # index falls in
-        self._starts = array("q")
         self._rounds: dict[int, list[int]] = {}
-        if entries:
-            self.extend(entries)
 
     @property
     def bytes_per_param(self) -> int:
@@ -133,7 +127,6 @@ class CommLedger:
                 round, d, num_params):
             block = _Block(round, d, num_params)
             self._blocks.append(block)
-            self._starts.append(self._size)
         block.roles.extend(array("b", roles) * len(ids))
         block.client_ids.extend(array("i", [cid for cid in ids for _ in roles]))
         self._size += count
@@ -173,10 +166,10 @@ class CommLedger:
         return dict(zip(_TOTAL_KEYS, self._rounds.get(round, (0, 0, 0, 0))))
 
 
-class LedgerEntries(Sequence):
-    """A read-only view of a CommLedger's entries, in recording order. Each
-    item read is a Transmission built from the ledger's blocks; the view
-    follows entries recorded after it was taken.
+class LedgerEntries:
+    """A read-only view of a CommLedger's entries, in recording order: its
+    length, and on iteration a Transmission per entry, built from the
+    ledger's blocks. The view follows entries recorded after it was taken.
     """
 
     __slots__ = ("_ledger",)
@@ -186,16 +179,6 @@ class LedgerEntries(Sequence):
 
     def __len__(self) -> int:
         return self._ledger._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        led = self._ledger
-        j = bisect_right(led._starts, i) - 1
-        b, k = led._blocks[j], i - led._starts[j]
-        return Transmission(b.round, DIRECTIONS[b.direction], ROLES[b.roles[k]],
-                            b.client_ids[k], b.num_params, b.num_params * led._bytes_per_param)
 
     def __iter__(self) -> Iterator[Transmission]:
         return (Transmission(*row) for row in self._ledger.rows())

@@ -1,6 +1,6 @@
-"""Minimal MLP substrate: flat parameter vectors, forward pass, analytic
-cross-entropy gradients, heavy-ball SGD, a single-model kernel for whole
-epochs of plain SGD, and a finite-difference oracle.
+"""Minimal ReLU MLP substrate: flat parameter vectors, forward pass,
+analytic cross-entropy gradients, heavy-ball SGD, a single-model kernel for
+whole epochs of plain SGD, and a finite-difference oracle.
 
 All math is float64. Parameters live in a single flat vector (the unit of
 transport and aggregation); the layout is, per layer, the weight matrix in
@@ -47,7 +47,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh")
 # the Workspace arena for temporaries that die before the function that
 # takes them returns, so any such function may take it
 SCRATCH = "scratch"
@@ -55,12 +54,13 @@ SCRATCH = "scratch"
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Shape of the MLP: input_dim -> hidden_dims -> num_classes logits."""
+    """Shape of the MLP: input_dim -> hidden_dims -> num_classes logits,
+    with a ReLU after every hidden layer.
+    """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
-    activation: str = "relu"
     # the parameter layout, derived once here because every forward and
     # gradient reads it: (fan_in, fan_out) per affine layer, input to logits
     layer_dims: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
@@ -68,8 +68,8 @@ class ModelSpec:
     # per layer: (weight start, bias start, bias end, fan_in, fan_out)
     _layout: tuple[tuple[int, int, int, int, int], ...] = field(
         init=False, repr=False, compare=False)
-    # per layer, the names of its two Workspace buffers: its output, and the
-    # derivative of its activation
+    # per layer, the names of its two Workspace buffers: its output, and its
+    # ReLU gate
     _buffers: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -79,8 +79,6 @@ class ModelSpec:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
         layer_dims = tuple(zip(dims[:-1], dims[1:]))
@@ -94,11 +92,11 @@ class ModelSpec:
         object.__setattr__(self, "num_params", offset)
         object.__setattr__(self, "_layout", tuple(layout))
         object.__setattr__(self, "_buffers", tuple(
-            (f"layer{i}", f"layer{i}.{self.activation}") for i in range(len(layer_dims))))
+            (f"layer{i}", f"layer{i}.relu") for i in range(len(layer_dims))))
 
     @property
     def spec_hash(self) -> str:
-        tag = f"{self.input_dim}|{list(self.hidden_dims)}|{self.num_classes}|{self.activation}"
+        tag = f"{self.input_dim}|{list(self.hidden_dims)}|{self.num_classes}|relu"
         return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
@@ -172,12 +170,14 @@ class Batch:
 
 @dataclass
 class OptimState:
-    """Heavy-ball SGD state. velocity is updated in place by sgd_step."""
+    """Heavy-ball SGD state. velocity, shaped like the parameters it steps,
+    is updated in place by sgd_step.
+    """
 
     learning_rate: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity: np.ndarray = field(default=None)  # type: ignore[assignment]
+    velocity: np.ndarray = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -186,12 +186,6 @@ class OptimState:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-
-    @classmethod
-    def fresh(cls, spec: ModelSpec, learning_rate: float, momentum: float = 0.0,
-              weight_decay: float = 0.0) -> "OptimState":
-        return cls(learning_rate, momentum, weight_decay,
-                   velocity=np.zeros(spec.num_params, dtype=np.float64))
 
 
 class Workspace:
@@ -267,19 +261,17 @@ class _PassBuffers:
     """Every array one forward and backward pass over a batch of rows
     ([B], or [K, B] for a stack) writes, taken from a Workspace once: per
     layer, its output (activated in place) and a transposed view of it; per
-    hidden layer, the derivative of its activation; and the cross-entropy
-    head's log-probabilities, logit gradient, row maxima and sums, and
-    target log-probabilities, with the flat views the head indexes.
+    hidden layer, its ReLU gate; and the cross-entropy head's
+    log-probabilities, logit gradient, row maxima and sums, and target
+    log-probabilities, with the flat views the head indexes.
     """
 
     def __init__(self, spec: ModelSpec, ws: Workspace, rows: tuple[int, ...]) -> None:
-        self.relu = spec.activation == "relu"
         self.outputs = _layer_outputs(spec, ws, rows)
         self.outputs_t = [o.swapaxes(-1, -2) for o in self.outputs]
         # the relu gate is a > 0, which is z > 0, kept as bools: they
         # multiply exactly as their float64 values
-        gate_dtype = np.bool_ if self.relu else np.float64
-        self.gates = [ws.take(gate, (*rows, d_out), gate_dtype)
+        self.gates = [ws.take(gate, (*rows, d_out), np.bool_)
                       for (_, gate), (_, d_out) in zip(spec._buffers[:-1], spec.layer_dims)]
         shape = (*rows, spec.num_classes)
         self.log_probs = ws.take("ce.log_probs", shape)
@@ -312,10 +304,11 @@ def _check_inputs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray) -> n
 
 
 def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
-                    outputs: list[np.ndarray], relu: bool) -> np.ndarray:
+                    outputs: list[np.ndarray]) -> np.ndarray:
     """The forward pass through prebuilt (W, b) views, returning the logits.
-    Each layer writes its output to its buffer in outputs, activated in
-    place; the backward pass reads them there as the later layers' inputs.
+    Each layer writes its output to its buffer in outputs, a hidden layer's
+    put through the ReLU in place; the backward pass reads them there as the
+    later layers' inputs.
     """
     x = inputs
     last = len(layers) - 1
@@ -323,7 +316,7 @@ def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndar
         z = np.matmul(x, w, out=outputs[i])
         z += b
         if i < last:
-            x = np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+            x = np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -381,11 +374,8 @@ def _backward_layers(weights_t: list[np.ndarray], inputs: np.ndarray, dlogits: n
         np.add.reduce(upstream, axis=-2, keepdims=True, out=gb)
         if i > 0:
             a_in, gate = bufs.outputs[i - 1], bufs.gates[i - 1]
-            # f'(z) from the activation a = f(z)
-            if bufs.relu:
-                np.greater(a_in, 0.0, out=gate)
-            else:
-                np.subtract(1.0, np.multiply(a_in, a_in, out=gate), out=gate)
+            # the ReLU's derivative from its output
+            np.greater(a_in, 0.0, out=gate)
             upstream = np.matmul(upstream, weights_t[i], out=a_in)
             upstream *= gate
 
@@ -407,8 +397,7 @@ def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
     ws = Workspace() if workspace is None else workspace
     inputs = _check_inputs(params, spec, inputs)
     logits = _forward_layers(_unflatten(params.values, spec), inputs,
-                             _layer_outputs(spec, ws, inputs.shape[:-1]),
-                             spec.activation == "relu")
+                             _layer_outputs(spec, ws, inputs.shape[:-1]))
     return _softmax(logits, ws.take("forward_probs", logits.shape))
 
 
@@ -457,7 +446,7 @@ def loss_and_grad(
     inputs = _check_inputs(params, spec, batch.inputs)
     layers = _unflatten(params.values, spec)
     bufs = _PassBuffers(spec, ws, rows)
-    logits = _forward_layers(layers, inputs, bufs.outputs, bufs.relu)
+    logits = _forward_layers(layers, inputs, bufs.outputs)
     probs = ws.take("forward_probs", logits.shape) if return_probs else None
     # flat index of each row's target entry
     at_target = (np.arange(0, targets.size * spec.num_classes, spec.num_classes)
@@ -588,7 +577,7 @@ def sgd_epochs(
             for b, (start, stop, bufs, weights_row, scale) in enumerate(batches):
                 x = epoch_inputs[start:stop]
                 tlp = target_log_probs[epoch, start:stop]
-                logits = _forward_layers(layers, x, bufs.outputs, bufs.relu)
+                logits = _forward_layers(layers, x, bufs.outputs)
                 dlogits = _cross_entropy(logits, at_target[start:stop], scale, bufs, tlp)
                 _backward_layers(weights_t, x, dlogits, grad_layers, bufs)
                 if check and not (math.isfinite(_mean_loss(tlp, weights_row))

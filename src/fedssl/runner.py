@@ -28,7 +28,7 @@ from .engine import init_server, run_round
 from .metrics import CommLedger, RoundReport, stability_stats
 from .nn import ModelSpec, Workspace
 from .rng import derive_seed
-from .semisup import KlStats, _histograms, _kl_rows
+from .semisup import KlStats, batch_label_kl
 from .variants import VARIANT_KINDS, VariantConfig
 
 
@@ -47,13 +47,10 @@ class TrialSummary:
 
 @dataclass(frozen=True)
 class TrialDiagnostics:
-    """Secondary per-trial statistics used by summaries and sweep grids."""
+    """Secondary per-trial statistics that the sweep grid averages."""
 
-    resolved_beta: float
     trailing_accuracy_std: float
-    max_drawdown: float
     trailing_kl_ratio: float | None
-    teacher_round_fraction: float
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,15 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def _truth_kl(shards, data: Dataset, num_classes: int) -> dict[int, float]:
     """Ground-truth KL-to-uniform of each client's unlabeled label mix.
 
-    One bincount makes every client's histogram and one _kl_rows call every
-    KL, bitwise kl_to_uniform(label_histogram(...)) of each client's labels.
+    Every client's labels, one after another, are one batch_label_kl call:
+    each client is a batch, so one bincount makes every histogram, and each
+    KL is bitwise kl_to_uniform(label_histogram(...)) of the client's labels.
     """
     sizes = np.array([sh.unlabeled_idx.size for sh in shards], dtype=np.int64)
     if sizes.min() < 1:
         raise ValueError("empty label vector")
     labels = data.labels[np.concatenate([sh.unlabeled_idx for sh in shards])]
-    kl = _kl_rows(_histograms(labels[None], sizes, num_classes))[0]
+    kl = batch_label_kl(labels, sizes, num_classes)
     return dict(zip([sh.client_id for sh in shards], kl.tolist()))
 
 
@@ -199,7 +197,7 @@ def _run_trial(
     trailing_std, drawdown = stability_stats(reports, window)
     tail_ratios = [r for _, _, _, r in ratio_rows[-window:] if r is not None]
     trailing_ratio = float(np.mean(tail_ratios)) if tail_ratios else None
-    teacher_rounds = sum(1 for r in reports if r.send_teacher)
+    teacher_round_fraction = sum(1 for r in reports if r.send_teacher) / len(reports)
 
     summary = TrialSummary(
         trial=trial,
@@ -210,13 +208,7 @@ def _run_trial(
         downlink_bytes=ledger.total_bytes("downlink"),
         uplink_bytes=ledger.total_bytes("uplink"),
     )
-    diag = TrialDiagnostics(
-        resolved_beta=beta,
-        trailing_accuracy_std=trailing_std,
-        max_drawdown=drawdown,
-        trailing_kl_ratio=trailing_ratio,
-        teacher_round_fraction=teacher_rounds / len(reports),
-    )
+    diag = TrialDiagnostics(trailing_accuracy_std=trailing_std, trailing_kl_ratio=trailing_ratio)
 
     lines = [
         f"trial = {trial}",
@@ -233,7 +225,7 @@ def _run_trial(
         f"trailing_accuracy_std = {repr(trailing_std)}",
         f"max_drawdown = {repr(drawdown)}",
         f"trailing_kl_ratio = {_opt(trailing_ratio) or 'none'}",
-        f"teacher_round_fraction = {repr(diag.teacher_round_fraction)}",
+        f"teacher_round_fraction = {repr(teacher_round_fraction)}",
     ]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return summary, diag

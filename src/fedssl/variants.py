@@ -63,15 +63,19 @@ VARIANT_KINDS = tuple(VARIANTS)
 
 @dataclass
 class VariantConfig:
-    """Which protocol to run and its two scalar knobs."""
+    """Which protocol to run and its two scalar knobs; ema_alpha None means
+    the kind's default_alpha.
+    """
 
     kind: str
-    ema_alpha: float = 0.999
+    ema_alpha: float | None = None
     iidness_prior: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}, expected one of {VARIANT_KINDS}")
+        if self.ema_alpha is None:
+            self.ema_alpha = VARIANTS[self.kind].default_alpha
         for name in ("ema_alpha", "iidness_prior"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -92,6 +92,21 @@ def test_ema_alpha_defaults_per_kind():
     assert explicit.variant.resolved_alpha == 0.5
 
 
+def test_engine_side_defaults_equal_the_ini_defaults():
+    # a parameter left out of an engine-side constructor takes the value an
+    # INI file that leaves it out would give
+    training = parse_config_text("").training
+    required = {name: getattr(training, name) for name in
+                ("participation_rate", "local_epochs", "server_epochs", "topology")}
+    assert training.round_plan(7) == RoundPlan(num_clients=7, **required)
+    for kind, alpha in {"fedprox_fixmatch": 0.999, "ts_server_ema": 0.99,
+                        "ts_client_ema": 0.999, "fedswitch": 0.999}.items():
+        cfg = parse_config_text(f"[variant]\nkind = {kind}\n")
+        assert f"\nema_alpha = {alpha!r}\n" in resolved_ini(cfg)
+        assert VariantConfig(kind).ema_alpha == alpha
+    assert VariantConfig("ts_server_ema", 0.5).ema_alpha == 0.5
+
+
 def test_iidness_prior_auto_and_number():
     assert parse_config_text("[variant]\niidness_prior = auto\n").variant.iidness_prior == "auto"
     assert parse_config_text("[variant]\niidness_prior = 1.5\n").variant.iidness_prior == 1.5

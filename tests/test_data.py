@@ -240,9 +240,7 @@ def test_shard_fallback_recorded_and_quota_kept():
     ds = Dataset(inputs, labels, 2)
     plan = ShardPlan(num_clients=2, dirichlet_alpha=0.05, labeled_per_client=0, seed=0)
     res = dirichlet_shard(ds, plan)
-    assert res.fallback_events
-    for cid, cls in res.fallback_events:
-        assert cls in res.shards[cid].fallback_classes
+    assert _fallbacks(res)
     for sh in res.shards:
         assert sh.unlabeled_idx.size == 50
 
@@ -279,6 +277,11 @@ def _labels_only(counts):
     return Dataset(np.zeros((labels.size, 1)), labels, len(counts))
 
 
+def _fallbacks(res):
+    """Every (client id, class) fallback the shards record, in client order."""
+    return [(sh.client_id, cls) for sh in res.shards for cls in sh.fallback_classes]
+
+
 def _sharding_digest(res):
     """SHA-256 over every index array, fallback record and server index."""
     h = hashlib.sha256()
@@ -290,7 +293,7 @@ def _sharding_digest(res):
         h.update(repr(sh.fallback_classes).encode())
         h.update(b";")
     h.update(res.server_labeled_idx.astype("<i8").tobytes())
-    h.update(repr(res.fallback_events).encode())
+    h.update(repr(_fallbacks(res)).encode())
     return h.hexdigest()
 
 
@@ -337,12 +340,11 @@ def test_shard_output_pinned(name, monkeypatch):
     res = dirichlet_shard(_labels_only(counts), plan)
     assert _sharding_digest(res) == expected
     if name == "desk":
-        assert res.fallback_events
+        assert _fallbacks(res)
     if name == "starved":
         assert max(per_draw) >= 3
-    for cid, cls in res.fallback_events:
+    for cid, cls in _fallbacks(res):
         assert type(cid) is int and type(cls) is int
-        assert cls in res.shards[cid].fallback_classes
 
 
 @pytest.mark.parametrize("counts, num_clients, labeled, message", [

@@ -27,7 +27,6 @@ from fedssl.engine import (
     RoundPlan,
     ServerState,
     aggregate,
-    aggregate_kl,
     client_update,
     init_server,
     lockstep_update,
@@ -185,7 +184,6 @@ def test_client_zero_epochs_zero_delta():
     )
     assert np.all(res.delta.values == 0.0)
     assert res.kl == KlStats(0.0, 0.0)
-    assert res.num_examples == shards[0].unlabeled_idx.size + shards[0].labeled_idx.size
 
 
 def test_client_no_gradient_sources_zero_delta(strong_calls):
@@ -226,7 +224,8 @@ def test_client_matches_manual_single_batch_replay():
     _, grad, strong_probs = combined_client_grad(
         snapshot, snapshot, labeled, u_batch, pseudo, HYPER, SPEC, AUG, rng
     )
-    opt = OptimState.fresh(SPEC, plan.learning_rate, plan.momentum, plan.weight_decay)
+    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay,
+                     velocity=np.zeros(SPEC.num_params))
     end = sgd_step(snapshot, grad, opt)
 
     assert np.array_equal(res.delta.values, end.values - snapshot.values)
@@ -255,7 +254,8 @@ def test_client_kl_is_the_mean_over_local_batches():
     u_pool = shard.unlabeled_idx
     u_order = u_pool[rng.permutation(u_pool.size)]
     l_order = shard.labeled_idx[rng.permutation(shard.labeled_idx.size)]
-    opt = OptimState.fresh(SPEC, plan.learning_rate, plan.momentum, plan.weight_decay)
+    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay,
+                     velocity=np.zeros(SPEC.num_params))
     student = snapshot
     teacher_kls, student_kls = [], []
     for b, start in enumerate(range(0, u_order.size, 8)):
@@ -335,7 +335,6 @@ def test_client_stateless_double_invoke():
     assert np.array_equal(a.delta.values, b.delta.values)
     assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
     assert a.kl == b.kl
-    assert a.num_examples == b.num_examples
 
 
 def test_client_delta_reconstruction_bit_exact():
@@ -399,7 +398,6 @@ def _same_result(a, b):
     else:
         assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
     assert a.kl == b.kl
-    assert a.num_examples == b.num_examples
 
 
 @pytest.mark.parametrize("kind,with_teacher", [
@@ -435,7 +433,8 @@ def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, s
         shard.stream_splits[stream_step % len(shard.stream_splits)])
     ub, lb = plan.unlabeled_batch_size, plan.labeled_batch_size
     student, teacher = snapshot, downlinked
-    opt = OptimState.fresh(spec, plan.learning_rate, plan.momentum, plan.weight_decay)
+    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay,
+                     velocity=np.zeros(spec.num_params))
     teacher_kls, student_kls = [], []
     for _ in range(plan.local_epochs):
         u_order = pool[rng.permutation(pool.size)]
@@ -461,7 +460,6 @@ def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, s
         delta=ParamVector(student.values - snapshot.values, snapshot.spec_hash),
         teacher_delta=ParamVector(teacher.values - downlinked.values, snapshot.spec_hash),
         kl=KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls))),
-        num_examples=int(pool.size + shard.labeled_idx.size),
     )
 
 
@@ -478,10 +476,10 @@ def test_lockstep_group_matches_an_unstacked_replay():
     _same_result(group[2], _ts_client_ema_replay(ds, shards[2], downlink, variant, plan, seeds[2]))
 
 
-def test_lockstep_tanh_two_hidden_layers_match_an_unstacked_replay():
-    # the backward pass through two tanh layers, with momentum and weight
+def test_lockstep_two_hidden_layers_match_an_unstacked_replay():
+    # the backward pass through two hidden layers, with momentum and weight
     # decay; every client of the group against its own replay
-    spec = ModelSpec(input_dim=3, hidden_dims=(4, 3), num_classes=3, activation="tanh")
+    spec = ModelSpec(input_dim=3, hidden_dims=(4, 3), num_classes=3)
     ds, shards, _ = _setup()
     plan = _plan(local_epochs=2, momentum=0.9, weight_decay=0.01)
     downlink = _downlink(init_params(spec, 1), init_params(spec, 2))
@@ -698,7 +696,7 @@ def test_client_updates_join_in_client_id_order():
     def part(cids):
         return ClientUpdates(cids, ParamVector(rows[cids], SPEC.spec_hash),
                              ParamVector(-rows[cids], SPEC.spec_hash), np.array(cids) * 0.5,
-                             np.array(cids) * 0.25, np.array(cids) + 10)
+                             np.array(cids) * 0.25)
 
     whole = ClientUpdates.join([part([1, 3]), part([0, 2, 4])])
     assert whole.client_ids == (0, 1, 2, 3, 4)
@@ -706,7 +704,6 @@ def test_client_updates_join_in_client_id_order():
     assert whole.delta.values.flags["C_CONTIGUOUS"]
     assert np.array_equal(whole.teacher_delta.values, -rows)
     assert [whole[k].kl for k in range(5)] == [KlStats(k * 0.5, k * 0.25) for k in range(5)]
-    assert list(whole.num_examples) == [10, 11, 12, 13, 14]
     assert whole[-1].client_id == 4 and whole[-1].delta.values.base is not None
     # a single part in order is not copied
     ordered = part([0, 2])
@@ -717,7 +714,7 @@ def test_client_updates_join_in_client_id_order():
         ClientUpdates.join([ordered, teacherless])
     with pytest.raises(ValueError, match="one value per client"):
         ClientUpdates([0, 1], ParamVector(rows[:2], SPEC.spec_hash), None, np.zeros(1),
-                      np.zeros(2), np.zeros(2))
+                      np.zeros(2))
 
 
 def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockstep_groups):
@@ -726,7 +723,7 @@ def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockst
     ds, shards, _ = _setup()
     variant = VariantConfig("ts_client_ema", ema_alpha=0.5)
     student, teacher = init_params(SPEC, 1), init_params(SPEC, 2)
-    server = ServerState(student, teacher, round=0, last_kl=KlStats(0.0, 0.0))
+    server = ServerState(student, teacher, round=0)
     ledger = CommLedger()
     new_server, _ = run_round(server, shards, variant, _plan(local_epochs=0), HYPER, SPEC,
                               AUG, ds, ds, 17, ledger)
@@ -795,19 +792,18 @@ def test_lockstep_pseudo_label_counts_equal_one_client_runs(monkeypatch):
 # -------------------------------------------------------------- aggregate
 
 
-def _updates(cids, deltas, num_examples=None, spec_hash=SPEC.spec_hash):
+def _updates(cids, deltas, spec_hash=SPEC.spec_hash):
     """A block of client products with the given [K, P] deltas."""
     k = len(cids)
     return ClientUpdates(cids, ParamVector(np.asarray(deltas, dtype=np.float64), spec_hash),
-                         None, np.zeros(k), np.zeros(k),
-                         np.full(k, 10) if num_examples is None else np.asarray(num_examples))
+                         None, np.zeros(k), np.zeros(k))
 
 
 def _server(values=None):
     student = init_params(SPEC, 0)
     if values is not None:
         student = ParamVector(np.asarray(values, dtype=np.float64), SPEC.spec_hash)
-    return ServerState(student, None, 0, KlStats(0, 0))
+    return ServerState(student, None, 0)
 
 
 def test_aggregate_opposite_deltas_cancel():
@@ -825,9 +821,10 @@ def test_aggregate_single_client():
 
 
 def test_aggregate_unweighted_mean_ignores_example_counts():
+    # a block of client products carries no example counts to weigh by
     n = SPEC.num_params
     srv = _server(np.zeros(n))
-    out = aggregate(srv, _updates([0, 1], [np.full(n, 3.0), np.full(n, -1.0)], [1, 99]))
+    out = aggregate(srv, _updates([0, 1], [np.full(n, 3.0), np.full(n, -1.0)]))
     assert np.all(out.values == 1.0)
 
 
@@ -853,12 +850,23 @@ def test_aggregate_rejects_empty_and_mismatch():
         aggregate(srv, _updates([0], init_params(other, 0).values[None], spec_hash=other.spec_hash))
 
 
-def test_aggregate_kl_mean_of_means():
-    a = KlStats(0.0, 0.2)
-    b = KlStats(math.log(10), 0.4)
-    agg = aggregate_kl([a, b])
-    assert agg.dkl_teacher == pytest.approx(math.log(10) / 2, abs=1e-12)
-    assert agg.dkl_student == pytest.approx(0.3, abs=1e-12)
+def test_last_kl_is_the_mean_of_client_kl_in_client_id_order():
+    # the rollup is derived from the per-client statistics, so a state
+    # rebuilt with other statistics cannot report a stale one
+    server = _server()
+    assert server.last_kl == KlStats(0.0, 0.0)
+    later = replace(server, round=1, client_kl={3: KlStats(0.0, 0.2),
+                                                1: KlStats(math.log(10), 0.4)})
+    assert later.last_kl.dkl_teacher == pytest.approx(math.log(10) / 2, abs=1e-12)
+    assert later.last_kl.dkl_student == pytest.approx(0.3, abs=1e-12)
+    # summed in client-id order, which gives another last bit than the
+    # insertion order here
+    later = replace(later, client_kl={7: KlStats(0.3, 0.3), 5: KlStats(0.2, 0.2),
+                                      2: KlStats(0.1, 0.1)})
+    in_id_order = float(np.mean([0.1, 0.2, 0.3]))
+    assert in_id_order != float(np.mean([0.3, 0.2, 0.1]))
+    assert later.last_kl == KlStats(in_id_order, in_id_order)
+    assert replace(later, client_kl={}).last_kl == KlStats(0.0, 0.0)
 
 
 # ----------------------------------------------------------- server_update
@@ -921,16 +929,14 @@ def _server_loop(params, pool, epochs, lr, batch_size, seed, spec):
     return out
 
 
-@pytest.mark.parametrize("n, batch_size, epochs, hidden, activation", [
-    (37, 8, 3, (4,), "relu"),     # several epochs, ragged last batch of 5
-    (37, 8, 3, (4,), "tanh"),
-    (37, 8, 2, (5, 4), "relu"),   # two hidden layers
-    (37, 8, 2, (5, 4), "tanh"),
-    (12, 12, 2, (4,), "relu"),    # one batch, exactly the pool
-    (12, 50, 3, (5, 4), "tanh"),  # one batch, larger than the pool
+@pytest.mark.parametrize("n, batch_size, epochs, hidden", [
+    (37, 8, 3, (4,)),     # several epochs, ragged last batch of 5
+    (37, 8, 2, (5, 4)),   # two hidden layers
+    (12, 12, 2, (4,)),    # one batch, exactly the pool
+    (12, 50, 3, (5, 4)),  # one batch, larger than the pool
 ])
-def test_server_update_equals_the_per_batch_loop(n, batch_size, epochs, hidden, activation):
-    spec = ModelSpec(input_dim=3, hidden_dims=hidden, num_classes=3, activation=activation)
+def test_server_update_equals_the_per_batch_loop(n, batch_size, epochs, hidden):
+    spec = ModelSpec(input_dim=3, hidden_dims=hidden, num_classes=3)
     full = gen_blobs(3, 3, 13, 0.4, seed=2)
     keep = np.random.default_rng(0).permutation(full.size)[:n]
     pool = Dataset(full.inputs[keep], full.labels[keep], full.num_classes)
@@ -1140,6 +1146,40 @@ def test_round_labels_at_server_topologies_differ_exactly():
     assert np.allclose(par_server.global_student.values, blended, atol=1e-15)
     assert not np.array_equal(seq_server.global_student.values,
                               par_server.global_student.values)
+
+
+def test_round_parallel_mix_counts_each_participant_of_every_group(lockstep_groups):
+    # five streamed clients without labels, at stream positions whose
+    # segments hold 8 or 7 examples, so the round trains two lockstep
+    # groups. The server's share of examples must count each participant's
+    # own segment: bitwise a reference built one client_update at a time
+    ds = gen_blobs(3, 3, 41, 0.3, seed=0)
+    sharding = dirichlet_shard(ds, ShardPlan(5, 10.0, 2, server_holds_labels=True, seed=0))
+    shards = [make_stream_schedule(sh, 3, seed=sh.client_id) for sh in sharding.shards]
+    pool = Dataset(ds.inputs[sharding.server_labeled_idx], ds.labels[sharding.server_labeled_idx],
+                   3)
+    plan = _plan(num_clients=5, topology="labels_at_server_parallel", server_epochs=2)
+    variant = VariantConfig("fedprox_fixmatch")
+    steps = {0: 0, 1: 1, 2: 0, 3: 2, 4: 3}
+    server = replace(init_server(SPEC, variant, seed=3, server_labeled_pool=pool),
+                     participations=steps)
+    new_server, _ = run_round(server, shards, variant, plan, HYPER, SPEC, AUG, ds, ds, 21,
+                              CommLedger())
+    assert [[sh.client_id for sh in g[0]] for g in lockstep_groups] == [[0, 2, 4], [1, 3]]
+
+    results = [client_update(shards[cid], {"student": server.global_student}, variant, plan,
+                             HYPER, SPEC, AUG, ds, seed=derive_seed(21, "client", 0, cid),
+                             round=0, stream_step=steps[cid])
+               for cid in range(5)]
+    aggregated = server.global_student.values + np.stack([r.delta.values for r in results]).mean(0)
+    trained = server_update(server.global_student, pool, 2, plan.server_learning_rate,
+                            plan.server_batch_size, derive_seed(21, "server-update", 0), SPEC)
+    examples = [shards[cid].stream_splits[steps[cid] % 3].size + shards[cid].labeled_idx.size
+                for cid in range(5)]
+    assert examples == [8, 7, 8, 7, 8]
+    w = pool.size / (pool.size + sum(examples))
+    blended = w * trained.values + (1.0 - w) * aggregated
+    assert new_server.global_student.values.tobytes() == blended.tobytes()
 
 
 def test_round_requires_pool_for_server_topology():

@@ -59,13 +59,13 @@ def test_evaluate_permutation_invariant():
 def test_ledger_bytes_eight_per_param():
     led = CommLedger()
     led.record(0, "downlink", "student", 3, 100)
-    assert led.entries[-1].bytes == 800
+    assert list(led.entries)[-1].bytes == 800
 
 
 def test_ledger_bytes_configurable_four():
     led = CommLedger(bytes_per_param=4)
     led.record(0, "uplink", "teacher", 1, 100)
-    assert led.entries[-1].bytes == 400
+    assert list(led.entries)[-1].bytes == 400
     with pytest.raises(ValueError):
         CommLedger(bytes_per_param=2)
 
@@ -125,8 +125,10 @@ def test_ledger_round_totals_match_a_rescan():
         assert led.round_totals(rnd) == rescan(rnd)
     assert led.round_totals(2)["uplink_models"] == 0
     assert led.round_totals(5) == dict.fromkeys(rescan(5), 0)
-    # a ledger built from existing entries rolls them up too
-    assert CommLedger(4, list(led.entries)).round_totals(3) == rescan(3)
+    # a ledger extended by existing entries rolls them up too
+    copy = CommLedger(4)
+    copy.extend(led.entries)
+    assert copy.round_totals(3) == rescan(3)
 
 
 def _mixed_ledger():
@@ -148,19 +150,16 @@ def test_ledger_entries_view_reads_back_what_was_recorded():
     view = led.entries
     assert len(view) == len(expected) == 13
     assert list(view) == expected
-    assert view[-1] == expected[-1] and view[0] == expected[0]
-    assert view[2:5] == expected[2:5]
-    with pytest.raises(IndexError):
-        view[len(expected)]
     assert [tuple(getattr(e, f) for f in Transmission.__slots__) for e in expected] == list(led.rows())
     # a view follows later records
     led.record(7, "uplink", "teacher", 1, 10)
-    assert len(view) == 14 and view[-1] == Transmission(7, "uplink", "teacher", 1, 10, 40)
+    assert len(view) == 14 and list(view)[-1] == Transmission(7, "uplink", "teacher", 1, 10, 40)
 
 
 def test_ledger_rebuilt_from_its_entries_has_the_same_totals():
     led, _ = _mixed_ledger()
-    copy = CommLedger(4, list(led.entries))
+    copy = CommLedger(4)
+    copy.extend(led.entries)
     assert list(copy.entries) == list(led.entries)
     for rnd in range(4):
         assert copy.round_totals(rnd) == led.round_totals(rnd)
@@ -249,7 +248,6 @@ def test_ledger_block_records_read_back_entry_by_entry():
                      for cid in ids for role in roles]
     assert len(led.entries) == len(expected)
     assert list(led.entries) == expected
-    assert [led.entries[i] for i in range(-len(expected), 0)] == expected
     assert list(led.rows()) == [tuple(getattr(e, f) for f in Transmission.__slots__)
                                 for e in expected]
     for direction in DIRECTIONS:
@@ -258,8 +256,10 @@ def test_ledger_block_records_read_back_entry_by_entry():
         for role in (None, *ROLES):
             assert led.model_count(direction, role) == sum(
                 e.direction == direction and role in (None, e.role) for e in expected)
+    one_by_one = CommLedger(4)
+    one_by_one.extend(expected)
     for rnd in range(3):
-        assert led.round_totals(rnd) == CommLedger(4, expected).round_totals(rnd)
+        assert led.round_totals(rnd) == one_by_one.round_totals(rnd)
 
 
 def test_ledger_meters_a_round_as_one_block_a_direction():

@@ -18,8 +18,8 @@ from fedssl.nn import (
 )
 
 
-def small_spec(hidden=(5,), d=4, c=3, activation="relu"):
-    return ModelSpec(input_dim=d, hidden_dims=tuple(hidden), num_classes=c, activation=activation)
+def small_spec(hidden=(5,), d=4, c=3):
+    return ModelSpec(input_dim=d, hidden_dims=tuple(hidden), num_classes=c)
 
 
 class TestInitParams:
@@ -86,7 +86,7 @@ class TestForwardProbs:
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_probability_rows_property(self, seed, n):
-        spec = small_spec(hidden=(3,), d=2, c=4, activation="tanh")
+        spec = small_spec(hidden=(3,), d=2, c=4)
         p = init_params(spec, seed % 1000)
         x = np.random.default_rng(seed).normal(size=(n, 2)) * 3.0
         probs = forward_probs(p, spec, x)
@@ -160,7 +160,7 @@ class TestStackedBatches:
     """A [K, P] stack with a [K, B, d] batch is K independent objectives."""
 
     def _stack(self, k=4, b=7, spec=None, seed=0):
-        spec = spec or small_spec(hidden=(6, 5), activation="tanh")
+        spec = spec or small_spec(hidden=(6, 5))
         rng = np.random.default_rng(seed)
         params = ParamVector(np.stack([init_params(spec, i).values for i in range(k)]),
                              spec.spec_hash)
@@ -237,7 +237,7 @@ class TestSgdStep:
     def test_zero_grad_identity(self):
         spec = small_spec()
         p = init_params(spec, 9)
-        opt = OptimState.fresh(spec, learning_rate=0.5)
+        opt = OptimState(learning_rate=0.5, velocity=np.zeros(spec.num_params))
         zero = ParamVector(np.zeros(len(p)), p.spec_hash)
         out = sgd_step(p, zero, opt)
         assert np.array_equal(out.values, p.values)
@@ -296,7 +296,7 @@ class TestFiniteDiff:
         assert np.abs(got - (6 * x + 2)).max() < 1e-8
 
     def test_cross_checks_analytic(self):
-        spec = small_spec(hidden=(4,), d=3, c=3, activation="tanh")
+        spec = small_spec(hidden=(4,), d=3, c=3)
         p = init_params(spec, 31)
         rng = np.random.default_rng(31)
         batch = Batch(rng.normal(size=(3, 3)))
@@ -323,7 +323,8 @@ class TestDeterminism:
 
         def run():
             p = init_params(spec, 99)
-            opt = OptimState.fresh(spec, learning_rate=0.05, momentum=0.9, weight_decay=1e-4)
+            opt = OptimState(learning_rate=0.05, momentum=0.9, weight_decay=1e-4,
+                             velocity=np.zeros(spec.num_params))
             for _ in range(10):
                 _, g = loss_and_grad(p, spec, Batch(x), y, np.ones(6))
                 p = sgd_step(p, g, opt)
