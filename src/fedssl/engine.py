@@ -17,14 +17,28 @@ its own rng stream, seeded from (base seed, round, client id), so a
 client's result does not depend on which group it trains in or with whom.
 
 Per batch, each client's rng is consumed in a fixed order (the epoch's
-permutations first, then the unlabeled weak view, then inside the combined
-objective the strong view and the labeled weak view), identically for every
-variant, so trajectories of different variants under one seed stay
-comparable. Each batch draws one strong view; the student's KL statistic
-reuses the probabilities the objective computed on it. Each batch's hard
-labels on both sides (the pseudo-labels, and the argmax of those
-probabilities) are stored, and both KL statistics of every batch are
-computed once per call, after the last batch.
+permutations first, then the unlabeled weak view, then the strong view and
+the labeled weak view), identically for every variant, so trajectories of
+different variants under one seed stay comparable. Each batch draws one
+strong view; the student's KL statistic reuses the probabilities the
+objective computes on it. Each batch's hard labels on both sides (the
+pseudo-labels, and the argmax of those probabilities) are stored, and both
+KL statistics of every batch are computed once per call, after the last
+batch.
+
+Each local batch runs its objective and its SGD step as one pass over the
+group, planned once per lockstep_update call: the stacked counterpart of
+nn.sgd_epochs. An nn.PassPlan holds the students' (W, b) views and their
+transposes and one buffer set per batch shape (full, ragged last, labeled),
+and the call plans the gradient and scratch stacks, the gather buffers and
+each batch's labeled columns, and checks shapes, pool sizes and label
+ranges, before the first batch. A batch then runs the float operations of
+semisup.combined_client_grad (two loss_and_grad passes) and nn.sgd_step, in
+their order, and tests finiteness where they do, so each row is bitwise
+what those one-client functions make; they stay as the one-client API and
+as the oracle of the pass. Without momentum and weight decay no velocity is
+kept and the step is lr * gradient, as in sgd_epochs. Plans are never kept
+between calls, so an arena that grows between groups leaves no stale view.
 
 Every teacher-policy decision, fedswitch's switch included, is made in the
 four hooks of the variants module, which run_round and lockstep_update
@@ -32,9 +46,9 @@ only call.
 
 Every per-batch array of a group lives in an nn.Workspace: the gathered
 inputs, both augmented views, the activations and gradients of all three
-passes, the stacked students, velocities and in-round teachers, and the
-stored hard labels. Its buffers grow to the largest group and batch seen
-and are then reused, so a caller that passes one workspace to every
+passes, the stacked students, gradients, velocities and in-round teachers,
+and the stored hard labels. Its buffers grow to the largest group and batch
+seen and are then reused, so a caller that passes one workspace to every
 run_round (the runner keeps one per trial) allocates them once, in the
 first round. Arrays that are never live at the same time share an arena
 (see nn). Only the results leave a group, in memory of their own.
@@ -70,21 +84,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import AugmentConfig, ClientShard, Dataset, weak_augment
+from .data import AugmentConfig, ClientShard, Dataset, strong_augment, weak_augment
 from .metrics import CommLedger, RoundReport, evaluate
 from .nn import (
+    SCRATCH,
     Batch,
     ModelSpec,
     NonFiniteError,
-    OptimState,
     ParamVector,
+    PassPlan,
     Workspace,
     init_params,
     sgd_epochs,
-    sgd_step,
 )
 from .rng import derive_seed
-from .semisup import KlStats, SslHyper, batch_label_kl, combined_client_grad
+from .semisup import KlStats, SslHyper, batch_label_kl
 from .variants import (
     VARIANTS,
     VariantConfig,
@@ -276,11 +290,6 @@ def select_clients(num_clients: int, m: int, round: int, seed: int) -> list[int]
     return sorted(int(c) for c in rng.choice(num_clients, size=m, replace=False))
 
 
-def _batches(idx: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Consecutive batches along the last axis of an index array."""
-    return [idx[..., i : i + batch_size] for i in range(0, idx.shape[-1], batch_size)]
-
-
 def _unlabeled_pool(shard: ClientShard, stream_step: int) -> np.ndarray:
     """The unlabeled examples a client trains on in this participation."""
     if shard.stream_splits is not None:
@@ -307,12 +316,13 @@ def lockstep_update(
     order of shards.
 
     The clients must have equally large unlabeled pools in this
-    participation and equally large labeled pools. Their students
-    and optimizer velocities are stacked as [K, P], and every local batch is
-    one stacked pass over the client axis. Client k keeps its own generator,
-    seeded with seeds[k], and draws from it exactly what it would draw
-    training alone, so each row is bitwise that of a one-client call.
-    round only labels a non-finite error.
+    participation and equally large labeled pools. Their students (and,
+    with momentum or weight decay, their velocities) are stacked as [K, P],
+    and every local batch's objective and SGD step are one planned pass
+    over the client axis (see the module docstring). Client k keeps its own
+    generator, seeded with seeds[k], and draws from it exactly what it
+    would draw training alone, so each row is bitwise that of a one-client
+    call. round only labels a non-finite error.
 
     Every per-batch array (the gathered inputs, both augmented views, the
     activations of all three passes, the gradients, the velocities, the
@@ -335,27 +345,54 @@ def lockstep_update(
     n_u, n_l = u_pools[0].size, l_pools[0].size
     if any(p.size != n_u for p in u_pools) or any(p.size != n_l for p in l_pools):
         raise ValueError("lockstep clients must share unlabeled and labeled pool sizes")
+    dim = dataset.inputs.shape[-1]
+    if dim != spec.input_dim:
+        raise ValueError(f"inputs shape {dataset.inputs.shape} inconsistent with input_dim "
+                         f"{spec.input_dim}")
+    if n_l and dataset.labels[np.concatenate(l_pools)].max() >= spec.num_classes:
+        raise ValueError("targets out of class range")
 
     ws = Workspace() if workspace is None else workspace
     snapshot = downlink["student"]
     downlinked_teacher = downlink.get("teacher")
-    # the K students and the K in-round teachers start as read-only [K, P]
-    # views of their downlinks; the first step that changes one writes it
-    # into the workspace
     stacked = (k_clients, len(snapshot))
-    student = ParamVector(np.broadcast_to(snapshot.values, stacked), snapshot.spec_hash)
+    # the K students train in place in the workspace, from copies of the
+    # snapshot; the K in-round teachers start as a read-only [K, P] view of
+    # their downlink, which the first EMA step writes into the workspace
+    student = ParamVector(ws.take("lockstep.student", stacked), snapshot.spec_hash)
+    np.copyto(student.values, snapshot.values)
     teacher = None if downlinked_teacher is None else ParamVector(
         np.broadcast_to(downlinked_teacher.values, stacked), downlinked_teacher.spec_hash)
-    velocity = ws.take("lockstep.velocity", stacked)
-    velocity.fill(0.0)
-    opt = OptimState(plan.learning_rate, plan.momentum, plan.weight_decay, velocity=velocity)
+    # the objective's gradient; the scratch arena holds the supervised
+    # gradient, then the proximal pull, then the step
+    grad = ParamVector(ws.take("lockstep.grad", stacked), snapshot.spec_hash)
+    scratch = ParamVector(ws.take(SCRATCH, stacked), snapshot.spec_hash)
+    velocity = None
+    if plan.momentum != 0.0 or plan.weight_decay != 0.0:
+        velocity = ws.take("lockstep.velocity", stacked)
+        velocity.fill(0.0)
     rngs = [np.random.default_rng(s) for s in seeds]
     # every local batch's hard labels, teacher side then student side, for
     # the KL statistics; batch j of epoch e is columns e*n_u + [start, stop)
     kl_labels = ws.take("lockstep.kl_labels", (2, k_clients, plan.local_epochs * n_u), np.int64)
-    batch_sizes = [min(plan.unlabeled_batch_size, n_u - start)
-                   for start in range(0, n_u, plan.unlabeled_batch_size)] * plan.local_epochs
-    dim = dataset.inputs.shape[-1]
+    bounds = [(start, min(start + plan.unlabeled_batch_size, n_u))
+              for start in range(0, n_u, plan.unlabeled_batch_size)]
+    # labeled batches cycle through each client's own pool; the unlabeled
+    # pool drives epoch length
+    l_cols = [np.arange(b * plan.labeled_batch_size, (b + 1) * plan.labeled_batch_size) % n_l
+              for b in range(len(bounds))] if n_l else []
+    rows = {(k_clients, stop - start) for start, stop in bounds}
+    if n_l:
+        labels = ws.take("lockstep.labels", (k_clients, plan.labeled_batch_size), np.int64)
+        ones = np.ones(labels.shape)
+        rows.add(labels.shape)
+    # each batch's rows are gathered into one arena: a batch's unlabeled rows
+    # are dead once its strong view is drawn, and its labeled rows follow
+    # them there; views are taken largest first, so none grows the arena
+    # under another
+    gathered = {r: ws.take("lockstep.rows", r + (dim,))
+                for r in sorted(rows, key=lambda r: r[1], reverse=True)}
+    objective = PassPlan(student, spec, ws, rows)
     col = 0
 
     for epoch in range(plan.local_epochs):
@@ -365,60 +402,78 @@ def lockstep_update(
             u_order[k] = u_pools[k][rng.permutation(n_u)]
             if n_l:
                 l_order[k] = l_pools[k][rng.permutation(n_l)]
-        for b, u_idx in enumerate(_batches(u_order, plan.unlabeled_batch_size)):
+        for b, (start, stop) in enumerate(bounds):
             # mode="clip" (the indices are in range by construction) lets
             # take write straight into the buffer
-            u_batch = Batch(np.take(dataset.inputs, u_idx, axis=0, mode="clip",
-                                    out=ws.take("lockstep.unlabeled", u_idx.shape + (dim,))))
+            u_batch = Batch(dataset.inputs.take(u_order[:, start:stop], axis=0, mode="clip",
+                                                out=gathered[(k_clients, stop - start)]))
             weak = weak_augment(u_batch, aug, rngs, workspace=ws)
             pseudo, teacher = variant_batch_hook(
                 variant, teacher, student, weak.inputs, spec, hyper, workspace=ws
             )
-            labeled_batch = None
-            if n_l:
-                # labeled batches cycle through each client's own pool; the
-                # unlabeled pool drives epoch length
-                l_idx = l_order[:, np.arange(b * plan.labeled_batch_size,
-                                             (b + 1) * plan.labeled_batch_size) % n_l]
-                labeled_batch = Batch(
-                    np.take(dataset.inputs, l_idx, axis=0, mode="clip",
-                            out=ws.take("lockstep.labeled", l_idx.shape + (dim,))),
-                    np.take(dataset.labels, l_idx, mode="clip",
-                            out=ws.take("lockstep.labels", l_idx.shape, np.int64)))
-
-            # student_probs: the pre-step students on the strong view, as the
-            # objective saw it; they feed the student-side KL statistic
+            # the pseudo-labels are the argmax of the source's probabilities;
+            # the student side is the argmax of the pre-step students on the
+            # strong view, which the objective writes
+            done = col + stop - start
+            kl_labels[0, :, col:done] = pseudo.pseudo_labels
+            # the objective: lambda_u times the unsupervised cross-entropy on
+            # the strong view, plus the supervised one on the labeled weak
+            # view, plus the proximal pull; each rng draws the strong view,
+            # then the labeled weak view
+            strong = strong_augment(u_batch, aug, rngs, workspace=ws)
             try:
-                _, grad, student_probs = combined_client_grad(
-                    student, snapshot, labeled_batch, u_batch, pseudo,
-                    hyper, spec, aug, rngs, workspace=ws,
-                )
+                objective.run(strong.inputs, pseudo.pseudo_labels, pseudo.mask, grad,
+                              labels_out=kl_labels[1, :, col:done])
+                grad.values *= hyper.lambda_u
+                if n_l:
+                    l_idx = l_order[:, l_cols[b]]
+                    labeled = weak_augment(Batch(
+                        dataset.inputs.take(l_idx, axis=0, mode="clip",
+                                            out=gathered[labels.shape]),
+                        dataset.labels.take(l_idx, mode="clip", out=labels)),
+                        aug, rngs, workspace=ws)
+                    objective.run(labeled.inputs, labeled.labels, ones, scratch)
+                    grad.values += scratch.values
             except NonFiniteError as exc:
                 raise RuntimeError(
                     f"client {shards[exc.index].client_id}: non-finite loss at round "
                     f"{round} epoch {epoch} batch {b}: {exc}"
                 ) from None
-
-            student = sgd_step(student, grad, opt, workspace=ws)
+            if hyper.mu > 0:
+                pull = np.subtract(student.values, snapshot.values, out=scratch.values)
+                pull *= hyper.mu
+                grad.values += pull
+            # the heavy-ball step of nn.sgd_step; without momentum and weight
+            # decay its velocity is the gradient but for the sign of a zero
+            # entry, which moves no parameter (see nn.sgd_epochs), so the
+            # step is lr * gradient
+            if velocity is None:
+                step = np.multiply(grad.values, plan.learning_rate, out=scratch.values)
+            else:
+                velocity *= plan.momentum
+                velocity += grad.values
+                if plan.weight_decay != 0.0:
+                    velocity += np.multiply(student.values, plan.weight_decay,
+                                            out=scratch.values)
+                step = np.multiply(velocity, plan.learning_rate, out=scratch.values)
+            student.values -= step
             finite = np.isfinite(student.values).all(axis=1)
             if not finite.all():
                 raise RuntimeError(
                     f"client {shards[int(np.argmin(finite))].client_id}: non-finite "
                     f"parameters at round {round} after epoch {epoch} batch {b}"
                 )
-            # the pseudo-labels are the argmax of the source's probabilities
-            stop = col + u_idx.shape[1]
-            kl_labels[0, :, col:stop] = pseudo.pseudo_labels
-            student_probs.argmax(axis=-1, out=kl_labels[1, :, col:stop])
-            col = stop
+            col = done
 
     # the deltas are fresh arrays, so no result points into the workspace
     delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
     payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
-    if batch_sizes:
+    if plan.local_epochs:
         # each side's [K, n_batches] is C-contiguous, so each client's mean
         # sums its batches in the order a 1-D mean does
-        teacher_kl, student_kl = batch_label_kl(kl_labels, batch_sizes, spec.num_classes)
+        teacher_kl, student_kl = batch_label_kl(
+            kl_labels, [stop - start for start, stop in bounds] * plan.local_epochs,
+            spec.num_classes)
         dkl_teacher, dkl_student = teacher_kl.mean(axis=1), student_kl.mean(axis=1)
     else:
         dkl_teacher = dkl_student = np.zeros(k_clients)

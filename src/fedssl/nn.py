@@ -12,12 +12,20 @@ stacked result is bitwise the result of the unstacked call on slice k:
 stacked matmul runs the same gemm per 2-D slice, and every reduction runs
 along one slice.
 
-loss_and_grad and the epoch kernel sgd_epochs share one forward pass, one
-cross-entropy head and one backward pass, which run on prebuilt pieces: the
-(W, b) views and their transposes, a buffer set for the batch shape, the
-flat target indices and the 1/b scale. loss_and_grad builds them per call;
-the kernel builds them once per call and reuses them for every batch, and
-tests finiteness once, at the end of the call.
+loss_and_grad, PassPlan and the epoch kernel sgd_epochs share one forward
+pass, one cross-entropy head and one backward pass, which run on prebuilt
+pieces: the (W, b) views and their transposes, a buffer set for the batch
+shape and the flat target indices. A ParamVector keeps the (W, b) views of
+its values once it has built them (ParamVector.layers), so a model trained
+or EMA-ed in place, or a gradient buffer written batch after batch, builds
+them once. A PassPlan builds the other pieces once for every batch shape of
+a training loop and runs loss_and_grad's float operations on them;
+loss_and_grad is a PassPlan used once. It is the stacked counterpart of
+sgd_epochs: engine.lockstep_update runs each local batch through one and
+makes the SGD step itself, by lr * gradient when momentum and weight decay
+are 0, as the kernel does. The kernel builds its pieces once per call,
+reuses them for every batch, and tests finiteness once, at the end of the
+call.
 
 Every array these passes make lives in a Workspace: named flat arenas that
 grow to the largest request and are then reused, so a training loop that
@@ -29,13 +37,17 @@ already live there in place). Called without one, each builds a throwaway
 workspace, so its results own their memory and the same code runs.
 
 Arrays whose lifetimes never overlap within a local batch share one arena.
-loss_and_grad's probabilities go in forward_probs' arena: a batch's
-pseudo-labels are made from forward_probs' result before the objective
-runs. Every temporary that dies before its function returns (sgd_step's,
-ema_update's pulled student, the objective's proximal difference) is taken
-from the one SCRATCH arena. In data, the two augmented views share one
-arena. A group of 50 clients with 64 unlabeled examples each, the
-benchmark's crowd shape, thus trains in 5.1 MiB of workspace, not 6.4 MiB.
+The head writes the log-probabilities over the logits, the last layer's
+output, and takes its caller's argmax labels from the probabilities before
+it subtracts the targets, so nothing is copied; forward_probs makes its
+softmax in place in the logits too, so its result lives in the last layer's
+output buffer, which the next forward pass over the same rows overwrites: a
+batch's pseudo-labels are made from it before the objective runs. Every
+temporary that dies before its function returns (sgd_step's, ema_update's
+pulled student, the lockstep objective's supervised gradient, proximal pull
+and step) is taken from the one SCRATCH arena. In data, the two augmented
+views share one arena. A group of 50 clients with 64 unlabeled examples
+each, the benchmark's crowd shape, thus trains in 3.7 MiB of workspace.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -121,11 +133,24 @@ class ParamVector:
 
     values: np.ndarray
     spec_hash: str
+    # (values, spec, views) as of the last layers() call
+    _layers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim not in (1, 2):
             raise ValueError("ParamVector values must be [P] or a [K, P] stack")
+
+    def layers(self, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (W, b) views per layer into values (see _unflatten), built on
+        the first call and reused while values is the same array and spec
+        the same object, so a model that trains in place, or a gradient
+        buffer written batch after batch, builds them once.
+        """
+        cached = self._layers
+        if cached is None or cached[0] is not self.values or cached[1] is not spec:
+            cached = self._layers = (self.values, spec, _unflatten(self.values, spec))
+        return cached[2]
 
     def __len__(self) -> int:
         """The parameter count P, also for a stack."""
@@ -198,8 +223,8 @@ class Workspace:
     reuses the same memory; views taken before a growth keep the old memory.
     Each name holds one dtype. Nothing is allocated before the first take.
     Functions that share a name must not need its contents at the same
-    time: loss_and_grad's probabilities and forward_probs' share
-    forward_probs, the two augmented views share augment (see data), and
+    time: forward_probs' result and every pass over the same rows share the
+    layer outputs, the two augmented views share augment (see data), and
     scratch (SCRATCH) is for temporaries that die within one call.
     """
 
@@ -261,9 +286,10 @@ class _PassBuffers:
     """Every array one forward and backward pass over a batch of rows
     ([B], or [K, B] for a stack) writes, taken from a Workspace once: per
     layer, its output (activated in place) and a transposed view of it; per
-    hidden layer, its ReLU gate; and the cross-entropy head's
-    log-probabilities, logit gradient, row maxima and sums, and target
-    log-probabilities, with the flat views the head indexes.
+    hidden layer, its ReLU gate; and the cross-entropy head's logit
+    gradient, row maxima and sums, and target log-probabilities, with the
+    flat views the head indexes. The head writes the log-probabilities over
+    the logits, the last layer's output.
     """
 
     def __init__(self, spec: ModelSpec, ws: Workspace, rows: tuple[int, ...]) -> None:
@@ -273,10 +299,8 @@ class _PassBuffers:
         # multiply exactly as their float64 values
         self.gates = [ws.take(gate, (*rows, d_out), np.bool_)
                       for (_, gate), (_, d_out) in zip(spec._buffers[:-1], spec.layer_dims)]
-        shape = (*rows, spec.num_classes)
-        self.log_probs = ws.take("ce.log_probs", shape)
-        self.dlogits = ws.take("ce.dlogits", shape)
-        self.log_probs_flat = self.log_probs.reshape(-1)
+        self.dlogits = ws.take("ce.dlogits", (*rows, spec.num_classes))
+        self.logits_flat = self.outputs[-1].reshape(-1)
         self.dlogits_flat = self.dlogits.reshape(-1)
         self.row_max = ws.take("ce.row_max", (*rows, 1))
         self.row_sum = ws.take("ce.row_sum", (*rows, 1))
@@ -320,34 +344,44 @@ def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndar
     return z
 
 
-def _cross_entropy(logits: np.ndarray, at_target: np.ndarray, scale: np.ndarray | float,
-                   bufs: _PassBuffers, target_log_probs: np.ndarray,
-                   probs_out: np.ndarray | None = None) -> np.ndarray:
+def _cross_entropy(logits: np.ndarray, at_target: np.ndarray, bufs: _PassBuffers,
+                   target_log_probs: np.ndarray, weights: np.ndarray | None = None,
+                   probs_out: np.ndarray | None = None,
+                   labels_out: np.ndarray | None = None) -> np.ndarray:
     """The cross-entropy head: the gradient of the masked mean cross-entropy
-    with respect to the logits (in bufs.dlogits). Writes each row's target
-    log-probability to target_log_probs, from which _mean_loss makes the
-    loss, and with probs_out, the softmax probabilities there.
+    with respect to the logits (in bufs.dlogits). Overwrites the logits with
+    the log-probabilities, and writes each row's target log-probability to
+    target_log_probs, from which _mean_loss makes the loss; with probs_out,
+    it copies the softmax probabilities there, and with labels_out, writes
+    each row's argmax class there.
 
     at_target is the flat index of each row's target entry in the logits,
-    and target_log_probs a flat array of one entry per row; scale is the
-    [..., B, 1] column of weights / B, or the float 1 / B when every weight
-    is 1.
+    and target_log_probs a flat array of one entry per row; weights are the
+    [..., B] example weights, or None when every weight is 1.
     """
-    log_probs, dlogits = bufs.log_probs, bufs.dlogits
-    # log softmax, with dlogits as scratch
-    np.maximum.reduce(logits, axis=-1, keepdims=True, out=bufs.row_max)
-    np.subtract(logits, bufs.row_max, out=log_probs)
+    rows = logits.shape[-2]
+    dlogits, row_max = bufs.dlogits, bufs.row_max
+    # log softmax over the logits, with dlogits as scratch
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=row_max)
+    log_probs = np.subtract(logits, row_max, out=logits)
     np.add.reduce(np.exp(log_probs, out=dlogits), axis=-1, keepdims=True, out=bufs.row_sum)
     log_probs -= np.log(bufs.row_sum, out=bufs.row_sum)
     # mode="clip" (the indices are in range by construction) lets take write
     # straight into its output
-    bufs.log_probs_flat.take(at_target, out=target_log_probs, mode="clip")
+    bufs.logits_flat.take(at_target, out=target_log_probs, mode="clip")
 
     np.exp(log_probs, out=dlogits)
     if probs_out is not None:
         np.copyto(probs_out, dlogits)
+    if labels_out is not None:
+        dlogits.argmax(axis=-1, out=labels_out)
     bufs.dlogits_flat[at_target] -= 1.0
-    dlogits *= scale
+    if weights is None:
+        dlogits *= 1.0 / rows
+    else:
+        # the row maxima are dead: they make way for the [..., B, 1] column
+        # of weights / B
+        dlogits *= np.divide(weights[..., None], rows, out=row_max)
     return dlogits
 
 
@@ -380,25 +414,79 @@ def _backward_layers(weights_t: list[np.ndarray], inputs: np.ndarray, dlogits: n
             upstream *= gate
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
                   workspace: Workspace | None = None) -> np.ndarray:
     """Per-row softmax class probabilities; rows sum to 1 within 1e-9.
 
-    With a workspace, the result lives in it under forward_probs, which
-    loss_and_grad's probabilities overwrite too.
+    The softmax is made in place in the logits buffer, so with a workspace
+    the result lives in it, in the last layer's output, which the next
+    forward pass of the same batch shape on it overwrites.
     """
     ws = Workspace() if workspace is None else workspace
     inputs = _check_inputs(params, spec, inputs)
-    logits = _forward_layers(_unflatten(params.values, spec), inputs,
-                             _layer_outputs(spec, ws, inputs.shape[:-1]))
-    return _softmax(logits, ws.take("forward_probs", logits.shape))
+    return _softmax(_forward_layers(params.layers(spec), inputs,
+                                    _layer_outputs(spec, ws, inputs.shape[:-1])))
+
+
+class PassPlan:
+    """loss_and_grad over one parameter vector or [K, P] stack, planned
+    once for every batch a training loop runs on it: the stacked
+    counterpart of what sgd_epochs plans. Planned are the (W, b) views and
+    the transposed weights of params, and per batch shape (rows, [B] or
+    [K, B]) one buffer set from the workspace, taken largest first so no
+    later shape grows an arena under an earlier one, the flat offset of
+    each row's logits and a flat target-index buffer.
+
+    run() then makes only the float operations of loss_and_grad, in its
+    order, and tests finiteness where it does. It checks no shape, weight
+    or target: a loop that plans checks those once, and each target must be
+    a class index in range. The parameters may change between runs, in
+    place; the plan reads them where they live.
+    """
+
+    def __init__(self, params: ParamVector, spec: ModelSpec, workspace: Workspace,
+                 rows: Iterable[tuple[int, ...]]) -> None:
+        self.spec = spec
+        self.layers = params.layers(spec)
+        self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
+        self._shapes = {}
+        for shape in sorted(set(rows), key=math.prod, reverse=True):
+            size = math.prod(shape)
+            self._shapes[shape] = (
+                _PassBuffers(spec, workspace, shape),
+                np.arange(0, size * spec.num_classes, spec.num_classes),
+                np.empty(size, dtype=np.int64))
+
+    def run(self, inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+            grad: ParamVector, probs_out: np.ndarray | None = None,
+            labels_out: np.ndarray | None = None) -> np.ndarray:
+        """The masked mean cross-entropy of each slice, as loss_and_grad
+        makes it from inputs [..., B, d] of a planned shape, targets and
+        weights [..., B]; its gradient is written into grad, and with
+        probs_out or labels_out, the probabilities or each row's argmax
+        class there. Raises NonFiniteError as loss_and_grad does.
+        """
+        bufs, offsets, at_target = self._shapes[inputs.shape[:-1]]
+        # flat index of each row's target entry
+        np.add(offsets, targets.reshape(-1), out=at_target)
+        logits = _forward_layers(self.layers, inputs, bufs.outputs)
+        dlogits = _cross_entropy(logits, at_target, bufs, bufs.target_log_probs.reshape(-1),
+                                 weights, probs_out, labels_out)
+        loss = _mean_loss(bufs.target_log_probs, weights[..., None, :])
+        # the backward pass writes every entry of the gradient
+        _backward_layers(self.weights_t, inputs, dlogits, grad.layers(self.spec), bufs)
+        if not (np.isfinite(loss).all() and np.isfinite(grad.values).all()):
+            finite = np.isfinite(loss) & np.isfinite(grad.values).all(axis=-1)
+            raise NonFiniteError("non-finite loss or gradient", int(np.argmin(finite)))
+        return loss
 
 
 def loss_and_grad(
@@ -425,9 +513,8 @@ def loss_and_grad(
     probs are the per-row softmax probabilities of this forward pass, so a
     caller that also needs the model's predictions on the batch does not
     run the net a second time. With a workspace, the gradient lives in it
-    under loss_and_grad.grad and the probabilities under forward_probs, the
-    arena forward_probs' result lives in; a call without return_probs leaves
-    that arena untouched.
+    under loss_and_grad.grad and the probabilities under loss_and_grad.probs.
+    It is the one-shot case of a PassPlan.
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -444,25 +531,9 @@ def loss_and_grad(
 
     ws = Workspace() if workspace is None else workspace
     inputs = _check_inputs(params, spec, batch.inputs)
-    layers = _unflatten(params.values, spec)
-    bufs = _PassBuffers(spec, ws, rows)
-    logits = _forward_layers(layers, inputs, bufs.outputs)
-    probs = ws.take("forward_probs", logits.shape) if return_probs else None
-    # flat index of each row's target entry
-    at_target = (np.arange(0, targets.size * spec.num_classes, spec.num_classes)
-                 + targets.reshape(-1))
-    dlogits = _cross_entropy(logits, at_target, (weights / rows[-1])[..., None], bufs,
-                             bufs.target_log_probs.reshape(-1), probs)
-    loss = _mean_loss(bufs.target_log_probs, weights[..., None, :])
-    # the backward pass writes every entry of the gradient
-    grad_values = ws.take("loss_and_grad.grad", params.values.shape)
-    _backward_layers([w.swapaxes(-1, -2) for w, _ in layers], inputs, dlogits,
-                     _unflatten(grad_values, spec), bufs)
-
-    if not (np.isfinite(loss).all() and np.isfinite(grad_values).all()):
-        finite = np.isfinite(loss) & np.isfinite(grad_values).all(axis=-1)
-        raise NonFiniteError("non-finite loss or gradient", int(np.argmin(finite)))
-    grad = ParamVector(grad_values, params.spec_hash)
+    grad = ParamVector(ws.take("loss_and_grad.grad", params.values.shape), params.spec_hash)
+    probs = ws.take("loss_and_grad.probs", (*rows, spec.num_classes)) if return_probs else None
+    loss = PassPlan(params, spec, ws, [rows]).run(inputs, targets, weights, grad, probs)
     loss = float(loss) if loss.ndim == 0 else loss
     if return_probs:
         return loss, grad, probs
@@ -514,10 +585,12 @@ def sgd_epochs(
     by sgd_step, batch by batch: the same float operations run, on views
     into one working parameter vector and one gradient buffer. Everything a
     batch needs besides its rows is built once per call: the transposed
-    weight views, one buffer set, all-ones weight row and 1/b per batch
-    size, and each epoch's flat target indices, gathered with its inputs.
-    With momentum and weight decay 0, sgd_step's velocity is bitwise the
-    gradient, so the kernel steps by lr * gradient directly.
+    weight views, one buffer set and all-ones weight row per batch size,
+    and each epoch's flat target indices, gathered with its inputs.
+    With momentum and weight decay 0, sgd_step's velocity is the gradient
+    up to the sign of a zero entry, and theta - 0.0 differs from
+    theta - (-0.0) only for theta = -0.0, which no step makes; so the kernel
+    steps by lr * gradient directly.
 
     Each batch's target log-probabilities are stored, and finiteness is
     tested once, at the end, on every batch's loss and on the parameters: a
@@ -552,15 +625,15 @@ def sgd_epochs(
     grad_layers = _unflatten(grad_values, spec)
     n = inputs.shape[0]
     # per batch: its rows and, shared by the batches of one size, its
-    # buffers (a ragged last batch's share the workspace's memory), its
-    # all-ones weight row and 1/b
+    # buffers (a ragged last batch's share the workspace's memory) and its
+    # all-ones weight row
     ws = Workspace()
     pieces: dict[int, tuple] = {}
     batches = []
     for start in range(0, n, batch_size):
         size = min(batch_size, n - start)
         if size not in pieces:
-            pieces[size] = (_PassBuffers(spec, ws, (size,)), np.ones((1, size)), 1.0 / size)
+            pieces[size] = (_PassBuffers(spec, ws, (size,)), np.ones((1, size)))
         batches.append((start, start + size, *pieces[size]))
     # a row's flat target index is its offset within its batch's logits plus
     # its label
@@ -574,11 +647,11 @@ def sgd_epochs(
             order = rng.permutation(n)
             epoch_inputs = inputs[order]
             np.add(row_offsets, labels[order], out=at_target)
-            for b, (start, stop, bufs, weights_row, scale) in enumerate(batches):
+            for b, (start, stop, bufs, weights_row) in enumerate(batches):
                 x = epoch_inputs[start:stop]
                 tlp = target_log_probs[epoch, start:stop]
                 logits = _forward_layers(layers, x, bufs.outputs)
-                dlogits = _cross_entropy(logits, at_target[start:stop], scale, bufs, tlp)
+                dlogits = _cross_entropy(logits, at_target[start:stop], bufs, tlp)
                 _backward_layers(weights_t, x, dlogits, grad_layers, bufs)
                 if check and not (math.isfinite(_mean_loss(tlp, weights_row))
                                   and np.isfinite(grad_values).all()):
@@ -593,7 +666,7 @@ def sgd_epochs(
         return ParamVector(values, params.spec_hash)
     # each batch's loss in every epoch
     losses = [_mean_loss(target_log_probs[:, start:stop], weights_row)
-              for start, stop, _, weights_row, _ in batches]
+              for start, stop, _, weights_row in batches]
     if all(np.isfinite(loss).all() for loss in losses) and np.isfinite(values).all():
         return ParamVector(values, params.spec_hash)
     rng.bit_generator.state = entry_state

@@ -233,8 +233,10 @@ def combined_client_grad(
     clients (student [K, P], batches [K, B, d], one generator per client)
     the loss is a [K] array and grad a [K, P] stack; the snapshot may be a
     single [P] vector shared by all K. With a workspace, grad lives in it
-    under combined_client_grad and strong_probs under forward_probs (see
-    loss_and_grad); the proximal difference is made in its scratch arena.
+    under combined_client_grad and strong_probs under loss_and_grad.probs
+    (see loss_and_grad); the proximal difference is made in its scratch
+    arena. engine.lockstep_update runs the same float operations in its
+    planned pass; this function is the one-client API and its oracle.
 
     Consumes each rng in a fixed order (strong view first, then the labeled
     weak view) so call sites line up across variants.

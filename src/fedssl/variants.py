@@ -91,9 +91,10 @@ def ema_update(teacher: ParamVector, student: ParamVector, alpha: float,
 
     Either side may be a [K, P] stack; a single [P] teacher EMA-ed toward a
     stack of students becomes a stack of teachers. With a workspace the
-    result lives in it under ema_update, so a teacher that already lives
-    there is updated in place, and the pulled student is made in its
-    scratch arena (see nn.Workspace).
+    result lives in it under ema_update, and the pulled student is made in
+    its scratch arena (see nn.Workspace); a teacher that already lives
+    there is updated in place and returned as it is, so the layer views a
+    forward pass built on it (ParamVector.layers) serve every later batch.
     """
     teacher.check_compatible(student)
     if not 0.0 <= alpha <= 1.0:
@@ -103,7 +104,7 @@ def ema_update(teacher: ParamVector, student: ParamVector, alpha: float,
     pulled = np.multiply(student.values, 1.0 - alpha, out=ws.take(SCRATCH, shape))
     out = np.multiply(teacher.values, alpha, out=ws.take("ema_update", shape))
     out += pulled
-    return ParamVector(out, teacher.spec_hash)
+    return teacher if out is teacher.values else ParamVector(out, teacher.spec_hash)
 
 
 def switch_decide(last_kl: KlStats, beta: float) -> bool:

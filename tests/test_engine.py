@@ -568,10 +568,13 @@ def test_lockstep_warm_workspace_allocation_budget():
     ws = Workspace()
     lockstep_update(*args, workspace=ws)
     # arenas whose contents are never live together are shared (the two
-    # augmented views; forward_probs' and the objective's probabilities;
-    # the [K, P] temporaries of sgd_step, ema_update and the proximal
-    # pull): 6,708,992 bytes before they were
-    assert ws.nbytes == 5_344_192
+    # augmented views, then the labeled weak view; the unlabeled rows, then
+    # the labeled rows; the logits, the pseudo-label source's probabilities
+    # and the objective's log-probabilities; the [K, P] supervised gradient,
+    # proximal pull, step and ema_update's pulled student), and without
+    # momentum or weight decay no velocity is kept: 5,344,192 bytes when
+    # each pass copied its probabilities and kept its own gradient
+    assert ws.nbytes == 3_928_192
     tracemalloc.start()
     try:
         lockstep_update(*args, workspace=ws)
@@ -579,6 +582,134 @@ def test_lockstep_warm_workspace_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2**20
+
+
+def _momentum_free_replay(ds, shard, snapshot, plan, hyper, seed):
+    """One fedprox_fixmatch participation without labels, replayed with the
+    one-client oracle: combined_client_grad, then sgd_step with an explicit
+    zero velocity. Returns the end parameters and every batch's gradient.
+    """
+    rng = np.random.default_rng(seed)
+    opt = OptimState(plan.learning_rate, 0.0, 0.0, velocity=np.zeros(SPEC.num_params))
+    student, grads = snapshot, []
+    for _ in range(plan.local_epochs):
+        u_order = shard.unlabeled_idx[rng.permutation(shard.unlabeled_idx.size)]
+        for start in range(0, u_order.size, plan.unlabeled_batch_size):
+            u_batch = Batch(ds.inputs[u_order[start:start + plan.unlabeled_batch_size]])
+            weak = weak_augment(u_batch, AUG, rng)
+            pseudo = pseudo_label(forward_probs(student, SPEC, weak.inputs), hyper.tau)
+            _, grad, _ = combined_client_grad(student, snapshot, None, u_batch, pseudo, hyper,
+                                              SPEC, AUG, rng)
+            grads.append(grad.values.copy())
+            student = sgd_step(student, grad, opt)
+    return student, grads
+
+
+@pytest.mark.parametrize("lambda_u", [2.0, 0.0])
+def test_lockstep_momentum_free_step_equals_the_one_client_oracle(lambda_u):
+    # hidden unit 0 is dead (zero weights, bias -1), so its gradient entries
+    # are zeros. With lambda_u 0 the scaled gradient holds -0.0 wherever the
+    # unscaled one is negative, and some parameters start at -0.0: the
+    # oracle's velocity turns a -0.0 entry into +0.0 while the planned step
+    # uses it as it is, and no row may differ
+    ds, shards, _ = _setup(labeled_per_client=0)
+    snapshot = init_params(SPEC, 0)
+    (w0, b0), (w1, b1) = snapshot.layers(SPEC)
+    w0[:, 0], b0[0, 0], b0[0, 1], w1[0] = 0.0, -1.0, -0.0, -0.0
+    hyper = SslHyper(tau=0.5, lambda_u=lambda_u, mu=0.0)
+    plan = _plan(local_epochs=2)
+    seeds = [derive_seed(3, "client", 0, sh.client_id) for sh in shards]
+    group = lockstep_update(shards, _downlink(snapshot), VariantConfig("fedprox_fixmatch"), plan,
+                            hyper, SPEC, AUG, ds, seeds, 0)
+    negative_zeros = 0
+    for res, shard, seed in zip(group, shards, seeds):
+        end, grads = _momentum_free_replay(ds, shard, snapshot, plan, hyper, seed)
+        assert len(grads) > 2
+        # bitwise, signs of zeros included
+        assert res.delta.values.tobytes() == (end.values - snapshot.values).tobytes()
+        # unit 0's incoming weights W0[:, 0] and its bias b0[0]
+        assert all(np.all(g[[0, 4, 8, 12]] == 0.0) for g in grads)
+        negative_zeros += sum(int(np.sum((g == 0.0) & np.signbit(g))) for g in grads)
+    assert (negative_zeros > 0) == (lambda_u == 0.0)
+    if lambda_u:
+        assert len({r.delta.values.tobytes() for r in group}) == len(shards)
+
+
+@pytest.mark.parametrize("labeled_batch_size", [4, 16])
+def test_lockstep_workspace_reused_for_a_smaller_then_larger_group(labeled_batch_size):
+    # one workspace for 2 clients, then 4, which grows every arena, then 2
+    # again; with 16 labeled rows a batch, the labeled pass is the larger
+    # shape. Each call gives the rows a fresh workspace gives
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=2, labeled_batch_size=labeled_batch_size)
+    downlink = _downlink(init_params(SPEC, 1), init_params(SPEC, 2))
+    variant = VariantConfig("ts_client_ema", ema_alpha=0.8)
+    ws = Workspace()
+    for group in (shards[:2], shards, shards[:2]):
+        seeds = [derive_seed(12, "client", 0, sh.client_id) for sh in group]
+        args = (group, downlink, variant, plan, HYPER, SPEC, AUG, ds, seeds, 0)
+        for res, fresh in zip(lockstep_update(*args, workspace=ws), lockstep_update(*args)):
+            _same_result(res, fresh)
+
+
+@pytest.mark.parametrize("kind,with_teacher", [
+    ("fedprox_fixmatch", False),
+    ("ts_client_ema", True),
+    ("fedswitch", False),
+])
+def test_lockstep_calls_each_traced_per_batch_entry_point_once_a_batch(
+        monkeypatch, kind, with_teacher):
+    # the benchmark's mask rate divides by the rows pseudo_label sees, and
+    # its traced counts name these functions: E epochs of n batches make
+    # E * n calls of each, through the bindings the pipeline calls
+    from fedssl import variants
+
+    calls = {"pseudo_label": 0, "weak_augment": 0, "strong_augment": 0}
+    original_pseudo = variants.pseudo_label
+
+    def pseudo(*args, **kwargs):
+        calls["pseudo_label"] += 1
+        return original_pseudo(*args, **kwargs)
+
+    monkeypatch.setattr(variants, "pseudo_label", pseudo)
+    for name in ("weak_augment", "strong_augment"):
+        original = getattr(data, name)
+
+        def counted(batch, *args, _name=name, _original=original, **kwargs):
+            # a labeled weak view is not one of the unlabeled batch's calls
+            calls[_name] += batch.labels is None
+            return _original(batch, *args, **kwargs)
+
+        for info in pkgutil.iter_modules(fedssl.__path__):
+            mod = importlib.import_module(f"fedssl.{info.name}")
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    ds, shards, _ = _setup()
+    plan = _plan(local_epochs=3)
+    batches = math.ceil(shards[0].unlabeled_idx.size / plan.unlabeled_batch_size)
+    assert shards[0].unlabeled_idx.size % plan.unlabeled_batch_size  # a ragged last batch
+    teacher = init_params(SPEC, 5) if with_teacher else None
+    lockstep_update(shards, _downlink(init_params(SPEC, 0), teacher),
+                    VariantConfig(kind, ema_alpha=0.9), plan, HYPER, SPEC, AUG, ds,
+                    seeds=[7 + sh.client_id for sh in shards], round=1)
+    assert calls == dict.fromkeys(calls, plan.local_epochs * batches)
+
+
+def test_lockstep_checks_input_width_and_label_range_once_up_front(strong_calls):
+    # the planned pass checks no batch, so the call checks the dataset's
+    # width and the labeled pools' classes before any rng draws
+    ds, shards, _ = _setup()
+    args = (_downlink(init_params(SPEC, 0)), VariantConfig("fedprox_fixmatch"), _plan(), HYPER)
+    seeds = [1] * len(shards)
+    wide = Dataset(np.hstack([ds.inputs, ds.inputs]), ds.labels, ds.num_classes)
+    with pytest.raises(ValueError, match="inconsistent with input_dim 3"):
+        lockstep_update(shards, *args, SPEC, AUG, wide, seeds, 0)
+    two_classes = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=2)
+    assert ds.labels[np.concatenate([sh.labeled_idx for sh in shards])].max() == 2
+    with pytest.raises(ValueError, match="targets out of class range"):
+        lockstep_update(shards, _downlink(init_params(two_classes, 0)), *args[1:], two_classes,
+                        AUG, ds, seeds, 0)
+    assert not strong_calls
 
 
 def test_lockstep_rejects_mixed_batch_shapes():

@@ -9,6 +9,8 @@ from fedssl.nn import (
     NonFiniteError,
     OptimState,
     ParamVector,
+    PassPlan,
+    Workspace,
     central_diff,
     finite_diff_grad,
     forward_probs,
@@ -209,6 +211,34 @@ class TestStackedBatches:
         with pytest.raises(FloatingPointError):
             loss_and_grad(ParamVector(params.values[2], spec.spec_hash), spec, Batch(x[2]),
                           targets[2], np.ones(7))
+
+    def test_a_plan_serves_every_batch_of_a_loop_as_loss_and_grad_would(self):
+        # one plan over two batch shapes, its parameters stepped in place
+        # between runs: every run gives loss_and_grad's loss, gradient and
+        # probabilities on the parameters as they are, and the argmax labels
+        spec, params, x, targets, weights = self._stack(b=7)
+        _, _, x3, targets3, weights3 = self._stack(b=3, seed=1)
+        ws = Workspace()
+        grad = ParamVector(ws.take("grad", params.values.shape), spec.spec_hash)
+        plan = PassPlan(params, spec, ws, [(4, 3), (4, 7)])
+        assert params.layers(spec) is plan.layers
+        labels = np.empty((4, 7), dtype=np.int64)
+        for step in range(4):
+            inputs, t, w = (x, targets, weights) if step % 2 == 0 else (x3, targets3, weights3)
+            probs = ws.take("probs", (*t.shape, spec.num_classes))
+            loss = plan.run(inputs, t, w, grad, probs, labels[:, :t.shape[1]])
+            ref_loss, ref_grad, ref_probs = loss_and_grad(
+                ParamVector(params.values.copy(), spec.spec_hash), spec, Batch(inputs), t, w,
+                return_probs=True)
+            assert loss.tobytes() == ref_loss.tobytes()
+            assert grad.values.tobytes() == ref_grad.values.tobytes()
+            assert probs.tobytes() == ref_probs.tobytes()
+            assert np.array_equal(labels[:, :t.shape[1]], ref_probs.argmax(axis=-1))
+            params.values -= 0.1 * grad.values
+        x[2, 0, 0] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            plan.run(x, targets, np.ones_like(weights), grad)
+        assert info.value.index == 2
 
     def test_sgd_step_steps_each_slice(self):
         spec, params, x, targets, weights = self._stack()
