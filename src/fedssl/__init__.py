@@ -11,9 +11,7 @@ parameter vector is metered byte-exactly.
 from fedssl.config import (
     DatasetConfig,
     ExperimentConfig,
-    ShardConfig,
     TrainConfig,
-    VariantSettings,
     parse_config,
     parse_config_text,
     resolved_ini,
@@ -53,7 +51,6 @@ __all__ = [
     "RoundPlan",
     "RoundReport",
     "ServerState",
-    "ShardConfig",
     "ShardPlan",
     "SslHyper",
     "SweepCell",
@@ -62,7 +59,6 @@ __all__ = [
     "VARIANT_KINDS",
     "VARIANTS",
     "VariantConfig",
-    "VariantSettings",
     "client_update",
     "derive_seed",
     "dirichlet_shard",

@@ -6,13 +6,24 @@ resolved config written next to the results fully describes the run.
 
 Each INI key is declared once, as a field of the dataclass its section
 builds; the key set, the parser and the echo are derived from those fields.
+The sections build the classes the engine runs on:
+
+- [dataset]: DatasetConfig, below.
+- [shard]: data.ShardPlan (the runner sets its seed per trial).
+- [variant]: variants.VariantConfig, with ema_alpha and iidness_prior
+  left to resolve per kind and per trial.
+- [training]: TrainConfig, derived below from rounds, engine.RoundPlan's
+  fields (all but num_clients, which [shard] sets), hidden_dims,
+  bytes_per_param and semisup.SslHyper's fields.
+- [augment]: data.AugmentConfig.
+- [run]: ExperimentConfig's own scalar fields.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .data import AugmentConfig, ShardPlan
@@ -53,88 +64,57 @@ class DatasetConfig:
             raise ValueError("generator = csv requires csv_path and eval_csv_path")
 
 
-@dataclass(frozen=True)
-class ShardConfig:
-    """How the training pool is split across simulated clients."""
-
-    num_clients: int = 20
-    dirichlet_alpha: float = 100.0
-    labeled_per_client: int = 10
-    server_holds_labels: bool = False
-    streaming_steps: int = 0
-
-    def __post_init__(self) -> None:
-        # delegate the shared ranges to the plan the runner builds
-        ShardPlan(self.num_clients, self.dirichlet_alpha, self.labeled_per_client)
-        if self.streaming_steps < 0:
-            raise ValueError("streaming_steps must be >= 0 (0 disables streaming)")
-
-
-@dataclass(frozen=True)
-class VariantSettings:
-    """Variant choice with deferred hyper-parameters.
-
-    ema_alpha = None means the per-kind default; iidness_prior may be the
-    literal string "auto", resolved per trial to the mean ground-truth KL of
-    the clients' unlabeled label distributions.
+def _ini_fields(cls) -> list:
+    """The fields of cls that INI keys set; a keyword-only field (the shard
+    seed, the round's client count) is set per trial or from another section.
     """
-
-    kind: str = "fedswitch"
-    ema_alpha: float | None = None
-    iidness_prior: float | str = 0.0
-
-    def __post_init__(self) -> None:
-        auto = self.iidness_prior == "auto"
-        if isinstance(self.iidness_prior, str) and not auto:
-            raise ValueError("iidness_prior must be a number or 'auto'")
-        # delegate the remaining ranges, the kind first, to the config the
-        # runner builds
-        VariantConfig(self.kind, self.ema_alpha, 0.0 if auto else self.iidness_prior)
-
-    @property
-    def resolved_alpha(self) -> float:
-        return VariantConfig(self.kind, self.ema_alpha).ema_alpha
+    return [f for f in fields(cls) if not f.kw_only]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Round count, protocol shape, optimizer, and objective weights."""
-
-    rounds: int = 300
-    participation_rate: float = 0.25
-    local_epochs: int = 1
-    server_epochs: int = 1
-    labeled_batch_size: int = 32
-    unlabeled_batch_size: int = 64
-    server_batch_size: int = 32
-    learning_rate: float = 0.1
-    server_learning_rate: float = 0.1
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    topology: str = "labels_at_client"
-    hidden_dims: tuple[int, ...] = (32,)
-    bytes_per_param: int = 8
-    tau: float = 0.95
-    lambda_u: float = 1.0
-    mu: float = 0.001
+class _TrainingMethods:
+    """TrainConfig's checks and the engine objects it builds. Its fields
+    are added below, read from RoundPlan's and SslHyper's.
+    """
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims entries must be >= 1")
-        # delegate the remaining ranges to the objects the runner builds
+        # the remaining ranges are checked by the objects the runner builds
         self.round_plan(num_clients=1)
         self.hyper()
         CommLedger(bytes_per_param=self.bytes_per_param)
 
     def round_plan(self, num_clients: int) -> RoundPlan:
-        shared = {f.name: getattr(self, f.name) for f in fields(RoundPlan)
-                  if f.name != "num_clients"}
-        return RoundPlan(num_clients=num_clients, **shared)
+        return RoundPlan(num_clients=num_clients, **self._values_for(RoundPlan))
 
     def hyper(self) -> SslHyper:
-        return SslHyper(tau=self.tau, lambda_u=self.lambda_u, mu=self.mu)
+        return SslHyper(**self._values_for(SslHyper))
+
+    def _values_for(self, cls) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in _ini_fields(cls)}
+
+
+def _field_specs(cls) -> list[tuple]:
+    return [(f.name, f.type, field(default=f.default)) for f in _ini_fields(cls)]
+
+
+# [training] is the round count, RoundPlan's keys, the model shape and
+# SslHyper's keys, in that order; the engine-side fields are read, not
+# re-typed, so each keeps the one type and default its class declares
+TrainConfig = make_dataclass(
+    "TrainConfig",
+    [("rounds", "int", field(default=300)),
+     *_field_specs(RoundPlan),
+     ("hidden_dims", "tuple[int, ...]", field(default=(32,))),
+     ("bytes_per_param", "int", field(default=8)),
+     *_field_specs(SslHyper)],
+    bases=(_TrainingMethods,),
+    namespace={"__doc__": "Round count, protocol shape, optimizer, and objective weights.",
+               "__module__": __name__},
+    frozen=True,
+)
 
 
 @dataclass(frozen=True)
@@ -142,8 +122,8 @@ class ExperimentConfig:
     """A fully resolved experiment: every block present, every default filled."""
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    shard: ShardConfig = field(default_factory=ShardConfig)
-    variant: VariantSettings = field(default_factory=VariantSettings)
+    shard: ShardPlan = field(default_factory=ShardPlan)
+    variant: VariantConfig = field(default_factory=VariantConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     trials: int = 1
@@ -227,7 +207,7 @@ _SECTION_CLASSES = {
 def _key_table(cls) -> dict[str, tuple]:
     return {
         f.name: _CONVERTERS[f.type.removesuffix(" | None")]
-        for f in fields(cls) if f.name not in _SECTION_CLASSES
+        for f in _ini_fields(cls) if f.name not in _SECTION_CLASSES
     }
 
 

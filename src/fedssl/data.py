@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -84,15 +84,19 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
     return not set(a.ravel().tolist()).isdisjoint(b.ravel().tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardPlan:
-    """How to split a dataset across clients."""
+    """How to split a dataset across clients, and into how many streaming
+    segments each client's unlabeled pool is cut (0: no streaming). The
+    seed is set per trial, so it is not an INI key.
+    """
 
-    num_clients: int
-    dirichlet_alpha: float
-    labeled_per_client: int
+    num_clients: int = 20
+    dirichlet_alpha: float = 100.0
+    labeled_per_client: int = 10
     server_holds_labels: bool = False
-    seed: int = 0
+    streaming_steps: int = 0
+    seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.dirichlet_alpha):
@@ -103,6 +107,8 @@ class ShardPlan:
             raise ValueError("dirichlet_alpha must be positive")
         if self.labeled_per_client < 0:
             raise ValueError("labeled_per_client must be non-negative")
+        if self.streaming_steps < 0:
+            raise ValueError("streaming_steps must be >= 0 (0 disables streaming)")
 
 
 @dataclass

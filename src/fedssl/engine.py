@@ -235,13 +235,13 @@ class ClientUpdates(Sequence):
 
 @dataclass
 class RoundPlan:
-    """Per-round shape of the protocol plus local optimizer settings."""
+    """Per-round shape of the protocol plus local optimizer settings. The
+    client count comes from the shard plan, so it is not a [training] key.
+    """
 
-    num_clients: int
-    participation_rate: float
-    local_epochs: int
-    server_epochs: int
-    topology: str
+    participation_rate: float = 0.25
+    local_epochs: int = 1
+    server_epochs: int = 1
     labeled_batch_size: int = 32
     unlabeled_batch_size: int = 64
     server_batch_size: int = 32
@@ -249,6 +249,8 @@ class RoundPlan:
     server_learning_rate: float = 0.1
     momentum: float = 0.0
     weight_decay: float = 0.0
+    topology: str = "labels_at_client"
+    num_clients: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         for name in ("participation_rate", "learning_rate", "server_learning_rate",
@@ -652,6 +654,8 @@ def init_server(
     server_labeled_pool: Dataset | None = None,
 ) -> ServerState:
     """Round-zero server state; the teacher starts as a copy of the student."""
+    if variant.iidness_prior == "auto":
+        raise ValueError("iidness_prior 'auto' must be resolved to a number before a run")
     student = init_params(spec, seed)
     teacher = student.copy() if VARIANTS[variant.kind].teacher else None
     return ServerState(

@@ -16,20 +16,18 @@ outputs. The CSV files are streamed line by line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, resolved_ini
-from .data import Dataset, ShardPlan, dirichlet_shard, gen_blobs, load_csv, make_stream_schedule
+from .data import Dataset, dirichlet_shard, gen_blobs, load_csv, make_stream_schedule
 from .engine import init_server, run_round
 from .metrics import CommLedger, RoundReport, stability_stats
 from .nn import ModelSpec, Workspace
 from .rng import derive_seed
 from .semisup import KlStats, batch_label_kl
-from .variants import VARIANT_KINDS, VariantConfig
 
 
 @dataclass(frozen=True)
@@ -125,14 +123,7 @@ def _run_trial(
     out_dir: Path,
 ) -> tuple[TrialSummary, TrialDiagnostics]:
     trial_seed = derive_seed(cfg.seed, "trial", trial)
-    plan = ShardPlan(
-        num_clients=cfg.shard.num_clients,
-        dirichlet_alpha=cfg.shard.dirichlet_alpha,
-        labeled_per_client=cfg.shard.labeled_per_client,
-        server_holds_labels=cfg.shard.server_holds_labels,
-        seed=derive_seed(trial_seed, "shard"),
-    )
-    sharding = dirichlet_shard(data, plan)
+    sharding = dirichlet_shard(data, replace(cfg.shard, seed=derive_seed(trial_seed, "shard")))
     shards = sharding.shards
     pool = None
     if cfg.shard.server_holds_labels:
@@ -143,7 +134,7 @@ def _run_trial(
     beta = cfg.variant.iidness_prior
     if beta == "auto":
         beta = float(np.mean([truth[sh.client_id] for sh in shards]))
-    variant = VariantConfig(cfg.variant.kind, cfg.variant.resolved_alpha, beta)
+    variant = replace(cfg.variant, iidness_prior=beta)
 
     if cfg.shard.streaming_steps > 0:
         shards = [
@@ -214,7 +205,7 @@ def _run_trial(
         f"trial = {trial}",
         f"trial_seed = {trial_seed}",
         f"variant = {variant.kind}",
-        f"ema_alpha = {repr(variant.ema_alpha)}",
+        f"ema_alpha = {repr(variant.resolved_alpha)}",
         f"iidness_prior = {repr(beta)}",
         f"final_accuracy = {repr(final_acc)}",
         f"best_accuracy = {repr(best_acc)}",
@@ -296,26 +287,24 @@ def run_sweep(
     """
     if not alphas or not kinds:
         raise ValueError("sweep needs at least one alpha and one variant")
-    for kind in kinds:
-        if kind not in VARIANT_KINDS:
-            raise ValueError(f"unknown variant '{kind}'")
-    for alpha in alphas:
-        if not math.isfinite(alpha):
-            raise ValueError(f"dirichlet alpha must be finite, got {alpha}")
-        if alpha <= 0:
-            raise ValueError(f"dirichlet alpha must be positive, got {alpha}")
 
     root = Path(cfg.output)
+    # every cell's config is built, and so checked, before any cell writes;
     # a repeated variant, or alphas equal to six significant digits, would
     # have two cells write one directory
-    cell_dirs: dict[Path, tuple[str, float]] = {}
+    grid: dict[Path, tuple[str, float, ExperimentConfig]] = {}
     for kind in kinds:
-        for alpha in alphas:
+        for alpha in map(float, alphas):
             out = root / kind / _alpha_tag(alpha)
-            if out in cell_dirs:
-                raise ValueError(f"sweep cells {cell_dirs[out]} and {(kind, float(alpha))} "
+            if out in grid:
+                raise ValueError(f"sweep cells {grid[out][:2]} and {(kind, alpha)} "
                                  f"share the output directory {out}")
-            cell_dirs[out] = (kind, float(alpha))
+            grid[out] = kind, alpha, replace(
+                cfg,
+                shard=replace(cfg.shard, dirichlet_alpha=alpha),
+                variant=replace(cfg.variant, kind=kind),
+                output=str(out),
+            )
 
     cells: list[SweepCell] = []
     rows = [
@@ -323,13 +312,7 @@ def run_sweep(
         "best_accuracy_mean,trailing_accuracy_std_mean,kl_ratio_mean,"
         "downlink_bytes_mean,uplink_bytes_mean"
     ]
-    for out, (kind, alpha) in cell_dirs.items():
-        sub = replace(
-            cfg,
-            shard=replace(cfg.shard, dirichlet_alpha=alpha),
-            variant=replace(cfg.variant, kind=kind),
-            output=str(out),
-        )
+    for kind, alpha, sub in grid.values():
         summaries, diags = _run_all(sub)
         cells.append(SweepCell(kind, alpha, tuple(summaries)))
 

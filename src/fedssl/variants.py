@@ -61,28 +61,40 @@ VARIANTS = {
 VARIANT_KINDS = tuple(VARIANTS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariantConfig:
-    """Which protocol to run and its two scalar knobs; ema_alpha None means
-    the kind's default_alpha.
+    """Which protocol to run and its two scalar knobs.
+
+    ema_alpha None means the kind's default_alpha (resolved_alpha), read
+    when the EMA runs, so replacing the kind also replaces the default.
+    iidness_prior may be the literal string "auto", which the runner
+    resolves per trial to the mean ground-truth KL of the clients'
+    unlabeled label distributions; init_server refuses it unresolved.
     """
 
-    kind: str
+    kind: str = "fedswitch"
     ema_alpha: float | None = None
-    iidness_prior: float = 0.0
+    iidness_prior: float | str = 0.0
 
     def __post_init__(self) -> None:
+        auto = self.iidness_prior == "auto"
+        if isinstance(self.iidness_prior, str) and not auto:
+            raise ValueError("iidness_prior must be a number or 'auto'")
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}, expected one of {VARIANT_KINDS}")
-        if self.ema_alpha is None:
-            self.ema_alpha = VARIANTS[self.kind].default_alpha
-        for name in ("ema_alpha", "iidness_prior"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 <= self.ema_alpha <= 1.0:
+        alpha, prior = self.resolved_alpha, 0.0 if auto else self.iidness_prior
+        for name, value in (("ema_alpha", alpha), ("iidness_prior", prior)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("ema_alpha must be in [0, 1]")
-        if self.iidness_prior < 0:
+        if prior < 0:
             raise ValueError("iidness_prior must be non-negative")
+
+    @property
+    def resolved_alpha(self) -> float:
+        """The EMA rate the run uses: ema_alpha, else the kind's default."""
+        return VARIANTS[self.kind].default_alpha if self.ema_alpha is None else self.ema_alpha
 
 
 def ema_update(teacher: ParamVector, student: ParamVector, alpha: float,
@@ -172,7 +184,7 @@ def variant_batch_hook(
         return pseudo_label(probs, hyper.tau, source="student", workspace=workspace), local_teacher
 
     if traits.local_ema:
-        local_teacher = ema_update(local_teacher, student_params, variant.ema_alpha,
+        local_teacher = ema_update(local_teacher, student_params, variant.resolved_alpha,
                                    workspace=workspace)
     probs = forward_probs(local_teacher, spec, weak_inputs, workspace=workspace)
     return pseudo_label(probs, hyper.tau, source="teacher", workspace=workspace), local_teacher
@@ -224,4 +236,4 @@ def variant_server_merge(
         global_teacher.check_compatible(teacher_deltas)
         uploads = global_teacher.values + teacher_deltas.values
         base = ParamVector(uploads.mean(axis=0), global_teacher.spec_hash)
-    return ema_update(base, aggregated_student, variant.ema_alpha)
+    return ema_update(base, aggregated_student, variant.resolved_alpha)

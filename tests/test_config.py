@@ -9,7 +9,8 @@ from fedssl.config import (
     resolved_ini,
 )
 from fedssl.data import AugmentConfig, ShardPlan
-from fedssl.engine import RoundPlan
+from fedssl.engine import RoundPlan, init_server
+from fedssl.nn import ModelSpec
 from fedssl.semisup import SslHyper
 from fedssl.variants import VariantConfig
 
@@ -88,23 +89,10 @@ def test_ema_alpha_defaults_per_kind():
         cfg = parse_config_text(f"[variant]\nkind = {kind}\n")
         assert cfg.variant.resolved_alpha == alpha
         assert f"\nema_alpha = {alpha!r}\n" in resolved_ini(cfg)
+        assert VariantConfig(kind).resolved_alpha == alpha
     explicit = parse_config_text("[variant]\nkind = ts_server_ema\nema_alpha = 0.5\n")
     assert explicit.variant.resolved_alpha == 0.5
-
-
-def test_engine_side_defaults_equal_the_ini_defaults():
-    # a parameter left out of an engine-side constructor takes the value an
-    # INI file that leaves it out would give
-    training = parse_config_text("").training
-    required = {name: getattr(training, name) for name in
-                ("participation_rate", "local_epochs", "server_epochs", "topology")}
-    assert training.round_plan(7) == RoundPlan(num_clients=7, **required)
-    for kind, alpha in {"fedprox_fixmatch": 0.999, "ts_server_ema": 0.99,
-                        "ts_client_ema": 0.999, "fedswitch": 0.999}.items():
-        cfg = parse_config_text(f"[variant]\nkind = {kind}\n")
-        assert f"\nema_alpha = {alpha!r}\n" in resolved_ini(cfg)
-        assert VariantConfig(kind).ema_alpha == alpha
-    assert VariantConfig("ts_server_ema", 0.5).ema_alpha == 0.5
+    assert VariantConfig("ts_server_ema", 0.5).resolved_alpha == 0.5
 
 
 def test_iidness_prior_auto_and_number():
@@ -141,7 +129,8 @@ def test_finite_numbers_and_auto_still_parse():
 
 
 def _round_plan(**overrides):
-    return RoundPlan(10, 0.5, 1, 0, "labels_at_client", **overrides)
+    return RoundPlan(num_clients=10, participation_rate=0.5, local_epochs=1, server_epochs=0,
+                     topology="labels_at_client", **overrides)
 
 
 @pytest.mark.parametrize("build,field", [
@@ -167,6 +156,19 @@ def test_engine_side_configs_reject_non_finite_numbers(build, field):
     # built directly, past the parser; each would pass every range check
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|inf)$"):
         build()
+
+
+def test_engine_side_configs_reject_what_the_parser_would():
+    # built directly, past the parser, with the messages an INI file gets
+    with pytest.raises(ValueError, match=r"^streaming_steps must be >= 0 \(0 disables"):
+        ShardPlan(streaming_steps=-1)
+    with pytest.raises(ValueError, match="^iidness_prior must be a number or 'auto'$"):
+        VariantConfig(iidness_prior="high")
+    # 'auto' is resolved per trial; a run handed it unresolved is refused
+    # before the switch rule would compare a number with it
+    spec = ModelSpec(input_dim=2, hidden_dims=(3,), num_classes=2)
+    with pytest.raises(ValueError, match="iidness_prior 'auto' must be resolved"):
+        init_server(spec, VariantConfig(iidness_prior="auto"), seed=0)
 
 
 def test_topology_placement_consistency():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -379,10 +380,25 @@ def test_sweep_rejects_bad_inputs(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+def test_sweep_cells_resolve_their_own_kinds_default_alpha(tmp_path):
+    # the base config leaves ema_alpha empty, so each cell's kind picks its
+    # own default when it runs, not the base kind's
+    defaults = {"fedprox_fixmatch": 0.999, "ts_server_ema": 0.99,
+                "ts_client_ema": 0.999, "fedswitch": 0.999}
+    out = tmp_path / "kinds"
+    run_sweep(_sweep_cfg(out), alphas=[10.0], kinds=list(defaults))
+    for kind, alpha in defaults.items():
+        cell = out / kind / "alpha_10"
+        assert f"\nema_alpha = {alpha!r}\n" in (cell / "config_resolved.ini").read_text()
+        assert f"\nema_alpha = {alpha!r}\n" in (cell / "trial_000" / "summary.txt").read_text()
+    base = parse_config_text("").variant
+    assert base.kind == "fedswitch" and base.ema_alpha is None
+    assert replace(base, kind="ts_server_ema").resolved_alpha == 0.99
+
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_sweep_rejects_a_non_finite_alpha_before_any_cell_runs(tmp_path, bad):
     cfg = _sweep_cfg(tmp_path / "bad")
-    with pytest.raises(ValueError, match=f"dirichlet alpha must be finite, got {bad}"):
+    with pytest.raises(ValueError, match=f"dirichlet_alpha must be finite, got {bad}"):
         run_sweep(cfg, alphas=[0.1, bad], kinds=["fedswitch"])
     assert not (tmp_path / "bad").exists()
