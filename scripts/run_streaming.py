@@ -10,8 +10,9 @@ client's k-th participation trains on segment k mod 10 (the server counts
 participations in ServerState.participations). A client therefore sees a
 different tenth of its data each time it joins, with the same class mix.
 Per-batch teacher EMA (ts_client_ema, fedswitch) should damp the resulting
-accuracy wobble relative to plain FedProx-FixMatch; the metric is the
-trailing-window accuracy standard deviation from each trial's summary.txt.
+accuracy wobble relative to plain FedProx-FixMatch; the metric is each
+trial's trailing-window accuracy standard deviation, read from the
+TrialSummary records run_experiment returns.
 """
 
 import argparse
@@ -29,17 +30,6 @@ ARMS = (
     ("ts_client_ema", "0.0"),
     ("fedswitch", "auto"),
 )
-
-
-def trailing_stds(exp_dir: Path) -> list[float]:
-    """Pull trailing_accuracy_std out of every trial summary under exp_dir."""
-    vals = []
-    for f in sorted(exp_dir.glob("trial_*/summary.txt")):
-        for line in f.read_text(encoding="utf-8").splitlines():
-            key, _, raw = line.partition(" = ")
-            if key == "trailing_accuracy_std":
-                vals.append(float(raw))
-    return vals
 
 
 def main() -> None:
@@ -65,7 +55,7 @@ def main() -> None:
         )
         trials = run_experiment(cfg)
         accs = [t.final_accuracy for t in trials]
-        stds = trailing_stds(out_dir)
+        stds = [t.trailing_accuracy_std for t in trials]
         print(f"  {kind:18s} final {np.mean(accs):.4f}"
               f"  trailing std {np.mean(stds):.5f} (per trial: "
               + ", ".join(f"{s:.5f}" for s in stds) + ")")

@@ -177,8 +177,11 @@ def gen_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: i
     return Dataset(inputs, labels, num_classes)
 
 
-def load_csv(path: str | Path, num_classes: int, scale01: bool = False) -> Dataset:
-    """Parse `label,f1,...,fd` rows (no header). Errors name the line."""
+def load_csv(path: str | Path, num_classes: int) -> Dataset:
+    """Parse `label,f1,...,fd` rows (no header). Errors name the line.
+    Features are kept as written; the runner's `scale01` maps both splits
+    by the training split's range.
+    """
     text = Path(path).read_text(encoding="utf-8")
     rows = []
     labels = []
@@ -207,13 +210,7 @@ def load_csv(path: str | Path, num_classes: int, scale01: bool = False) -> Datas
         rows.append(feats)
     if not rows:
         raise ValueError("empty dataset")
-    inputs = np.array(rows, dtype=np.float64)
-    if scale01:
-        lo = inputs.min(axis=0)
-        span = inputs.max(axis=0) - lo
-        span[span == 0.0] = 1.0
-        inputs = (inputs - lo) / span
-    return Dataset(inputs, np.array(labels), num_classes)
+    return Dataset(np.array(rows, dtype=np.float64), np.array(labels), num_classes)
 
 
 def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -6,8 +6,8 @@ ledger entry, recorded by engine.run_round. The ledger alone prices it:
 bytes are num_params times bytes_per_param (8 for the float64 core, 4 for
 comparison runs). It keeps a round's entries of one direction as one
 block (the round, direction and size once, then each entry's role and
-client id), and builds a Transmission only when an entry is read back. The
-two KL scalars each client reports are not metered.
+client id), and reads an entry back as the plain tuple transmissions.csv
+writes. The two KL scalars each client reports are not metered.
 """
 
 from __future__ import annotations
@@ -24,28 +24,6 @@ from .nn import ModelSpec, ParamVector, forward_probs
 
 DIRECTIONS = ("downlink", "uplink")
 ROLES = ("student", "teacher")
-
-
-@dataclass(slots=True)
-class Transmission:
-    """One model payload crossing the network, as CommLedger.entries reads
-    it back.
-    """
-
-    round: int
-    direction: str
-    role: str
-    client_id: int
-    num_params: int
-    bytes: int
-
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}")
-        if self.round < 0 or self.num_params < 1:
-            raise ValueError("round must be >= 0 and num_params >= 1")
 
 
 # a round's running totals are [downlink_models, downlink_bytes,
@@ -83,10 +61,10 @@ class CommLedger:
     size extends it, so run_round, which meters each direction of a round
     with one call, makes two blocks a round. An entry's bytes are derived
     from bytes_per_param. entries is a read-only view with a length that
-    builds a Transmission per entry as it is iterated; rows() yields the
-    same fields as plain tuples. Per-round totals are kept running as
+    yields each entry as a (round, direction, role, client_id, num_params,
+    bytes) tuple as it is iterated. Per-round totals are kept running as
     entries arrive, so a round's rollup costs the same however long the log
-    grows. extend appends prebuilt entries after checking them against this
+    grows. extend appends such tuples after checking them against this
     ledger's price.
     """
 
@@ -136,21 +114,11 @@ class CommLedger:
         totals[2 * d] += count
         totals[2 * d + 1] += count * num_params * self._bytes_per_param
 
-    def extend(self, entries: Iterable[Transmission]) -> None:
-        for e in entries:
-            if e.bytes != e.num_params * self._bytes_per_param:
+    def extend(self, entries: Iterable[tuple[int, str, str, int, int, int]]) -> None:
+        for rnd, direction, role, client_id, num_params, size in entries:
+            if size != num_params * self._bytes_per_param:
                 raise ValueError("entry byte count disagrees with this ledger's scale")
-            self.record(e.round, e.direction, e.role, e.client_id, e.num_params)
-
-    def rows(self) -> Iterator[tuple[int, str, str, int, int, int]]:
-        """Each entry's (round, direction, role, client_id, num_params,
-        bytes), in recording order, without building a Transmission.
-        """
-        bpp = self._bytes_per_param
-        for b in self._blocks:
-            direction, n = DIRECTIONS[b.direction], b.num_params
-            for r, cid in zip(b.roles, b.client_ids):
-                yield b.round, direction, ROLES[r], cid, n, n * bpp
+            self.record(rnd, direction, role, client_id, num_params)
 
     def model_count(self, direction: str, role: str | None = None) -> int:
         d = _code(DIRECTIONS, direction, "direction")
@@ -168,8 +136,9 @@ class CommLedger:
 
 class LedgerEntries:
     """A read-only view of a CommLedger's entries, in recording order: its
-    length, and on iteration a Transmission per entry, built from the
-    ledger's blocks. The view follows entries recorded after it was taken.
+    length, and on iteration each entry's (round, direction, role,
+    client_id, num_params, bytes) tuple, the row transmissions.csv writes.
+    The view follows entries recorded after it was taken.
     """
 
     __slots__ = ("_ledger",)
@@ -180,8 +149,13 @@ class LedgerEntries:
     def __len__(self) -> int:
         return self._ledger._size
 
-    def __iter__(self) -> Iterator[Transmission]:
-        return (Transmission(*row) for row in self._ledger.rows())
+    def __iter__(self) -> Iterator[tuple[int, str, str, int, int, int]]:
+        ledger = self._ledger
+        bpp = ledger.bytes_per_param
+        for b in ledger._blocks:
+            direction, n = DIRECTIONS[b.direction], b.num_params
+            for r, cid in zip(b.roles, b.client_ids):
+                yield b.round, direction, ROLES[r], cid, n, n * bpp
 
 
 @dataclass
@@ -230,18 +204,15 @@ def evaluate(params: ParamVector, spec: ModelSpec, test: Dataset) -> float:
     return float((probs.argmax(axis=1) == test.labels).mean())
 
 
-def stability_stats(reports: list, window: int) -> tuple[float, float]:
-    """(population std, max peak-to-trough drop) of student accuracy over the
-    trailing `window` reports. Accepts RoundReports or bare floats.
+def stability_stats(accuracies: Sequence[float], window: int) -> tuple[float, float]:
+    """(population std, max peak-to-trough drop) of the trailing `window`
+    student accuracies.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if window > len(reports):
-        raise ValueError(f"window {window} exceeds {len(reports)} reports")
-    acc = np.array(
-        [r.acc_student if isinstance(r, RoundReport) else float(r) for r in reports],
-        dtype=np.float64,
-    )[-window:]
+    if window > len(accuracies):
+        raise ValueError(f"window {window} exceeds {len(accuracies)} accuracies")
+    acc = np.array(accuracies[-window:], dtype=np.float64)
     peaks = np.maximum.accumulate(acc)
     drawdown = float(np.max(peaks - acc))
     return float(np.std(acc)), drawdown

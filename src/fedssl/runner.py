@@ -16,7 +16,7 @@ outputs. The CSV files are streamed line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,23 +32,27 @@ from .semisup import KlStats, batch_label_kl
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """One trial's headline numbers."""
+    """One trial's outcome. The trial's summary.txt is these fields in this
+    order, one `name = value` line each: none for None, a string as is,
+    repr for anything else. The trailing statistics cover the last
+    stability_window rounds.
+    """
 
     trial: int
     trial_seed: int
+    variant: str
+    ema_alpha: float
+    iidness_prior: float
     final_accuracy: float
     best_accuracy: float
     rounds_to_threshold: int | None
     downlink_bytes: int
     uplink_bytes: int
-
-
-@dataclass(frozen=True)
-class TrialDiagnostics:
-    """Secondary per-trial statistics that the sweep grid averages."""
-
+    stability_window: int
     trailing_accuracy_std: float
+    max_drawdown: float
     trailing_kl_ratio: float | None
+    teacher_round_fraction: float
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,20 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         test = gen_blobs(d.num_classes, d.dim, d.eval_per_class, d.spread,
                          seed=derive_seed(cfg.seed, "eval-data"))
     else:
-        train = load_csv(d.csv_path, d.num_classes, scale01=d.scale01)
-        test = load_csv(d.eval_csv_path, d.num_classes, scale01=d.scale01)
+        train = load_csv(d.csv_path, d.num_classes)
+        test = load_csv(d.eval_csv_path, d.num_classes)
         if train.dim != test.dim:
             raise ValueError(
                 f"train and eval dimensions disagree: {train.dim} vs {test.dim}"
             )
+        if d.scale01:
+            # both splits take the training split's per-feature map, so a
+            # raw value scales to one value in training and in evaluation
+            lo = train.inputs.min(axis=0)
+            span = train.inputs.max(axis=0) - lo
+            span[span == 0.0] = 1.0
+            train, test = (Dataset((ds.inputs - lo) / span, ds.labels, d.num_classes)
+                           for ds in (train, test))
     return train, test
 
 
@@ -105,6 +117,10 @@ def _opt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _summary_value(value) -> str:
+    return "none" if value is None else value if isinstance(value, str) else repr(value)
+
+
 def _write_lines(path: Path, header: str, rows) -> None:
     """Write the header and each row as one line, without building the
     whole file in memory; the bytes equal those of joining the lines.
@@ -121,7 +137,7 @@ def _run_trial(
     eval_data: Dataset,
     spec: ModelSpec,
     out_dir: Path,
-) -> tuple[TrialSummary, TrialDiagnostics]:
+) -> TrialSummary:
     trial_seed = derive_seed(cfg.seed, "trial", trial)
     sharding = dirichlet_shard(data, replace(cfg.shard, seed=derive_seed(trial_seed, "shard")))
     shards = sharding.shards
@@ -170,59 +186,46 @@ def _run_trial(
                  (r.csv_row() for r in reports))
     _write_lines(out_dir / "transmissions.csv", "round,direction,role,client_id,num_params,bytes",
                  (f"{rnd},{direction},{role},{cid},{num_params},{size}"
-                  for rnd, direction, role, cid, num_params, size in ledger.rows()))
+                  for rnd, direction, role, cid, num_params, size in ledger.entries))
     _write_lines(out_dir / "kl_ratio.csv", "round,pseudo_kl,truth_kl,ratio",
                  (f"{rnd},{repr(p)},{repr(t)},{_opt(r)}" for rnd, p, t, r in ratio_rows))
 
     accs = [r.acc_student for r in reports]
-    final_acc = accs[-1]
-    best_acc = max(accs)
-    rounds_to_threshold = None
-    if cfg.accuracy_threshold is not None:
-        for i, a in enumerate(accs):
-            if a >= cfg.accuracy_threshold:
-                rounds_to_threshold = i + 1
-                break
+    threshold = cfg.accuracy_threshold
+    rounds_to_threshold = None if threshold is None else next(
+        (i for i, a in enumerate(accs, start=1) if a >= threshold), None)
 
     window = cfg.effective_window
-    trailing_std, drawdown = stability_stats(reports, window)
+    trailing_std, drawdown = stability_stats(accs, window)
     tail_ratios = [r for _, _, _, r in ratio_rows[-window:] if r is not None]
-    trailing_ratio = float(np.mean(tail_ratios)) if tail_ratios else None
-    teacher_round_fraction = sum(1 for r in reports if r.send_teacher) / len(reports)
 
     summary = TrialSummary(
         trial=trial,
         trial_seed=trial_seed,
-        final_accuracy=final_acc,
-        best_accuracy=best_acc,
+        variant=variant.kind,
+        ema_alpha=variant.resolved_alpha,
+        iidness_prior=beta,
+        final_accuracy=accs[-1],
+        best_accuracy=max(accs),
         rounds_to_threshold=rounds_to_threshold,
         downlink_bytes=ledger.total_bytes("downlink"),
         uplink_bytes=ledger.total_bytes("uplink"),
+        stability_window=window,
+        trailing_accuracy_std=trailing_std,
+        max_drawdown=drawdown,
+        trailing_kl_ratio=float(np.mean(tail_ratios)) if tail_ratios else None,
+        teacher_round_fraction=sum(1 for r in reports if r.send_teacher) / len(reports),
     )
-    diag = TrialDiagnostics(trailing_accuracy_std=trailing_std, trailing_kl_ratio=trailing_ratio)
-
-    lines = [
-        f"trial = {trial}",
-        f"trial_seed = {trial_seed}",
-        f"variant = {variant.kind}",
-        f"ema_alpha = {repr(variant.resolved_alpha)}",
-        f"iidness_prior = {repr(beta)}",
-        f"final_accuracy = {repr(final_acc)}",
-        f"best_accuracy = {repr(best_acc)}",
-        f"rounds_to_threshold = {rounds_to_threshold if rounds_to_threshold is not None else 'none'}",
-        f"downlink_bytes = {summary.downlink_bytes}",
-        f"uplink_bytes = {summary.uplink_bytes}",
-        f"stability_window = {window}",
-        f"trailing_accuracy_std = {repr(trailing_std)}",
-        f"max_drawdown = {repr(drawdown)}",
-        f"trailing_kl_ratio = {_opt(trailing_ratio) or 'none'}",
-        f"teacher_round_fraction = {repr(teacher_round_fraction)}",
-    ]
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return summary, diag
+    (out_dir / "summary.txt").write_text(
+        "".join(f"{f.name} = {_summary_value(getattr(summary, f.name))}\n"
+                for f in fields(summary)),
+        encoding="utf-8",
+    )
+    return summary
 
 
-def _run_all(cfg: ExperimentConfig) -> tuple[list[TrialSummary], list[TrialDiagnostics]]:
+def run_experiment(cfg: ExperimentConfig) -> list[TrialSummary]:
+    """Run all trials of one experiment; write outputs under cfg.output."""
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.ini").write_text(resolved_ini(cfg), encoding="utf-8")
@@ -235,15 +238,12 @@ def _run_all(cfg: ExperimentConfig) -> tuple[list[TrialSummary], list[TrialDiagn
     )
 
     summaries: list[TrialSummary] = []
-    diags: list[TrialDiagnostics] = []
     for t in range(cfg.trials):
         try:
-            summary, diag = _run_trial(cfg, t, data, eval_data, spec,
-                                       out / f"trial_{t:03d}")
+            summaries.append(_run_trial(cfg, t, data, eval_data, spec,
+                                        out / f"trial_{t:03d}"))
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"trial {t}: {exc}") from exc
-        summaries.append(summary)
-        diags.append(diag)
 
     finals = [s.final_accuracy for s in summaries]
     mean = float(np.mean(finals))
@@ -265,12 +265,7 @@ def _run_all(cfg: ExperimentConfig) -> tuple[list[TrialSummary], list[TrialDiagn
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{cfg.variant.kind}: final accuracy {mean:.4f} ± {std:.4f} "
           f"over {cfg.trials} trial(s)")
-    return summaries, diags
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[TrialSummary]:
-    """Run all trials of one experiment; write outputs under cfg.output."""
-    return _run_all(cfg)[0]
+    return summaries
 
 
 def _alpha_tag(alpha: float) -> str:
@@ -313,18 +308,18 @@ def run_sweep(
         "downlink_bytes_mean,uplink_bytes_mean"
     ]
     for kind, alpha, sub in grid.values():
-        summaries, diags = _run_all(sub)
+        summaries = run_experiment(sub)
         cells.append(SweepCell(kind, alpha, tuple(summaries)))
 
         finals = [s.final_accuracy for s in summaries]
-        ratios = [d.trailing_kl_ratio for d in diags if d.trailing_kl_ratio is not None]
+        ratios = [s.trailing_kl_ratio for s in summaries if s.trailing_kl_ratio is not None]
         rows.append(",".join([
             kind,
             repr(alpha),
             repr(float(np.mean(finals))),
             repr(float(np.std(finals))),
             repr(float(np.mean([s.best_accuracy for s in summaries]))),
-            repr(float(np.mean([d.trailing_accuracy_std for d in diags]))),
+            repr(float(np.mean([s.trailing_accuracy_std for s in summaries]))),
             _opt(float(np.mean(ratios)) if ratios else None),
             repr(float(np.mean([s.downlink_bytes for s in summaries]))),
             repr(float(np.mean([s.uplink_bytes for s in summaries]))),

@@ -25,7 +25,7 @@ from fedssl.nn import (
     loss_and_grad,
 )
 from fedssl.rng import derive_seed
-from fedssl.runner import _run_all, run_experiment
+from fedssl.runner import run_experiment
 from fedssl.semisup import (
     PseudoBatch,
     SslHyper,
@@ -110,7 +110,7 @@ def desk_noniid(tmp_path_factory):
     out = {}
     for name, kind, beta in (("fedswitch", "fedswitch", "auto"),
                              ("ts_server", "ts_server_ema", "0.0")):
-        out[name] = _run_all(_desk_cfg(root / name, kind, alpha="0.05", beta=beta))
+        out[name] = run_experiment(_desk_cfg(root / name, kind, alpha="0.05", beta=beta))
     return out
 
 
@@ -122,8 +122,8 @@ def desk_streaming(tmp_path_factory):
     for name, kind, beta in (("fpf", "fedprox_fixmatch", "0.0"),
                              ("ts_client", "ts_client_ema", "0.0"),
                              ("fedswitch", "fedswitch", "auto")):
-        out[name] = _run_all(_desk_cfg(root / name, kind, alpha="0.1",
-                                       streaming=10, beta=beta))
+        out[name] = run_experiment(_desk_cfg(root / name, kind, alpha="0.1",
+                                             streaming=10, beta=beta))
     return out
 
 
@@ -293,17 +293,17 @@ def test_criterion_5_desk_scale_learning(desk_iid):
 
 def test_criterion_6_noniid_kl_ratio_ordering(desk_noniid):
     devs = {}
-    for name, (_, diags) in desk_noniid.items():
-        assert all(d.trailing_kl_ratio is not None for d in diags)
-        devs[name] = float(np.mean([abs(1.0 - d.trailing_kl_ratio) for d in diags]))
+    for name, summaries in desk_noniid.items():
+        assert all(s.trailing_kl_ratio is not None for s in summaries)
+        devs[name] = float(np.mean([abs(1.0 - s.trailing_kl_ratio) for s in summaries]))
     assert devs["fedswitch"] < devs["ts_server"]
     _report(6, f"|1-ratio| fedswitch {devs['fedswitch']:.4f} < "
                f"ts_server {devs['ts_server']:.4f}")
 
 
 def test_criterion_7_streaming_smoothing(desk_streaming):
-    stds = {name: [d.trailing_accuracy_std for d in diags]
-            for name, (_, diags) in desk_streaming.items()}
+    stds = {name: [s.trailing_accuracy_std for s in summaries]
+            for name, summaries in desk_streaming.items()}
     wins = {}
     for variant in ("ts_client", "fedswitch"):
         wins[variant] = sum(1 for a, b in zip(stds[variant], stds["fpf"]) if a <= b)

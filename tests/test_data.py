@@ -144,15 +144,6 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(f, num_classes=2)
 
 
-def test_load_csv_scale01(tmp_path):
-    f = tmp_path / "d.csv"
-    f.write_text("0,0.0,10.0\n1,5.0,20.0\n1,10.0,30.0\n")
-    ds = load_csv(f, num_classes=2, scale01=True)
-    assert np.allclose(ds.inputs.min(axis=0), 0.0)
-    assert np.allclose(ds.inputs.max(axis=0), 1.0)
-    assert np.allclose(ds.inputs[1], [0.5, 0.5])
-
-
 # ---------------------------------------------------------------- sharding
 
 

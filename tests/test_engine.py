@@ -815,7 +815,7 @@ def test_round_of_interleaved_groups_equals_a_client_by_client_reference(kind, l
     rows += [(0, "uplink", role, r.client_id, size, 4 * size) for r in results
              for role, pv in (("student", r.delta), ("teacher", r.teacher_delta))
              if pv is not None]
-    assert list(ledger.rows()) == rows
+    assert list(ledger.entries) == rows
     assert (report.downlink_bytes, report.uplink_bytes) == (
         4 * size * len(downlink) * 5, 4 * size * (len(rows) - len(downlink) * 5))
 
@@ -1200,7 +1200,7 @@ def test_round_zero_fedswitch_sends_teacher():
 def test_round_privacy_surface():
     for kind in ("fedprox_fixmatch", "ts_server_ema", "fedswitch"):
         _, _, ledger = _run(VariantConfig(kind, ema_alpha=0.9), rounds=3)
-        assert all(e.role in ("student", "teacher") for e in ledger.entries)
+        assert all(role in ("student", "teacher") for _, _, role, *_ in ledger.entries)
         # one student delta per client per round, never a teacher upload
         assert ledger.model_count("uplink", "teacher") == 0
         assert ledger.model_count("uplink", "student") == 3 * 4
@@ -1212,14 +1212,14 @@ def test_round_privacy_surface():
 def test_round_records_each_uplink_with_its_round_and_bytes():
     _, _, ledger = _run(VariantConfig("ts_client_ema"), rounds=3,
                            plan_kw={"participation_rate": 0.5})
-    uplinks = [e for e in ledger.entries if e.direction == "uplink"]
+    uplinks = [e for e in ledger.entries if e[1] == "uplink"]
     expected = [(rnd, role, cid)
                 for rnd in range(3)
                 for cid in select_clients(4, 2, rnd, 17)
                 for role in ("student", "teacher")]
-    assert [(e.round, e.role, e.client_id) for e in uplinks] == expected
-    assert all(e.num_params == SPEC.num_params for e in uplinks)
-    assert all(e.bytes == SPEC.num_params * 8 for e in uplinks)
+    assert [(rnd, role, cid) for rnd, _, role, cid, _, _ in uplinks] == expected
+    assert all(num_params == SPEC.num_params for *_, num_params, _ in uplinks)
+    assert all(size == SPEC.num_params * 8 for *_, size in uplinks)
 
 
 def test_round_fedswitch_uplink_matches_baseline():

@@ -11,7 +11,6 @@ from fedssl.metrics import (
     ROLES,
     CommLedger,
     RoundReport,
-    Transmission,
     evaluate,
     stability_stats,
 )
@@ -59,13 +58,13 @@ def test_evaluate_permutation_invariant():
 def test_ledger_bytes_eight_per_param():
     led = CommLedger()
     led.record(0, "downlink", "student", 3, 100)
-    assert list(led.entries)[-1].bytes == 800
+    assert list(led.entries)[-1] == (0, "downlink", "student", 3, 100, 800)
 
 
 def test_ledger_bytes_configurable_four():
     led = CommLedger(bytes_per_param=4)
     led.record(0, "uplink", "teacher", 1, 100)
-    assert list(led.entries)[-1].bytes == 400
+    assert list(led.entries)[-1] == (0, "uplink", "teacher", 1, 100, 400)
     with pytest.raises(ValueError):
         CommLedger(bytes_per_param=2)
 
@@ -107,18 +106,18 @@ def test_ledger_round_totals_match_a_rescan():
         if rnd == 2:
             continue  # a round whose clients upload nothing
         led.extend([
-            Transmission(rnd, "uplink", role, cid, 7, 28)
+            (rnd, "uplink", role, cid, 7, 28)
             for cid in range(3) for role in ("student", "teacher")[: 1 + rnd % 2]
         ])
 
     def rescan(rnd):
-        down = [e for e in led.entries if e.round == rnd and e.direction == "downlink"]
-        up = [e for e in led.entries if e.round == rnd and e.direction == "uplink"]
+        down = [size for r, d, *_, size in led.entries if r == rnd and d == "downlink"]
+        up = [size for r, d, *_, size in led.entries if r == rnd and d == "uplink"]
         return {
             "downlink_models": len(down),
-            "downlink_bytes": sum(e.bytes for e in down),
+            "downlink_bytes": sum(down),
             "uplink_models": len(up),
-            "uplink_bytes": sum(e.bytes for e in up),
+            "uplink_bytes": sum(up),
         }
 
     for rnd in range(6):
@@ -138,8 +137,8 @@ def _mixed_ledger():
     for rnd in range(3):
         for cid in (0, 5, 9):
             led.record(rnd, "downlink", "student", cid, 300 + rnd)
-            expected.append(Transmission(rnd, "downlink", "student", cid, 300 + rnd, 4 * (300 + rnd)))
-        extended = [Transmission(rnd, "uplink", role, 5, 70, 280) for role in ROLES[: 1 + rnd % 2]]
+            expected.append((rnd, "downlink", "student", cid, 300 + rnd, 4 * (300 + rnd)))
+        extended = [(rnd, "uplink", role, 5, 70, 280) for role in ROLES[: 1 + rnd % 2]]
         led.extend(extended)
         expected += extended
     return led, expected
@@ -150,10 +149,11 @@ def test_ledger_entries_view_reads_back_what_was_recorded():
     view = led.entries
     assert len(view) == len(expected) == 13
     assert list(view) == expected
-    assert [tuple(getattr(e, f) for f in Transmission.__slots__) for e in expected] == list(led.rows())
+    # plain tuples, the rows transmissions.csv writes, not a record per entry
+    assert all(type(e) is tuple for e in view)
     # a view follows later records
     led.record(7, "uplink", "teacher", 1, 10)
-    assert len(view) == 14 and list(view)[-1] == Transmission(7, "uplink", "teacher", 1, 10, 40)
+    assert len(view) == 14 and list(view)[-1] == (7, "uplink", "teacher", 1, 10, 40)
 
 
 def test_ledger_rebuilt_from_its_entries_has_the_same_totals():
@@ -170,11 +170,11 @@ def test_ledger_rebuilt_from_its_entries_has_the_same_totals():
 def test_ledger_totals_and_counts_match_a_rescan():
     led, entries = _mixed_ledger()
     for direction in DIRECTIONS:
-        assert led.total_bytes(direction) == sum(e.bytes for e in entries if e.direction == direction)
-        assert led.model_count(direction) == sum(e.direction == direction for e in entries)
+        assert led.total_bytes(direction) == sum(size for _, d, *_, size in entries if d == direction)
+        assert led.model_count(direction) == sum(d == direction for _, d, *_ in entries)
         for role in ROLES:
             assert led.model_count(direction, role) == sum(
-                e.direction == direction and e.role == role for e in entries)
+                (d, r) == (direction, role) for _, d, r, *_ in entries)
 
 
 def test_ledger_rollups_reject_unknown_names():
@@ -201,8 +201,8 @@ def test_ledger_record_rejects_bad_entries():
     with pytest.raises(OverflowError):
         led.record(0, "uplink", "student", 2**40, 10)
     led.record(1, "downlink", "teacher", 3, 20)
-    assert list(led.entries) == [Transmission(0, "uplink", "student", 0, 10, 80),
-                                 Transmission(1, "downlink", "teacher", 3, 20, 160)]
+    assert list(led.entries) == [(0, "uplink", "student", 0, 10, 80),
+                                 (1, "downlink", "teacher", 3, 20, 160)]
 
 
 def test_ledger_memory_budget_at_crowd_shape():
@@ -244,18 +244,16 @@ def test_ledger_block_records_read_back_entry_by_entry():
         else:
             roles, ids = [ROLES[rng.integers(2)]], [int(rng.integers(3))]
             led.record(rnd, direction, roles[0], ids[0], num_params)
-        expected += [Transmission(rnd, direction, role, cid, num_params, 4 * num_params)
+        expected += [(rnd, direction, role, cid, num_params, 4 * num_params)
                      for cid in ids for role in roles]
     assert len(led.entries) == len(expected)
     assert list(led.entries) == expected
-    assert list(led.rows()) == [tuple(getattr(e, f) for f in Transmission.__slots__)
-                                for e in expected]
     for direction in DIRECTIONS:
         assert led.total_bytes(direction) == sum(
-            e.bytes for e in expected if e.direction == direction)
+            size for _, d, *_, size in expected if d == direction)
         for role in (None, *ROLES):
             assert led.model_count(direction, role) == sum(
-                e.direction == direction and role in (None, e.role) for e in expected)
+                d == direction and role in (None, r) for _, d, r, *_ in expected)
     one_by_one = CommLedger(4)
     one_by_one.extend(expected)
     for rnd in range(3):
@@ -267,7 +265,7 @@ def test_ledger_meters_a_round_as_one_block_a_direction():
     led.record(0, "downlink", ("student", "teacher"), [3, 8, 9], 874)
     led.record(0, "uplink", ("student",), np.array([3, 8, 9]), 874)
     assert len(led._blocks) == 2
-    assert list(led.rows()) == [
+    assert list(led.entries) == [
         (0, "downlink", role, cid, 874, 6992) for cid in (3, 8, 9) for role in ROLES
     ] + [(0, "uplink", "student", cid, 874, 6992) for cid in (3, 8, 9)]
     assert led.round_totals(0) == {"downlink_models": 6, "downlink_bytes": 6 * 6992,
@@ -276,24 +274,20 @@ def test_ledger_meters_a_round_as_one_block_a_direction():
 
 def test_ledger_extend_rejects_inconsistent_scale():
     led = CommLedger(bytes_per_param=8)
-    bad = Transmission(0, "uplink", "student", 0, 10, 40)
-    with pytest.raises(ValueError):
-        led.extend([bad])
+    with pytest.raises(ValueError, match="^entry byte count disagrees with this ledger's scale$"):
+        led.extend([(0, "uplink", "student", 0, 10, 40)])
 
 
 def test_transmission_validation():
-    with pytest.raises(ValueError):
-        Transmission(0, "sideways", "student", 0, 1, 8)
-    with pytest.raises(ValueError):
-        Transmission(0, "uplink", "optimizer", 0, 1, 8)
-
-
-def test_transmission_is_slotted():
-    # the entries view builds one per entry read; slots keep each small
-    entry = Transmission(0, "uplink", "student", 0, 1, 8)
-    assert not hasattr(entry, "__dict__")
-    with pytest.raises(AttributeError):
-        entry.note = "x"
+    # a transmission row is checked once, as extend records it
+    led = CommLedger()
+    with pytest.raises(ValueError, match="^direction must be one of"):
+        led.extend([(0, "sideways", "student", 0, 1, 8)])
+    with pytest.raises(ValueError, match="^role must be one of"):
+        led.extend([(0, "uplink", "optimizer", 0, 1, 8)])
+    with pytest.raises(ValueError, match="^round must be >= 0 and num_params >= 1$"):
+        led.extend([(-1, "uplink", "student", 0, 1, 8)])
+    assert len(led.entries) == 0
 
 
 # ----------------------------------------------------------- round report
@@ -340,10 +334,12 @@ def test_stability_uses_trailing_window_only():
     assert std == 0.0 and dd == 0.0
 
 
-def test_stability_accepts_reports():
-    reports = [RoundReport(i, 0.5, 0.5, 0.0, 0.0, False, 0, 0) for i in range(4)]
-    std, dd = stability_stats(reports, window=4)
-    assert std == 0.0
+def test_stability_takes_accuracies_not_reports():
+    reports = [RoundReport(i, 0.5 + 0.1 * (i % 2), 0.5, 0.0, 0.0, False, 0, 0) for i in range(4)]
+    std, dd = stability_stats([r.acc_student for r in reports], window=4)
+    assert std == pytest.approx(0.05, abs=1e-12) and dd == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(TypeError):
+        stability_stats(reports, window=4)
 
 
 def test_stability_window_validation():

@@ -1,8 +1,10 @@
-"""No fedssl module imports another fedssl module's private names.
+"""No fedssl module imports another fedssl module's private names, and no
+script under scripts/ imports any.
 
 A leading underscore marks a name as its module's own. A module that
 imports one from another couples itself to a detail its owner may change
-without notice; it should call the owner's public function instead.
+without notice; it should call the owner's public function instead. The
+research scripts read the package's public records, as users do.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import fedssl
 
 PACKAGE_DIR = Path(fedssl.__file__).resolve().parent
+SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -29,6 +32,12 @@ def test_no_module_imports_a_private_name_from_another():
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(sources) > 5
     assert [hit for path in sources for hit in _private_imports(path)] == []
+
+
+def test_no_script_imports_a_private_fedssl_name():
+    scripts = sorted(SCRIPTS_DIR.glob("*.py"))
+    assert len(scripts) >= 3
+    assert [hit for path in scripts for hit in _private_imports(path)] == []
 
 
 def test_the_guard_sees_a_private_import(tmp_path):

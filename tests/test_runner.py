@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from fedssl import runner
 from fedssl.config import parse_config_text
 from fedssl.data import ClientShard, Dataset, ShardPlan, dirichlet_shard, label_histogram
 from fedssl.metrics import RoundReport
-from fedssl.runner import _ratio_row, run_experiment, run_sweep
+from fedssl.runner import TrialSummary, _ratio_row, run_experiment, run_sweep
 from fedssl.semisup import KlStats, kl_to_uniform
 
 BASE = """
@@ -118,6 +118,30 @@ def test_run_summary_values_match_csv(tmp_path):
     assert summaries[0].best_accuracy == max(accs)
     up = sum(int(r.split(",")[-1]) for r in rows)
     assert summaries[0].uplink_bytes == up
+
+
+SUMMARY_KEYS = [
+    "trial", "trial_seed", "variant", "ema_alpha", "iidness_prior", "final_accuracy",
+    "best_accuracy", "rounds_to_threshold", "downlink_bytes", "uplink_bytes",
+    "stability_window", "trailing_accuracy_std", "max_drawdown", "trailing_kl_ratio",
+    "teacher_round_fraction",
+]
+
+
+def test_trial_summary_txt_is_the_returned_record(tmp_path):
+    out = tmp_path / "exp"
+    summaries = run_experiment(_cfg(out))
+    assert [f.name for f in fields(TrialSummary)] == SUMMARY_KEYS
+    assert len(summaries) == 2
+    for s in summaries:
+        pairs = [line.split(" = ", 1) for line in
+                 (out / f"trial_{s.trial:03d}" / "summary.txt").read_text().splitlines()]
+        assert [key for key, _ in pairs] == SUMMARY_KEYS
+        for key, text in pairs:
+            value = getattr(s, key)
+            assert text == ("none" if value is None else
+                            value if isinstance(value, str) else repr(value)), key
+    assert summaries[0].rounds_to_threshold is None and summaries[0].variant == "fedswitch"
 
 
 def test_single_trial_reports_zero_std(tmp_path, capsys):
@@ -290,6 +314,26 @@ output = {out}
     assert (out / "trial_000" / "rounds.csv").is_file()
 
 
+def test_scale01_maps_both_splits_by_the_training_range(tmp_path):
+    # training features span [0, 10] and a constant 3.0; eval spans [0, 5]
+    (tmp_path / "train.csv").write_text("0,0.0,3.0\n1,5.0,3.0\n2,10.0,3.0\n")
+    (tmp_path / "eval.csv").write_text("0,0.0,3.0\n1,5.0,4.0\n")
+    text = f"""
+[dataset]
+generator = csv
+csv_path = {tmp_path / 'train.csv'}
+eval_csv_path = {tmp_path / 'eval.csv'}
+num_classes = 3
+"""
+    train, test = runner._load_datasets(parse_config_text(text + "scale01 = true\n"))
+    assert np.array_equal(train.inputs, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    # a raw 5.0 is 0.5 in both splits; the constant feature keeps range 1
+    assert np.array_equal(test.inputs, [[0.0, 0.0], [0.5, 1.0]])
+    raw_train, raw_test = runner._load_datasets(parse_config_text(text))
+    assert np.array_equal(raw_test.inputs, [[0.0, 3.0], [5.0, 4.0]])
+    assert np.array_equal(raw_test.labels, test.labels)
+
+
 def test_csv_dim_mismatch_rejected(tmp_path):
     (tmp_path / "a.csv").write_text("0,1.0,2.0\n1,2.0,3.0\n2,0.5,0.5\n")
     (tmp_path / "b.csv").write_text("0,1.0\n1,2.0\n2,0.5\n")
@@ -348,6 +392,24 @@ def test_sweep_single_cell_equals_run(tmp_path):
     cells = run_sweep(cfg_sweep, alphas=[10.0], kinds=["fedswitch"])
     assert len(cells) == 1
     assert list(cells[0].trials) == direct
+
+
+def test_sweep_csv_means_are_the_cells_returned_records(tmp_path):
+    out = tmp_path / "means"
+    cells = run_sweep(_sweep_cfg(out, rounds=3, trials=2), alphas=[0.1, 10.0],
+                      kinds=["fedswitch"])
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    cols = header.split(",")
+    std_col, kl_col = cols.index("trailing_accuracy_std_mean"), cols.index("kl_ratio_mean")
+    assert len(rows) == len(cells) == 2
+    for cell, row in zip(cells, rows):
+        parts = row.split(",")
+        assert len(cell.trials) == 2
+        stds = [s.trailing_accuracy_std for s in cell.trials]
+        ratios = [s.trailing_kl_ratio for s in cell.trials if s.trailing_kl_ratio is not None]
+        assert parts[std_col] == repr(float(np.mean(stds)))
+        assert parts[kl_col] == (repr(float(np.mean(ratios))) if ratios else "")
+    assert any(s.trailing_kl_ratio is not None for c in cells for s in c.trials)
 
 
 def test_sweep_full_grid_row_count(tmp_path):
