@@ -254,11 +254,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file; a UTF-8 byte-order
+    mark is skipped.
+    """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    return parse_config_text(p.read_text(encoding="utf-8-sig"))
 
 
 def _fmt(value) -> str:

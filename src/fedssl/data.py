@@ -180,9 +180,9 @@ def gen_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed: i
 def load_csv(path: str | Path, num_classes: int) -> Dataset:
     """Parse `label,f1,...,fd` rows (no header). Errors name the line.
     Features are kept as written; the runner's `scale01` maps both splits
-    by the training split's range.
+    by the training split's range. A UTF-8 byte-order mark is skipped.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = []
     labels = []
     dim = None

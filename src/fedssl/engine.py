@@ -54,13 +54,14 @@ first round. Arrays that are never live at the same time share an arena
 (see nn). Only the results leave a group, in memory of their own.
 
 The group, not the client, is what a round carries from training to
-aggregation and metering: lockstep_update returns its clients' products
-as ClientUpdates, blocks with one row per client (the student deltas as
-one [K, P] stack, the teacher deltas likewise, the KL statistics as [K]
-arrays). run_round joins its groups' blocks in client-id order (a round of
-one group needs no copy), aggregates the mean of the delta stack, and hands
-the teacher-delta stack to the merge. client_update, the one-client case,
-still returns a ClientUpdateResult.
+aggregation, metering and the next switch decision: lockstep_update
+returns its clients' products as ClientUpdates, blocks with one row or
+column per client (the student deltas as one [K, P] stack, the teacher
+deltas likewise, both KL statistics as one [2, K] block), and
+client_update returns the one-row case. run_round joins its groups' blocks
+in client-id order (a round of one group needs no copy), aggregates the
+mean of the delta stack, hands the teacher-delta stack to the merge, and
+keeps the KL block in the new ServerState.
 
 run_round records every model that crosses the network in the CommLedger,
 which alone prices it, with one record call per direction: the downlinks
@@ -116,10 +117,11 @@ class ServerState:
     """Everything a trial carries between rounds, apart from the ledger and
     the workspace.
 
-    participations counts the rounds each client has joined; client_kl holds
-    the KL statistics the last round's participants reported, in client-id
-    order, and last_kl is derived from it. run_round builds both afresh and
-    never mutates a given state.
+    participations counts the rounds each client has joined; client_ids
+    lists the last round's participants in client-id order, and client_kl
+    holds the KL statistics they reported as a [2, M] block, teacher row
+    first, a column per participant; last_kl is derived from it. run_round
+    builds them afresh and never mutates a given state.
     """
 
     global_student: ParamVector
@@ -127,110 +129,75 @@ class ServerState:
     round: int
     server_labeled_pool: Dataset | None = None
     participations: dict[int, int] = field(default_factory=dict)
-    client_kl: dict[int, KlStats] = field(default_factory=dict)
+    client_ids: tuple[int, ...] = ()
+    client_kl: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))
 
     def __post_init__(self) -> None:
         if self.round < 0:
             raise ValueError("round must be >= 0")
         if self.global_teacher is not None:
             self.global_student.check_compatible(self.global_teacher)
+        if self.client_kl.shape != (2, len(self.client_ids)):
+            raise ValueError(f"client_kl must be a [2, {len(self.client_ids)}] block, "
+                             f"got {self.client_kl.shape}")
 
     @property
     def last_kl(self) -> KlStats:
-        """The server-side KL rollup: the mean of client_kl's statistics in
-        client-id order, zeros before the first round.
+        """The server-side KL rollup: the mean of each row of client_kl,
+        summed in client-id order, zeros before the first round.
         """
-        if not self.client_kl:
+        if not self.client_ids:
             return KlStats(0.0, 0.0)
-        stats = [self.client_kl[cid] for cid in sorted(self.client_kl)]
-        return KlStats(float(np.mean([s.dkl_teacher for s in stats])),
-                       float(np.mean([s.dkl_student for s in stats])))
+        return KlStats(*map(float, self.client_kl.mean(axis=-1)))
 
 
-@dataclass
-class ClientUpdateResult:
-    """A client's round product: its deltas and KL scalars."""
-
-    client_id: int
-    delta: ParamVector
-    teacher_delta: ParamVector | None
-    kl: KlStats
-
-
-class ClientUpdates(Sequence):
+class ClientUpdates:
     """The round products of K clients as blocks: their student deltas as
     one [K, P] stack, their teacher deltas likewise (or None), and their KL
-    statistics as [K] arrays. Row k is client client_ids[k]'s; reading item
-    k builds its ClientUpdateResult, whose deltas are views of row k.
+    statistics as one [2, K] block, teacher row first. Row k of each stack
+    and column k of the KL block are client client_ids[k]'s.
 
-    A lockstep group returns one; run_round joins its groups in client-id
-    order and aggregates, merges and meters the joined blocks.
+    A lockstep group returns one, and client_update its one-row case;
+    run_round joins its groups in client-id order, aggregates, merges and
+    meters the joined blocks, and keeps the KL block in the new state.
     """
 
     def __init__(self, client_ids: Sequence[int], delta: ParamVector,
-                 teacher_delta: ParamVector | None, dkl_teacher: np.ndarray,
-                 dkl_student: np.ndarray) -> None:
+                 teacher_delta: ParamVector | None, kl: np.ndarray) -> None:
         self.client_ids = tuple(client_ids)
-        self.delta, self.teacher_delta = delta, teacher_delta
-        self.dkl_teacher, self.dkl_student = dkl_teacher, dkl_student
-        rows = (len(self.client_ids),)
+        self.delta, self.teacher_delta, self.kl = delta, teacher_delta, kl
+        k = len(self.client_ids)
         for name in ("delta", "teacher_delta"):
             block = getattr(self, name)
-            if block is not None and block.values.shape[:-1] != rows:
-                raise ValueError(f"{name} must be a [{rows[0]}, P] stack, "
+            if block is not None and block.values.shape[:-1] != (k,):
+                raise ValueError(f"{name} must be a [{k}, P] stack, "
                                  f"got {block.values.shape}")
-        for name in ("dkl_teacher", "dkl_student"):
-            if getattr(self, name).shape != rows:
-                raise ValueError(f"{name} must hold one value per client")
-
-    def __len__(self) -> int:
-        return len(self.client_ids)
-
-    def __getitem__(self, k: int) -> ClientUpdateResult:
-        k = range(len(self))[k]
-        teacher = self.teacher_delta
-        return ClientUpdateResult(
-            client_id=self.client_ids[k],
-            delta=ParamVector(self.delta.values[k], self.delta.spec_hash),
-            teacher_delta=None if teacher is None else ParamVector(teacher.values[k],
-                                                                   teacher.spec_hash),
-            kl=KlStats(float(self.dkl_teacher[k]), float(self.dkl_student[k])),
-        )
+        if kl.shape != (2, k):
+            raise ValueError(f"kl must be a [2, {k}] block, got {kl.shape}")
 
     @staticmethod
     def join(parts: Sequence[ClientUpdates]) -> ClientUpdates:
         """The rows of every part in one set of blocks, in client-id order.
-        A single part already in that order is returned as it is; otherwise
-        each part's rows are copied straight to their places.
+        A single part already in that order is returned as it is.
         """
+        if not parts:
+            raise ValueError("a join needs at least one part")
         ids = [cid for part in parts for cid in part.client_ids]
         order = np.argsort(ids, kind="stable")
         if len(parts) == 1 and np.array_equal(order, np.arange(len(ids))):
             return parts[0]
         if len({part.teacher_delta is None for part in parts}) > 1:
             raise ValueError("either every part or none carries teacher deltas")
-        # place[i]: where the i-th row of the parts, taken in turn, goes
-        place = np.empty(len(ids), dtype=np.intp)
-        place[order] = np.arange(len(ids))
-
-        def gathered(blocks: list[np.ndarray]) -> np.ndarray:
-            out = np.empty((len(ids),) + blocks[0].shape[1:], dtype=blocks[0].dtype)
-            start = 0
-            for block in blocks:
-                out[place[start:start + len(block)]] = block
-                start += len(block)
-            return out
 
         def stacked(name: str) -> ParamVector | None:
             blocks = [getattr(part, name) for part in parts]
             if blocks[0] is None:
                 return None
-            return ParamVector(gathered([b.values for b in blocks]), blocks[0].spec_hash)
+            return ParamVector(np.concatenate([b.values for b in blocks])[order],
+                               blocks[0].spec_hash)
 
-        return ClientUpdates(
-            [ids[i] for i in order], stacked("delta"), stacked("teacher_delta"),
-            *(gathered([getattr(part, name) for part in parts])
-              for name in ("dkl_teacher", "dkl_student")))
+        return ClientUpdates([ids[i] for i in order], stacked("delta"), stacked("teacher_delta"),
+                             np.concatenate([part.kl for part in parts], axis=-1)[..., order])
 
 
 @dataclass
@@ -471,16 +438,14 @@ def lockstep_update(
     delta = ParamVector(student.values - snapshot.values, snapshot.spec_hash)
     payload = variant_uplink(variant, delta, teacher, downlinked_teacher)
     if plan.local_epochs:
-        # each side's [K, n_batches] is C-contiguous, so each client's mean
-        # sums its batches in the order a 1-D mean does
-        teacher_kl, student_kl = batch_label_kl(
-            kl_labels, [stop - start for start, stop in bounds] * plan.local_epochs,
-            spec.num_classes)
-        dkl_teacher, dkl_student = teacher_kl.mean(axis=1), student_kl.mean(axis=1)
+        # [2, K, n_batches] is C-contiguous, so each client's mean sums its
+        # batches in the order a 1-D mean does
+        kl = batch_label_kl(kl_labels, [stop - start for start, stop in bounds]
+                            * plan.local_epochs, spec.num_classes).mean(axis=-1)
     else:
-        dkl_teacher = dkl_student = np.zeros(k_clients)
+        kl = np.zeros((2, k_clients))
     return ClientUpdates([sh.client_id for sh in shards], payload["student"],
-                         payload.get("teacher"), dkl_teacher, dkl_student)
+                         payload.get("teacher"), kl)
 
 
 def client_update(
@@ -495,12 +460,12 @@ def client_update(
     seed: int,
     round: int,
     stream_step: int = 0,
-) -> ClientUpdateResult:
+) -> ClientUpdates:
     """One client's full participation, a pure function of its arguments:
-    row 0 of the one-client case of lockstep_update.
+    the one-row blocks of the one-client case of lockstep_update.
     """
     return lockstep_update([shard], downlink, variant, plan, hyper, spec, aug, dataset,
-                           [seed], round, [stream_step])[0]
+                           [seed], round, [stream_step])
 
 
 def aggregate(server: ServerState, updates: ClientUpdates) -> ParamVector:
@@ -508,7 +473,7 @@ def aggregate(server: ServerState, updates: ClientUpdates) -> ParamVector:
     row per client of a [K, P] stack in client-id order, for bit-exact
     reproducibility.
     """
-    if not len(updates):
+    if not updates.client_ids:
         raise ValueError("aggregate needs at least one client result")
     deltas = ClientUpdates.join([updates]).delta
     server.global_student.check_compatible(deltas)
@@ -626,8 +591,8 @@ def run_round(
         global_teacher=new_teacher,
         round=rnd + 1,
         participations={**server.participations, **{cid: n + 1 for cid, n in steps.items()}},
-        client_kl={cid: KlStats(float(t), float(st)) for cid, t, st in
-                   zip(updates.client_ids, updates.dkl_teacher, updates.dkl_student)},
+        client_ids=updates.client_ids,
+        client_kl=updates.kl,
     )
     agg_kl = new_state.last_kl
 

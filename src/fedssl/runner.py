@@ -12,6 +12,13 @@ Each trial trains every lockstep group of every round in one nn.Workspace,
 made empty before the first round (its buffers are allocated inside the
 first run_round) and dropped after the last, before the trial writes its
 outputs. The CSV files are streamed line by line.
+
+Each trial computes its clients' ground-truth skew once, before the first
+round: one [num_clients] array of the KL-to-uniform of each client's
+unlabeled label mix, indexed by client id, since the shards are in
+client-id order. iidness_prior = auto resolves to its mean, and each
+kl_ratio.csv row holds the round's participants' entries against the
+teacher row of the new state's [2, M] KL block.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .engine import init_server, run_round
 from .metrics import CommLedger, RoundReport, stability_stats
 from .nn import ModelSpec, Workspace
 from .rng import derive_seed
-from .semisup import KlStats, batch_label_kl
+from .semisup import batch_label_kl
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,9 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _truth_kl(shards, data: Dataset, num_classes: int) -> dict[int, float]:
-    """Ground-truth KL-to-uniform of each client's unlabeled label mix.
+def _truth_kl(shards, data: Dataset, num_classes: int) -> np.ndarray:
+    """Ground-truth KL-to-uniform of each client's unlabeled label mix, one
+    value per shard, in the order of shards.
 
     Every client's labels, one after another, are one batch_label_kl call:
     each client is a batch, so one bincount makes every histogram, and each
@@ -100,17 +108,19 @@ def _truth_kl(shards, data: Dataset, num_classes: int) -> dict[int, float]:
     if sizes.min() < 1:
         raise ValueError("empty label vector")
     labels = data.labels[np.concatenate([sh.unlabeled_idx for sh in shards])]
-    kl = batch_label_kl(labels, sizes, num_classes)
-    return dict(zip([sh.client_id for sh in shards], kl.tolist()))
+    return batch_label_kl(labels, sizes, num_classes)
 
 
-def _ratio_row(client_kl: dict[int, KlStats], truth: dict[int, float]) -> tuple[float, float | None]:
-    """Mean truth KL of the round's clients, and their mean pseudo/truth ratio."""
-    cids = sorted(client_kl)
-    truth_mean = float(np.mean([truth[c] for c in cids]))
-    ratios = [client_kl[c].dkl_teacher / truth[c] for c in cids if truth[c] > 0.0]
-    ratio = float(np.mean(ratios)) if ratios else None
-    return truth_mean, ratio
+def _ratio_row(client_ids, dkl_teacher: np.ndarray,
+               truth: np.ndarray) -> tuple[float, float | None]:
+    """Mean truth KL of the round's clients, and their mean pseudo/truth
+    ratio; dkl_teacher holds the clients' statistics in the order of
+    client_ids, and truth is indexed by client id.
+    """
+    truth = truth[list(client_ids)]
+    kept = truth > 0.0
+    ratio = float(np.mean(dkl_teacher[kept] / truth[kept])) if kept.any() else None
+    return float(np.mean(truth)), ratio
 
 
 def _opt(value: float | None) -> str:
@@ -146,10 +156,11 @@ def _run_trial(
         idx = sharding.server_labeled_idx
         pool = Dataset(data.inputs[idx], data.labels[idx], cfg.dataset.num_classes)
 
+    # the shards are in client-id order, so truth is indexed by client id
     truth = _truth_kl(shards, data, cfg.dataset.num_classes)
     beta = cfg.variant.iidness_prior
     if beta == "auto":
-        beta = float(np.mean([truth[sh.client_id] for sh in shards]))
+        beta = float(np.mean(truth))
     variant = replace(cfg.variant, iidness_prior=beta)
 
     if cfg.shard.streaming_steps > 0:
@@ -176,7 +187,8 @@ def _run_trial(
         )
         reports.append(report)
         # pseudo_kl is the round's dkl_T: the same mean over the same clients
-        ratio_rows.append((report.round, report.dkl_teacher, *_ratio_row(server.client_kl, truth)))
+        ratio_rows.append((report.round, report.dkl_teacher,
+                           *_ratio_row(server.client_ids, server.client_kl[0], truth)))
     # the buffers are freed before the output is written, so the two do not
     # add up in the peak memory
     del workspace

@@ -358,5 +358,5 @@ output = {out}
     b = client_update(*args, seed=13, round=2)
     assert np.array_equal(a.delta.values, b.delta.values)
     assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
-    assert a.kl == b.kl
+    assert np.array_equal(a.kl, b.kl)
     _report(8, f"{len(files)} files byte-identical; double-invoke identical")

@@ -1,5 +1,9 @@
 """Tests for strict config parsing and default materialization."""
 
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
 from fedssl.config import (
@@ -15,6 +19,7 @@ from fedssl.semisup import SslHyper
 from fedssl.variants import VariantConfig
 
 NAN, INF = float("nan"), float("inf")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_minimal_config_fully_defaulted():
@@ -236,6 +241,41 @@ def test_parse_config_reads_file(tmp_path):
     p = tmp_path / "exp.ini"
     p.write_text("[run]\ntrials = 3\n", encoding="utf-8")
     assert parse_config(p).trials == 3
+
+
+def test_parse_config_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "exp.ini"
+    p.write_text("[run]\ntrials = 3\n", encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config(p).trials == 3
+
+
+def _readme_config_keys() -> set[str]:
+    """The `section.key` pairs of the tables under README's Config reference."""
+    text = README.read_text(encoding="utf-8")
+    body = text.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    keys, section = set(), None
+    for line in body.splitlines():
+        if not line.startswith("|"):
+            section = None
+            continue
+        first = line.split("|")[1].strip()
+        header = re.fullmatch(r"`\[(\w+)\]`", first)
+        if header:
+            section = header.group(1)
+        elif section:
+            keys.update(f"{section}.{key}" for key in re.findall(r"`(\w+)`", first))
+    return keys
+
+
+def test_readme_config_tables_are_the_parsers_keys():
+    parser = configparser.ConfigParser()
+    parser.read_string(resolved_ini(parse_config_text("")))
+    written = {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+    documented = _readme_config_keys()
+    assert len(written) == 43
+    assert documented - written == set()
+    assert written - documented == set()
 
 
 def test_trials_must_be_positive():

@@ -107,6 +107,16 @@ def test_load_csv_skips_blank_lines(tmp_path):
     assert load_csv(f, num_classes=2).size == 2
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # a UTF-8 BOM, as Windows editors and spreadsheet exports write
+    f = tmp_path / "d.csv"
+    f.write_text("0,1.5,2.0\n1,0.0,-3.25\n", encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    ds = load_csv(f, num_classes=2)
+    assert np.array_equal(ds.labels, [0, 1])
+    assert np.array_equal(ds.inputs, [[1.5, 2.0], [0.0, -3.25]])
+
+
 def test_load_csv_non_numeric_names_line(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("0,1.0\n1,oops\n")

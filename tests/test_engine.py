@@ -22,7 +22,6 @@ from fedssl.data import (
     weak_augment,
 )
 from fedssl.engine import (
-    ClientUpdateResult,
     ClientUpdates,
     RoundPlan,
     ServerState,
@@ -183,7 +182,7 @@ def test_client_zero_epochs_zero_delta():
         _plan(local_epochs=0), HYPER, SPEC, AUG, ds, seed=7, round=0,
     )
     assert np.all(res.delta.values == 0.0)
-    assert res.kl == KlStats(0.0, 0.0)
+    assert np.array_equal(res.kl, np.zeros((2, 1)))
 
 
 def test_client_no_gradient_sources_zero_delta(strong_calls):
@@ -228,13 +227,13 @@ def test_client_matches_manual_single_batch_replay():
                      velocity=np.zeros(SPEC.num_params))
     end = sgd_step(snapshot, grad, opt)
 
-    assert np.array_equal(res.delta.values, end.values - snapshot.values)
+    assert np.array_equal(res.delta.values[0], end.values - snapshot.values)
     # dkl_S: the pre-step student on the strong view the objective used;
     # dkl_T: the pseudo-label source on the weak view
-    assert res.kl == KlStats(
-        dkl_teacher=kl_to_uniform(batch_prediction_distribution(source_probs)),
-        dkl_student=kl_to_uniform(batch_prediction_distribution(strong_probs)),
-    )
+    assert np.array_equal(res.kl, [
+        [kl_to_uniform(batch_prediction_distribution(source_probs))],
+        [kl_to_uniform(batch_prediction_distribution(strong_probs))],
+    ])
 
 
 def test_client_kl_is_the_mean_over_local_batches():
@@ -276,11 +275,8 @@ def test_client_kl_is_the_mean_over_local_batches():
     # the batches differ, so a first-batch, last-batch or summed statistic
     # would not match
     assert len(set(teacher_kls)) > 1 and len(set(student_kls)) > 1
-    assert np.array_equal(res.delta.values, student.values - snapshot.values)
-    assert res.kl == KlStats(
-        dkl_teacher=float(np.mean(teacher_kls)),
-        dkl_student=float(np.mean(student_kls)),
-    )
+    assert np.array_equal(res.delta.values[0], student.values - snapshot.values)
+    assert np.array_equal(res.kl, [[np.mean(teacher_kls)], [np.mean(student_kls)]])
 
 
 @pytest.fixture
@@ -334,7 +330,7 @@ def test_client_stateless_double_invoke():
     b = client_update(*args, seed=11, round=4)
     assert np.array_equal(a.delta.values, b.delta.values)
     assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
-    assert a.kl == b.kl
+    assert np.array_equal(a.kl, b.kl)
 
 
 def test_client_delta_reconstruction_bit_exact():
@@ -390,14 +386,23 @@ def test_client_missing_student_in_downlink():
 # -------------------------------------------------------- lockstep_update
 
 
+def _rows(updates):
+    """Each client's one-row blocks of a group, as client_update makes them."""
+    teacher = updates.teacher_delta
+    return [ClientUpdates(
+        [cid], ParamVector(updates.delta.values[k:k + 1], updates.delta.spec_hash),
+        None if teacher is None else ParamVector(teacher.values[k:k + 1], teacher.spec_hash),
+        updates.kl[:, k:k + 1]) for k, cid in enumerate(updates.client_ids)]
+
+
 def _same_result(a, b):
-    assert a.client_id == b.client_id
+    assert a.client_ids == b.client_ids
     assert np.array_equal(a.delta.values, b.delta.values)
     if b.teacher_delta is None:
         assert a.teacher_delta is None
     else:
         assert np.array_equal(a.teacher_delta.values, b.teacher_delta.values)
-    assert a.kl == b.kl
+    assert np.array_equal(a.kl, b.kl)
 
 
 @pytest.mark.parametrize("kind,with_teacher", [
@@ -416,11 +421,11 @@ def test_lockstep_group_equals_one_client_calls(kind, with_teacher):
             plan, HYPER, SPEC, AUG, ds)
     seeds = [derive_seed(9, "client", 3, sh.client_id) for sh in shards]
     group = lockstep_update(shards, *args, seeds=seeds, round=3)
-    assert [r.client_id for r in group] == [sh.client_id for sh in shards]
-    for res, shard, seed in zip(group, shards, seeds):
+    assert list(group.client_ids) == [sh.client_id for sh in shards]
+    for res, shard, seed in zip(_rows(group), shards, seeds):
         _same_result(res, client_update(shard, *args, seed=seed, round=3))
     # the clients' trajectories differ, so a shared slice would not match
-    assert len({r.delta.values.tobytes() for r in group}) == len(shards)
+    assert len({row.tobytes() for row in group.delta.values}) == len(shards)
 
 
 def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, stream_step=0):
@@ -455,11 +460,11 @@ def _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec=SPEC, s
             student = sgd_step(student, grad, opt)
             teacher_kls.append(kl_to_uniform(batch_prediction_distribution(source_probs)))
             student_kls.append(kl_to_uniform(batch_prediction_distribution(strong_probs)))
-    return ClientUpdateResult(
-        client_id=shard.client_id,
-        delta=ParamVector(student.values - snapshot.values, snapshot.spec_hash),
-        teacher_delta=ParamVector(teacher.values - downlinked.values, snapshot.spec_hash),
-        kl=KlStats(float(np.mean(teacher_kls)), float(np.mean(student_kls))),
+    return ClientUpdates(
+        [shard.client_id],
+        ParamVector((student.values - snapshot.values)[None], snapshot.spec_hash),
+        ParamVector((teacher.values - downlinked.values)[None], snapshot.spec_hash),
+        np.array([[np.mean(teacher_kls)], [np.mean(student_kls)]]),
     )
 
 
@@ -473,7 +478,7 @@ def test_lockstep_group_matches_an_unstacked_replay():
     seeds = [derive_seed(4, "client", 0, sh.client_id) for sh in shards]
     group = lockstep_update(shards, downlink, variant, plan, HYPER, SPEC, AUG, ds,
                             seeds=seeds, round=0)
-    _same_result(group[2], _ts_client_ema_replay(ds, shards[2], downlink, variant, plan, seeds[2]))
+    _same_result(_rows(group)[2], _ts_client_ema_replay(ds, shards[2], downlink, variant, plan, seeds[2]))
 
 
 def test_lockstep_two_hidden_layers_match_an_unstacked_replay():
@@ -487,7 +492,7 @@ def test_lockstep_two_hidden_layers_match_an_unstacked_replay():
     seeds = [derive_seed(6, "client", 0, sh.client_id) for sh in shards]
     group = lockstep_update(shards, downlink, variant, plan, HYPER, spec, AUG, ds,
                             seeds=seeds, round=0)
-    for res, shard, seed in zip(group, shards, seeds):
+    for res, shard, seed in zip(_rows(group), shards, seeds):
         _same_result(res, _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed, spec))
 
 
@@ -502,15 +507,16 @@ def test_lockstep_kl_past_the_eight_way_pairwise_sum():
     seeds = [derive_seed(8, "client", 0, sh.client_id) for sh in shards]
     group = lockstep_update(shards, downlink, variant, plan, HYPER, SPEC, AUG, ds,
                             seeds=seeds, round=0)
-    for res, shard, seed in zip(group, shards, seeds):
+    for res, shard, seed in zip(_rows(group), shards, seeds):
         one = client_update(shard, downlink, variant, plan, HYPER, SPEC, AUG, ds,
                             seed=seed, round=0)
         replay = _ts_client_ema_replay(ds, shard, downlink, variant, plan, seed)
-        assert res.kl == one.kl == replay.kl
+        assert np.array_equal(res.kl, one.kl) and np.array_equal(one.kl, replay.kl)
 
 
 def _frozen(results):
-    return [(r.delta.values.tobytes(), r.teacher_delta.values.tobytes(), r.kl) for r in results]
+    return [block.tobytes() for block in
+            (results.delta.values, results.teacher_delta.values, results.kl)]
 
 
 def test_workspace_carries_no_state_between_calls():
@@ -537,8 +543,8 @@ def test_workspace_carries_no_state_between_calls():
         seeds = [derive_seed(8, "client", 0, sh.client_id) for sh in group]
         args = (group, downlink, variant, plan, HYPER, SPEC, AUG, data_, seeds, 0, steps)
         results = lockstep_update(*args, workspace=ws)
-        for res, fresh, shard, seed, step in zip(results, lockstep_update(*args), group,
-                                                  seeds, steps):
+        for res, fresh, shard, seed, step in zip(_rows(results), _rows(lockstep_update(*args)),
+                                                  group, seeds, steps):
             _same_result(res, fresh)
             _same_result(res, _ts_client_ema_replay(data_, shard, downlink, variant, plan,
                                                     seed, stream_step=step))
@@ -622,17 +628,17 @@ def test_lockstep_momentum_free_step_equals_the_one_client_oracle(lambda_u):
     group = lockstep_update(shards, _downlink(snapshot), VariantConfig("fedprox_fixmatch"), plan,
                             hyper, SPEC, AUG, ds, seeds, 0)
     negative_zeros = 0
-    for res, shard, seed in zip(group, shards, seeds):
+    for delta, shard, seed in zip(group.delta.values, shards, seeds):
         end, grads = _momentum_free_replay(ds, shard, snapshot, plan, hyper, seed)
         assert len(grads) > 2
         # bitwise, signs of zeros included
-        assert res.delta.values.tobytes() == (end.values - snapshot.values).tobytes()
+        assert delta.tobytes() == (end.values - snapshot.values).tobytes()
         # unit 0's incoming weights W0[:, 0] and its bias b0[0]
         assert all(np.all(g[[0, 4, 8, 12]] == 0.0) for g in grads)
         negative_zeros += sum(int(np.sum((g == 0.0) & np.signbit(g))) for g in grads)
     assert (negative_zeros > 0) == (lambda_u == 0.0)
     if lambda_u:
-        assert len({r.delta.values.tobytes() for r in group}) == len(shards)
+        assert len({row.tobytes() for row in group.delta.values}) == len(shards)
 
 
 @pytest.mark.parametrize("labeled_batch_size", [4, 16])
@@ -648,7 +654,8 @@ def test_lockstep_workspace_reused_for_a_smaller_then_larger_group(labeled_batch
     for group in (shards[:2], shards, shards[:2]):
         seeds = [derive_seed(12, "client", 0, sh.client_id) for sh in group]
         args = (group, downlink, variant, plan, HYPER, SPEC, AUG, ds, seeds, 0)
-        for res, fresh in zip(lockstep_update(*args, workspace=ws), lockstep_update(*args)):
+        for res, fresh in zip(_rows(lockstep_update(*args, workspace=ws)),
+                              _rows(lockstep_update(*args))):
             _same_result(res, fresh)
 
 
@@ -761,12 +768,13 @@ def test_round_ragged_streaming_segments_train_as_separate_groups(lockstep_group
     assert server.participations == {0: 0, 1: 1, 2: 2}
     downlink = {"student": server.global_student, "teacher": server.global_teacher}
     for group, kwargs, results in groups:
-        for shard, step, res in zip(group, kwargs["stream_steps"], results):
+        for shard, step, res in zip(group, kwargs["stream_steps"], _rows(results)):
             alone = client_update(shard, downlink, variant, plan, HYPER, SPEC, AUG, ds,
                                   seed=derive_seed(17, "client", 0, shard.client_id),
                                   round=0, stream_step=step)
             _same_result(res, alone)
-            assert new_server.client_kl[shard.client_id] == alone.kl
+            k = new_server.client_ids.index(shard.client_id)
+            assert np.array_equal(new_server.client_kl[:, k:k + 1], alone.kl)
 
 
 @pytest.mark.parametrize("kind", ["ts_client_ema", "fedprox_fixmatch"])
@@ -795,24 +803,26 @@ def test_round_of_interleaved_groups_equals_a_client_by_client_reference(kind, l
                              seed=derive_seed(21, "client", 0, cid), round=0,
                              stream_step=steps[cid])
                for cid in range(5)]
-    student = server.global_student.values + np.stack([r.delta.values for r in results]).mean(0)
+    student = server.global_student.values + np.concatenate(
+        [r.delta.values for r in results]).mean(0)
     assert np.array_equal(new_server.global_student.values, student)
     if kind == "ts_client_ema":
-        uploads = np.stack([server.global_teacher.values + r.teacher_delta.values
-                            for r in results])
+        uploads = np.concatenate([server.global_teacher.values + r.teacher_delta.values
+                                  for r in results])
         teacher = ema_update(ParamVector(uploads.mean(axis=0), SPEC.spec_hash),
                              ParamVector(student, SPEC.spec_hash), 0.8)
         assert np.array_equal(new_server.global_teacher.values, teacher.values)
     else:
         assert new_server.global_teacher is None
-    assert new_server.client_kl == {r.client_id: r.kl for r in results}
-    assert new_server.last_kl == KlStats(float(np.mean([r.kl.dkl_teacher for r in results])),
-                                         float(np.mean([r.kl.dkl_student for r in results])))
+    assert new_server.client_ids == tuple(range(5))
+    assert np.array_equal(new_server.client_kl, np.concatenate([r.kl for r in results], axis=1))
+    assert new_server.last_kl == KlStats(float(np.mean([r.kl[0, 0] for r in results])),
+                                         float(np.mean([r.kl[1, 0] for r in results])))
     assert new_server.participations == {cid: n + 1 for cid, n in steps.items()}
     assert new_server.round == 1
     size = SPEC.num_params
     rows = [(0, "downlink", role, cid, size, 4 * size) for cid in range(5) for role in downlink]
-    rows += [(0, "uplink", role, r.client_id, size, 4 * size) for r in results
+    rows += [(0, "uplink", role, r.client_ids[0], size, 4 * size) for r in results
              for role, pv in (("student", r.delta), ("teacher", r.teacher_delta))
              if pv is not None]
     assert list(ledger.entries) == rows
@@ -826,16 +836,15 @@ def test_client_updates_join_in_client_id_order():
 
     def part(cids):
         return ClientUpdates(cids, ParamVector(rows[cids], SPEC.spec_hash),
-                             ParamVector(-rows[cids], SPEC.spec_hash), np.array(cids) * 0.5,
-                             np.array(cids) * 0.25)
+                             ParamVector(-rows[cids], SPEC.spec_hash),
+                             np.array(cids) * [[0.5], [0.25]])
 
     whole = ClientUpdates.join([part([1, 3]), part([0, 2, 4])])
     assert whole.client_ids == (0, 1, 2, 3, 4)
     assert np.array_equal(whole.delta.values, rows)
     assert whole.delta.values.flags["C_CONTIGUOUS"]
     assert np.array_equal(whole.teacher_delta.values, -rows)
-    assert [whole[k].kl for k in range(5)] == [KlStats(k * 0.5, k * 0.25) for k in range(5)]
-    assert whole[-1].client_id == 4 and whole[-1].delta.values.base is not None
+    assert np.array_equal(whole.kl, [np.arange(5) * 0.5, np.arange(5) * 0.25])
     # a single part in order is not copied
     ordered = part([0, 2])
     assert ClientUpdates.join([ordered]) is ordered
@@ -843,9 +852,13 @@ def test_client_updates_join_in_client_id_order():
     teacherless.teacher_delta = None
     with pytest.raises(ValueError, match="teacher deltas"):
         ClientUpdates.join([ordered, teacherless])
-    with pytest.raises(ValueError, match="one value per client"):
-        ClientUpdates([0, 1], ParamVector(rows[:2], SPEC.spec_hash), None, np.zeros(1),
-                      np.zeros(2))
+    with pytest.raises(ValueError, match=r"kl must be a \[2, 2\] block"):
+        ClientUpdates([0, 1], ParamVector(rows[:2], SPEC.spec_hash), None, np.zeros((2, 1)))
+
+
+def test_client_updates_join_needs_a_part():
+    with pytest.raises(ValueError, match="at least one part"):
+        ClientUpdates.join([])
 
 
 def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockstep_groups):
@@ -861,9 +874,8 @@ def test_round_unadapted_teachers_uplink_zero_deltas_and_merge_to_the_ema(lockst
 
     [(group, _, results)] = lockstep_groups
     assert [sh.client_id for sh in group] == [0, 1, 2, 3]
-    for res in results:
-        assert res.teacher_delta.values.shape == (SPEC.num_params,)
-        assert np.all(res.teacher_delta.values == 0.0)
+    assert results.teacher_delta.values.shape == (4, SPEC.num_params)
+    assert np.all(results.teacher_delta.values == 0.0)
     assert ledger.model_count("uplink", "teacher") == 4
     assert np.array_equal(new_server.global_student.values, student.values)
     assert np.allclose(new_server.global_teacher.values,
@@ -927,7 +939,7 @@ def _updates(cids, deltas, spec_hash=SPEC.spec_hash):
     """A block of client products with the given [K, P] deltas."""
     k = len(cids)
     return ClientUpdates(cids, ParamVector(np.asarray(deltas, dtype=np.float64), spec_hash),
-                         None, np.zeros(k), np.zeros(k))
+                         None, np.zeros((2, k)))
 
 
 def _server(values=None):
@@ -986,18 +998,19 @@ def test_last_kl_is_the_mean_of_client_kl_in_client_id_order():
     # rebuilt with other statistics cannot report a stale one
     server = _server()
     assert server.last_kl == KlStats(0.0, 0.0)
-    later = replace(server, round=1, client_kl={3: KlStats(0.0, 0.2),
-                                                1: KlStats(math.log(10), 0.4)})
+    later = replace(server, round=1, client_ids=(1, 3),
+                    client_kl=np.array([[math.log(10), 0.0], [0.4, 0.2]]))
     assert later.last_kl.dkl_teacher == pytest.approx(math.log(10) / 2, abs=1e-12)
     assert later.last_kl.dkl_student == pytest.approx(0.3, abs=1e-12)
-    # summed in client-id order, which gives another last bit than the
-    # insertion order here
-    later = replace(later, client_kl={7: KlStats(0.3, 0.3), 5: KlStats(0.2, 0.2),
-                                      2: KlStats(0.1, 0.1)})
+    # each row is summed in its column order, client-id order, which gives
+    # another last bit than the reverse order here
+    later = replace(later, client_ids=(2, 5, 7), client_kl=np.array([[0.1, 0.2, 0.3]] * 2))
     in_id_order = float(np.mean([0.1, 0.2, 0.3]))
     assert in_id_order != float(np.mean([0.3, 0.2, 0.1]))
     assert later.last_kl == KlStats(in_id_order, in_id_order)
-    assert replace(later, client_kl={}).last_kl == KlStats(0.0, 0.0)
+    assert replace(later, client_ids=(), client_kl=np.zeros((2, 0))).last_kl == KlStats(0.0, 0.0)
+    with pytest.raises(ValueError, match=r"client_kl must be a \[2, 3\] block"):
+        replace(later, client_kl=np.zeros((2, 2)))
 
 
 # ----------------------------------------------------------- server_update
@@ -1237,7 +1250,7 @@ def test_round_streaming_positions_advance():
     # 2 of 4 clients participate per round; only their counts advance
     joined = [cid for rnd in range(3) for cid in select_clients(4, 2, rnd, 17)]
     assert server.participations == {cid: joined.count(cid) for cid in set(joined)}
-    assert sorted(server.client_kl) == select_clients(4, 2, 2, 17)
+    assert list(server.client_ids) == select_clients(4, 2, 2, 17)
 
 
 def test_round_resumes_from_server_state():
@@ -1248,13 +1261,14 @@ def test_round_resumes_from_server_state():
     kw = {"stream_steps": 3, "plan_kw": {"participation_rate": 0.5}}
     straight, reports, _ = _run(variant, rounds=6, **kw)
     saved, first, _ = _run(variant, rounds=3, **kw)
-    kept = (dict(saved.participations), dict(saved.client_kl))
+    kept = (dict(saved.participations), saved.client_ids, saved.client_kl.copy())
     resumed, rest, _ = _run(variant, rounds=3, server=saved, **kw)
 
     assert [r.csv_row() for r in first + rest] == [r.csv_row() for r in reports]
     assert np.array_equal(resumed.global_student.values, straight.global_student.values)
     assert resumed.participations == straight.participations
-    assert (saved.participations, saved.client_kl) == kept
+    assert (saved.participations, saved.client_ids) == kept[:2]
+    assert np.array_equal(saved.client_kl, kept[2])
 
 
 def test_round_labels_at_server_topologies_differ_exactly():
@@ -1302,7 +1316,8 @@ def test_round_parallel_mix_counts_each_participant_of_every_group(lockstep_grou
                              HYPER, SPEC, AUG, ds, seed=derive_seed(21, "client", 0, cid),
                              round=0, stream_step=steps[cid])
                for cid in range(5)]
-    aggregated = server.global_student.values + np.stack([r.delta.values for r in results]).mean(0)
+    aggregated = server.global_student.values + np.concatenate(
+        [r.delta.values for r in results]).mean(0)
     trained = server_update(server.global_student, pool, 2, plan.server_learning_rate,
                             plan.server_batch_size, derive_seed(21, "server-update", 0), SPEC)
     examples = [shards[cid].stream_splits[steps[cid] % 3].size + shards[cid].labeled_idx.size

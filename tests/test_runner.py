@@ -15,7 +15,7 @@ from fedssl.config import parse_config_text
 from fedssl.data import ClientShard, Dataset, ShardPlan, dirichlet_shard, label_histogram
 from fedssl.metrics import RoundReport
 from fedssl.runner import TrialSummary, _ratio_row, run_experiment, run_sweep
-from fedssl.semisup import KlStats, kl_to_uniform
+from fedssl.semisup import kl_to_uniform
 
 BASE = """
 [dataset]
@@ -211,13 +211,14 @@ def test_kl_ratio_pseudo_kl_is_the_rounds_dkl_teacher(tmp_path):
 
 
 def test_ratio_row_skips_clients_with_uniform_labels():
-    client_kl = {0: KlStats(0.2, 0.1), 1: KlStats(0.3, 0.1), 2: KlStats(0.5, 0.0)}
-    # client 1's true histogram is uniform (truth KL 0); client 3 sat out
-    truth = {0: 0.4, 1: 0.0, 2: 1.0, 3: 9.0}
-    truth_mean, ratio = _ratio_row(client_kl, truth)
+    # clients 0, 2 and 3 trained; client 2's true histogram is uniform
+    # (truth KL 0), and clients 1 and 4 sat out
+    client_ids, dkl_teacher = (0, 2, 3), np.array([0.2, 0.3, 0.5])
+    truth = np.array([0.4, 7.0, 0.0, 1.0, 9.0])
+    truth_mean, ratio = _ratio_row(client_ids, dkl_teacher, truth)
     assert truth_mean == pytest.approx((0.4 + 0.0 + 1.0) / 3, abs=1e-15)
     assert ratio == pytest.approx((0.2 / 0.4 + 0.5 / 1.0) / 2, abs=1e-15)
-    assert _ratio_row(client_kl, dict.fromkeys(truth, 0.0))[1] is None
+    assert _ratio_row(client_ids, dkl_teacher, np.zeros(5))[1] is None
 
 
 def test_truth_kl_bitwise_equals_per_client_histograms():
@@ -233,11 +234,10 @@ def test_truth_kl_bitwise_equals_per_client_histograms():
     ])
     for shards in shard_sets:
         truth = runner._truth_kl(shards, ds, 10)
-        assert list(truth) == [sh.client_id for sh in shards]
-        for sh in shards:
+        assert truth.shape == (len(shards),)
+        for kl, sh in zip(truth.tolist(), shards):
             expected = kl_to_uniform(label_histogram(ds.labels[sh.unlabeled_idx], 10))
-            assert type(truth[sh.client_id]) is float
-            assert repr(truth[sh.client_id]) == repr(expected)
+            assert repr(kl) == repr(expected)
     empty = ClientShard(client_id=0, labeled_idx=[], unlabeled_idx=[])
     with pytest.raises(ValueError, match="empty label vector"):
         runner._truth_kl(shard_sets[-1] + [empty], ds, 10)
@@ -246,7 +246,7 @@ def test_truth_kl_bitwise_equals_per_client_histograms():
 def test_kl_ratio_csv_leaves_ratio_empty_when_every_client_is_uniform(tmp_path, monkeypatch):
     monkeypatch.setattr(
         runner, "_truth_kl",
-        lambda shards, data, num_classes: {sh.client_id: 0.0 for sh in shards},
+        lambda shards, data, num_classes: np.zeros(len(shards)),
     )
     out = tmp_path / "uniform"
     run_experiment(_cfg(out))
