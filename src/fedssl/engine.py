@@ -26,19 +26,23 @@ pseudo-labels, and the argmax of those probabilities) are stored, and both
 KL statistics of every batch are computed once per call, after the last
 batch.
 
-Each local batch runs its objective and its SGD step as one pass over the
-group, planned once per lockstep_update call: the stacked counterpart of
-nn.sgd_epochs. An nn.PassPlan holds the students' (W, b) views and their
-transposes and one buffer set per batch shape (full, ragged last, labeled),
-and the call plans the gradient and scratch stacks, the gather buffers and
-each batch's labeled columns, and checks shapes, pool sizes and label
-ranges, before the first batch. A batch then runs the float operations of
-semisup.combined_client_grad (two loss_and_grad passes) and nn.sgd_step, in
-their order, and tests finiteness where they do, so each row is bitwise
+Both training loops of a round run on one nn.PassPlan, planned once per
+call: lockstep_update's over the group's stacked students, server_update's
+over the one server model. A plan holds the model's (W, b) views and their
+transposes and one buffer set per batch shape (for a group: full, ragged
+last and labeled), and the call plans the rest of what a batch needs (the
+gradient and step buffers, the gathered rows, the target indices) and
+checks shapes, pool sizes and label ranges, before the first batch. Each
+local batch of a group then runs the float operations of
+semisup.combined_client_grad (two loss_and_grad passes) and nn.sgd_step,
+in their order, and tests finiteness where they do, so each row is bitwise
 what those one-client functions make; they stay as the one-client API and
-as the oracle of the pass. Without momentum and weight decay no velocity is
-kept and the step is lr * gradient, as in sgd_epochs. Plans are never kept
-between calls, so an arena that grows between groups leaves no stale view.
+as the oracle of the pass. Without momentum and weight decay no velocity
+is kept and the step is lr * gradient: sgd_step's velocity is then the
+gradient up to the sign of a zero entry, and theta - 0.0 differs from
+theta - (-0.0) only for theta = -0.0, which no step makes. Plans are never
+kept between calls, so an arena that grows between groups leaves no stale
+view.
 
 Every teacher-policy decision, fedswitch's switch included, is made in the
 four hooks of the variants module, which run_round and lockstep_update
@@ -73,8 +77,9 @@ With the labels at the server, the server fine-tunes the model on its
 labeled pool with plain SGD: server_epochs epochs in batches of
 server_batch_size at server_learning_rate, with no momentum, no weight
 decay and no augmentation (momentum and weight_decay apply to the clients
-only). The epochs run through one preallocated single-model kernel,
-nn.sgd_epochs.
+only). Its batches run the same pass as a group's, without the per-batch
+loss and finiteness test: every batch's target log-probabilities are kept,
+and finiteness is tested once per call (see server_update).
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ from .nn import (
     PassPlan,
     Workspace,
     init_params,
-    sgd_epochs,
 )
 from .rng import derive_seed
 from .semisup import KlStats, SslHyper, batch_label_kl
@@ -412,10 +416,8 @@ def lockstep_update(
                 pull = np.subtract(student.values, snapshot.values, out=scratch.values)
                 pull *= hyper.mu
                 grad.values += pull
-            # the heavy-ball step of nn.sgd_step; without momentum and weight
-            # decay its velocity is the gradient but for the sign of a zero
-            # entry, which moves no parameter (see nn.sgd_epochs), so the
-            # step is lr * gradient
+            # the heavy-ball step of nn.sgd_step, by lr * gradient without
+            # momentum and weight decay (see the module docstring)
             if velocity is None:
                 step = np.multiply(grad.values, plan.learning_rate, out=scratch.values)
             else:
@@ -492,17 +494,85 @@ def server_update(
 ) -> ParamVector:
     """Supervised epochs over the server's labeled pool: plain SGD (no
     momentum, no weight decay), no augmentation, one permutation per epoch
-    drawn from default_rng(seed). Runs through the single-model kernel
-    nn.sgd_epochs; a diverging update raises RuntimeError naming the epoch
-    and the batch.
+    drawn from default_rng(seed), in consecutive batches of batch_size (the
+    last one may be smaller). The result is bitwise that of loss_and_grad
+    with all-ones weights followed by sgd_step, batch by batch.
+
+    The epochs run on one PassPlan over a working copy of the model,
+    planned once per call as lockstep_update plans its group (see the
+    module docstring), and finiteness is tested once, at the end, on every
+    batch's loss and on the parameters: a non-finite gradient makes the
+    parameters non-finite, and no later step makes them finite again. A
+    failing call reruns its epochs from the same generator state, testing
+    every batch, and raises RuntimeError naming the first batch with a
+    non-finite loss or gradient, or else the last batch, after which the
+    parameters are non-finite.
     """
     if server_pool is None or server_pool.size == 0:
         raise ValueError("server update requires a non-empty labeled pool")
-    try:
-        return sgd_epochs(params, spec, server_pool.inputs, server_pool.labels, server_epochs,
-                          batch_size, server_learning_rate, np.random.default_rng(seed))
-    except NonFiniteError as exc:
-        raise RuntimeError(f"server update: {exc}") from None
+    inputs, labels = server_pool.inputs, server_pool.labels
+    if params.values.shape != (spec.num_params,):
+        raise ValueError(f"parameter vector shape {params.values.shape} != expected "
+                         f"({spec.num_params},)")
+    if server_pool.dim != spec.input_dim:
+        raise ValueError(f"pool inputs shape {inputs.shape} inconsistent with input_dim "
+                         f"{spec.input_dim}")
+    if labels.max() >= spec.num_classes:
+        raise ValueError("labels out of class range")
+    if server_epochs < 0 or batch_size < 1 or not (
+            math.isfinite(server_learning_rate) and server_learning_rate > 0):
+        raise ValueError(f"need epochs >= 0, batch_size >= 1 and a finite learning_rate > 0, "
+                         f"got {server_epochs}, {batch_size}, {server_learning_rate}")
+    model = ParamVector(params.values.copy(), params.spec_hash)
+    if not server_epochs:
+        return model
+
+    values = model.values
+    grad = ParamVector(np.empty_like(values), params.spec_hash)
+    step = np.empty_like(values)
+    n = server_pool.size
+    bounds = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    plan = PassPlan(model, spec, Workspace(), [(stop - start,) for start, stop in bounds])
+    batches = [(start, stop, plan.buffers[(stop - start,)]) for start, stop in bounds]
+    # a row's flat target index is its offset within its batch's logits plus
+    # its label; each epoch gathers every row's at once
+    row_offsets = np.concatenate([bufs.offsets for _, _, bufs in batches])
+    at_target = np.empty(n, dtype=np.int64)
+    # every batch's target log-probabilities, in epoch order
+    target_log_probs = np.empty((server_epochs, n))
+
+    def finite_loss(tlp: np.ndarray) -> np.ndarray:
+        # whether the mean cross-entropy of the batch tlp [..., B] is
+        # finite, summed as PassPlan.run sums it
+        return np.isfinite(np.ones((1, tlp.shape[-1])) @ -tlp[..., :, None])
+
+    def run(rng: np.random.Generator, check: bool) -> None:
+        for epoch in range(server_epochs):
+            order = rng.permutation(n)
+            epoch_inputs = inputs[order]
+            np.add(row_offsets, labels[order], out=at_target)
+            for b, (start, stop, bufs) in enumerate(batches):
+                tlp = target_log_probs[epoch, start:stop]
+                plan.run_unchecked(bufs, epoch_inputs[start:stop], at_target[start:stop], tlp,
+                                   None, grad)
+                if check and not (finite_loss(tlp).all() and np.isfinite(grad.values).all()):
+                    raise RuntimeError(f"server update: non-finite loss or gradient at epoch "
+                                       f"{epoch} batch {b}")
+                # the step of nn.sgd_step without a velocity (see the module
+                # docstring)
+                np.subtract(values, np.multiply(grad.values, server_learning_rate, out=step),
+                            out=values)
+
+    run(np.random.default_rng(seed), check=False)
+    if (all(finite_loss(target_log_probs[:, start:stop]).all() for start, stop, _ in batches)
+            and np.isfinite(values).all()):
+        return model
+    values[:] = params.values
+    run(np.random.default_rng(seed), check=True)
+    # an overflowing step shows in the next batch's loss or gradient, but not
+    # after the last step or in a unit no later batch activates
+    raise RuntimeError(f"server update: non-finite parameters after epoch {server_epochs - 1} "
+                       f"batch {len(batches) - 1}")
 
 
 def run_round(

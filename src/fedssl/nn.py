@@ -1,6 +1,6 @@
 """Minimal ReLU MLP substrate: flat parameter vectors, forward pass,
-analytic cross-entropy gradients, heavy-ball SGD, a single-model kernel for
-whole epochs of plain SGD, and a finite-difference oracle.
+analytic cross-entropy gradients planned once for a training loop,
+heavy-ball SGD, and a finite-difference oracle.
 
 All math is float64. Parameters live in a single flat vector (the unit of
 transport and aggregation); the layout is, per layer, the weight matrix in
@@ -12,20 +12,20 @@ stacked result is bitwise the result of the unstacked call on slice k:
 stacked matmul runs the same gemm per 2-D slice, and every reduction runs
 along one slice.
 
-loss_and_grad, PassPlan and the epoch kernel sgd_epochs share one forward
-pass, one cross-entropy head and one backward pass, which run on prebuilt
-pieces: the (W, b) views and their transposes, a buffer set for the batch
-shape and the flat target indices. A ParamVector keeps the (W, b) views of
-its values once it has built them (ParamVector.layers), so a model trained
-or EMA-ed in place, or a gradient buffer written batch after batch, builds
-them once. A PassPlan builds the other pieces once for every batch shape of
-a training loop and runs loss_and_grad's float operations on them;
-loss_and_grad is a PassPlan used once. It is the stacked counterpart of
-sgd_epochs: engine.lockstep_update runs each local batch through one and
-makes the SGD step itself, by lr * gradient when momentum and weight decay
-are 0, as the kernel does. The kernel builds its pieces once per call,
-reuses them for every batch, and tests finiteness once, at the end of the
-call.
+Every gradient is made by one pass: a forward pass, a cross-entropy head
+and a backward pass, run by a PassPlan on prebuilt pieces: the (W, b)
+views and their transposes, a buffer set per batch shape and the flat
+target indices. A ParamVector keeps the (W, b) views of its values once it
+has built them (ParamVector.layers), so a model trained or EMA-ed in
+place, or a gradient buffer written batch after batch, builds them once.
+A PassPlan builds the other pieces once for every batch shape of a
+training loop, and then runs only the float operations; loss_and_grad is a
+PassPlan used once. Both training loops run on one: engine.lockstep_update
+over a [K, P] stack of students, testing finiteness after every pass
+(PassPlan.run), and engine.server_update over the one server model, whose
+passes skip the per-batch loss and test (PassPlan.run_unchecked) and which
+tests finiteness once per call. Each loop makes its SGD step itself, by
+lr * gradient when momentum and weight decay are 0.
 
 Every array these passes make lives in a Workspace: named flat arenas that
 grow to the largest request and are then reused, so a training loop that
@@ -205,6 +205,9 @@ class OptimState:
     velocity: np.ndarray = field(kw_only=True)
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -289,10 +292,15 @@ class _PassBuffers:
     hidden layer, its ReLU gate; and the cross-entropy head's logit
     gradient, row maxima and sums, and target log-probabilities, with the
     flat views the head indexes. The head writes the log-probabilities over
-    the logits, the last layer's output.
+    the logits, the last layer's output. Outside the workspace: the flat
+    offset of each row's logits, and a buffer for each row's flat target
+    index, its offset plus its target.
     """
 
     def __init__(self, spec: ModelSpec, ws: Workspace, rows: tuple[int, ...]) -> None:
+        size = math.prod(rows)
+        self.offsets = np.arange(0, size * spec.num_classes, spec.num_classes).reshape(rows)
+        self.at_target = np.empty(rows, dtype=np.int64)
         self.outputs = _layer_outputs(spec, ws, rows)
         self.outputs_t = [o.swapaxes(-1, -2) for o in self.outputs]
         # the relu gate is a > 0, which is z > 0, kept as bools: they
@@ -344,76 +352,6 @@ def _forward_layers(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndar
     return z
 
 
-def _cross_entropy(logits: np.ndarray, at_target: np.ndarray, bufs: _PassBuffers,
-                   target_log_probs: np.ndarray, weights: np.ndarray | None = None,
-                   probs_out: np.ndarray | None = None,
-                   labels_out: np.ndarray | None = None) -> np.ndarray:
-    """The cross-entropy head: the gradient of the masked mean cross-entropy
-    with respect to the logits (in bufs.dlogits). Overwrites the logits with
-    the log-probabilities, and writes each row's target log-probability to
-    target_log_probs, from which _mean_loss makes the loss; with probs_out,
-    it copies the softmax probabilities there, and with labels_out, writes
-    each row's argmax class there.
-
-    at_target is the flat index of each row's target entry in the logits,
-    and target_log_probs a flat array of one entry per row; weights are the
-    [..., B] example weights, or None when every weight is 1.
-    """
-    rows = logits.shape[-2]
-    dlogits, row_max = bufs.dlogits, bufs.row_max
-    # log softmax over the logits, with dlogits as scratch
-    np.maximum.reduce(logits, axis=-1, keepdims=True, out=row_max)
-    log_probs = np.subtract(logits, row_max, out=logits)
-    np.add.reduce(np.exp(log_probs, out=dlogits), axis=-1, keepdims=True, out=bufs.row_sum)
-    log_probs -= np.log(bufs.row_sum, out=bufs.row_sum)
-    # mode="clip" (the indices are in range by construction) lets take write
-    # straight into its output
-    bufs.logits_flat.take(at_target, out=target_log_probs, mode="clip")
-
-    np.exp(log_probs, out=dlogits)
-    if probs_out is not None:
-        np.copyto(probs_out, dlogits)
-    if labels_out is not None:
-        dlogits.argmax(axis=-1, out=labels_out)
-    bufs.dlogits_flat[at_target] -= 1.0
-    if weights is None:
-        dlogits *= 1.0 / rows
-    else:
-        # the row maxima are dead: they make way for the [..., B, 1] column
-        # of weights / B
-        dlogits *= np.divide(weights[..., None], rows, out=row_max)
-    return dlogits
-
-
-def _mean_loss(target_log_probs: np.ndarray, weights_row: np.ndarray) -> np.ndarray:
-    """Masked mean cross-entropy of each slice of target log-probabilities
-    [..., B] with its [..., 1, B] example weights: (1/B) sum_i w_i * CE_i.
-    """
-    ce = -target_log_probs
-    # the row-vector product is the dot product of each slice
-    return (weights_row @ ce[..., :, None])[..., 0, 0] / target_log_probs.shape[-1]
-
-
-def _backward_layers(weights_t: list[np.ndarray], inputs: np.ndarray, dlogits: np.ndarray,
-                     grad_layers: list[tuple[np.ndarray, np.ndarray]], bufs: _PassBuffers) -> None:
-    """Backpropagate dlogits through the layers, given the transposed weight
-    views, writing every gradient into its prebuilt (gW, gb) view. Each
-    hidden activation is overwritten by the gradient with respect to it,
-    once nothing else reads it.
-    """
-    upstream = dlogits
-    for i in range(len(grad_layers) - 1, -1, -1):
-        gw, gb = grad_layers[i]
-        np.matmul(bufs.outputs_t[i - 1] if i else inputs.swapaxes(-1, -2), upstream, out=gw)
-        np.add.reduce(upstream, axis=-2, keepdims=True, out=gb)
-        if i > 0:
-            a_in, gate = bufs.outputs[i - 1], bufs.gates[i - 1]
-            # the ReLU's derivative from its output
-            np.greater(a_in, 0.0, out=gate)
-            upstream = np.matmul(upstream, weights_t[i], out=a_in)
-            upstream *= gate
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """The softmax of each row, in place."""
     logits -= logits.max(axis=-1, keepdims=True)
@@ -438,18 +376,17 @@ def forward_probs(params: ParamVector, spec: ModelSpec, inputs: np.ndarray,
 
 class PassPlan:
     """loss_and_grad over one parameter vector or [K, P] stack, planned
-    once for every batch a training loop runs on it: the stacked
-    counterpart of what sgd_epochs plans. Planned are the (W, b) views and
-    the transposed weights of params, and per batch shape (rows, [B] or
-    [K, B]) one buffer set from the workspace, taken largest first so no
-    later shape grows an arena under an earlier one, the flat offset of
-    each row's logits and a flat target-index buffer.
+    once for every batch a training loop runs on it. Planned are the (W, b)
+    views and the transposed weights of params, and per batch shape (rows,
+    [B] or [K, B]) one buffer set, in buffers, taken from the workspace
+    largest first so no later shape grows an arena under an earlier one.
 
     run() then makes only the float operations of loss_and_grad, in its
-    order, and tests finiteness where it does. It checks no shape, weight
-    or target: a loop that plans checks those once, and each target must be
-    a class index in range. The parameters may change between runs, in
-    place; the plan reads them where they live.
+    order, and tests finiteness where it does; run_unchecked() makes the
+    same float operations but the loss, and tests nothing. Neither checks a
+    shape, weight or target: a loop that plans checks those once, and each
+    target must be a class index in range. The parameters may change
+    between runs, in place; the plan reads them where they live.
     """
 
     def __init__(self, params: ParamVector, spec: ModelSpec, workspace: Workspace,
@@ -457,13 +394,8 @@ class PassPlan:
         self.spec = spec
         self.layers = params.layers(spec)
         self.weights_t = [w.swapaxes(-1, -2) for w, _ in self.layers]
-        self._shapes = {}
-        for shape in sorted(set(rows), key=math.prod, reverse=True):
-            size = math.prod(shape)
-            self._shapes[shape] = (
-                _PassBuffers(spec, workspace, shape),
-                np.arange(0, size * spec.num_classes, spec.num_classes),
-                np.empty(size, dtype=np.int64))
+        self.buffers = {shape: _PassBuffers(spec, workspace, shape)
+                        for shape in sorted(set(rows), key=math.prod, reverse=True)}
 
     def run(self, inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray,
             grad: ParamVector, probs_out: np.ndarray | None = None,
@@ -474,19 +406,72 @@ class PassPlan:
         probs_out or labels_out, the probabilities or each row's argmax
         class there. Raises NonFiniteError as loss_and_grad does.
         """
-        bufs, offsets, at_target = self._shapes[inputs.shape[:-1]]
-        # flat index of each row's target entry
-        np.add(offsets, targets.reshape(-1), out=at_target)
-        logits = _forward_layers(self.layers, inputs, bufs.outputs)
-        dlogits = _cross_entropy(logits, at_target, bufs, bufs.target_log_probs.reshape(-1),
-                                 weights, probs_out, labels_out)
-        loss = _mean_loss(bufs.target_log_probs, weights[..., None, :])
-        # the backward pass writes every entry of the gradient
-        _backward_layers(self.weights_t, inputs, dlogits, grad.layers(self.spec), bufs)
+        bufs = self.buffers[inputs.shape[:-1]]
+        np.add(bufs.offsets, targets, out=bufs.at_target)
+        self.run_unchecked(bufs, inputs, bufs.at_target, bufs.target_log_probs, weights, grad,
+                           probs_out, labels_out)
+        # (1/B) sum_i w_i * CE_i per slice: the row-vector product is the
+        # dot product of each slice
+        loss = ((weights[..., None, :] @ -bufs.target_log_probs[..., :, None])[..., 0, 0]
+                / inputs.shape[-2])
         if not (np.isfinite(loss).all() and np.isfinite(grad.values).all()):
             finite = np.isfinite(loss) & np.isfinite(grad.values).all(axis=-1)
             raise NonFiniteError("non-finite loss or gradient", int(np.argmin(finite)))
         return loss
+
+    def run_unchecked(self, bufs: _PassBuffers, inputs: np.ndarray, at_target: np.ndarray,
+                      target_log_probs: np.ndarray, weights: np.ndarray | None,
+                      grad: ParamVector, probs_out: np.ndarray | None = None,
+                      labels_out: np.ndarray | None = None) -> None:
+        """run's float work on the buffer set bufs (one of buffers) without
+        the loss or the finiteness test: the forward pass, the cross-entropy
+        head and the backward pass, writing the gradient into grad and each
+        row's target log-probability into target_log_probs, shaped as the
+        rows. at_target holds each row's flat target index, its offset in
+        bufs.offsets plus its target; weights are the [..., B] example
+        weights, or None when every weight is 1.
+        """
+        logits = _forward_layers(self.layers, inputs, bufs.outputs)
+        # the head: the gradient of the masked mean cross-entropy with
+        # respect to the logits, whose log-probabilities overwrite them; the
+        # log softmax uses dlogits as scratch
+        rows = inputs.shape[-2]
+        dlogits, row_max = bufs.dlogits, bufs.row_max
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=row_max)
+        log_probs = np.subtract(logits, row_max, out=logits)
+        np.add.reduce(np.exp(log_probs, out=dlogits), axis=-1, keepdims=True, out=bufs.row_sum)
+        log_probs -= np.log(bufs.row_sum, out=bufs.row_sum)
+        # mode="clip" (the indices are in range by construction) lets take
+        # write straight into its output
+        bufs.logits_flat.take(at_target, out=target_log_probs, mode="clip")
+        np.exp(log_probs, out=dlogits)
+        if probs_out is not None:
+            np.copyto(probs_out, dlogits)
+        if labels_out is not None:
+            dlogits.argmax(axis=-1, out=labels_out)
+        bufs.dlogits_flat[at_target] -= 1.0
+        if weights is None:
+            dlogits *= 1.0 / rows
+        else:
+            # the row maxima are dead: they make way for the [..., B, 1]
+            # column of weights / B
+            dlogits *= np.divide(weights[..., None], rows, out=row_max)
+
+        # the backward pass writes every entry of the gradient; each hidden
+        # activation is overwritten by the gradient with respect to it, once
+        # nothing else reads it
+        upstream = dlogits
+        grad_layers = grad.layers(self.spec)
+        for i in range(len(grad_layers) - 1, -1, -1):
+            gw, gb = grad_layers[i]
+            np.matmul(bufs.outputs_t[i - 1] if i else inputs.swapaxes(-1, -2), upstream, out=gw)
+            np.add.reduce(upstream, axis=-2, keepdims=True, out=gb)
+            if i > 0:
+                a_in, gate = bufs.outputs[i - 1], bufs.gates[i - 1]
+                # the ReLU's derivative from its output
+                np.greater(a_in, 0.0, out=gate)
+                upstream = np.matmul(upstream, self.weights_t[i], out=a_in)
+                upstream *= gate
 
 
 def loss_and_grad(
@@ -564,118 +549,6 @@ def sgd_step(params: ParamVector, grad: ParamVector, opt: OptimState,
     step = np.multiply(opt.velocity, opt.learning_rate, out=scratch)
     return ParamVector(np.subtract(params.values, step, out=ws.take("sgd_step", shape)),
                        params.spec_hash)
-
-
-def sgd_epochs(
-    params: ParamVector,
-    spec: ModelSpec,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    epochs: int,
-    batch_size: int,
-    learning_rate: float,
-    rng: np.random.Generator,
-) -> ParamVector:
-    """Supervised epochs of plain SGD (no momentum, no weight decay) on the
-    mean cross-entropy of one model over a labeled pool [N, d].
-
-    Each epoch visits the pool in the order of one rng.permutation(N), in
-    consecutive batches of batch_size (the last one may be smaller). The
-    result is bitwise that of loss_and_grad with all-ones weights followed
-    by sgd_step, batch by batch: the same float operations run, on views
-    into one working parameter vector and one gradient buffer. Everything a
-    batch needs besides its rows is built once per call: the transposed
-    weight views, one buffer set and all-ones weight row per batch size,
-    and each epoch's flat target indices, gathered with its inputs.
-    With momentum and weight decay 0, sgd_step's velocity is the gradient
-    up to the sign of a zero entry, and theta - 0.0 differs from
-    theta - (-0.0) only for theta = -0.0, which no step makes; so the kernel
-    steps by lr * gradient directly.
-
-    Each batch's target log-probabilities are stored, and finiteness is
-    tested once, at the end, on every batch's loss and on the parameters: a
-    non-finite gradient makes the parameters non-finite, and no later step
-    makes them finite again. A failing call reruns its epochs from the
-    generator state it was given, testing every batch, and raises
-    NonFiniteError naming the first batch with a non-finite loss or
-    gradient, or else the last batch, after which the parameters are
-    non-finite.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if params.values.shape != (spec.num_params,):
-        raise ValueError(f"parameter vector shape {params.values.shape} != expected "
-                         f"({spec.num_params},)")
-    if inputs.ndim != 2 or inputs.shape[0] < 1 or inputs.shape[1] != spec.input_dim:
-        raise ValueError(f"pool inputs shape {inputs.shape} inconsistent with input_dim "
-                         f"{spec.input_dim}")
-    if labels.shape != inputs.shape[:1]:
-        raise ValueError(f"labels shape {labels.shape} != pool size {inputs.shape[0]}")
-    if np.any(labels < 0) or np.any(labels >= spec.num_classes):
-        raise ValueError("labels out of class range")
-    if epochs < 0 or batch_size < 1 or learning_rate <= 0:
-        raise ValueError(f"need epochs >= 0, batch_size >= 1 and learning_rate > 0, got "
-                         f"{epochs}, {batch_size}, {learning_rate}")
-
-    values = params.values.copy()
-    grad_values = np.zeros_like(values)
-    step = np.empty_like(values)
-    layers = _unflatten(values, spec)
-    weights_t = [w.T for w, _ in layers]
-    grad_layers = _unflatten(grad_values, spec)
-    n = inputs.shape[0]
-    # per batch: its rows and, shared by the batches of one size, its
-    # buffers (a ragged last batch's share the workspace's memory) and its
-    # all-ones weight row
-    ws = Workspace()
-    pieces: dict[int, tuple] = {}
-    batches = []
-    for start in range(0, n, batch_size):
-        size = min(batch_size, n - start)
-        if size not in pieces:
-            pieces[size] = (_PassBuffers(spec, ws, (size,)), np.ones((1, size)))
-        batches.append((start, start + size, *pieces[size]))
-    # a row's flat target index is its offset within its batch's logits plus
-    # its label
-    row_offsets = (np.arange(n) % batch_size) * spec.num_classes
-    at_target = np.empty(n, dtype=np.int64)
-    # every batch's target log-probabilities, in epoch order
-    target_log_probs = np.empty((epochs, n))
-
-    def run(check: bool) -> None:
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_inputs = inputs[order]
-            np.add(row_offsets, labels[order], out=at_target)
-            for b, (start, stop, bufs, weights_row) in enumerate(batches):
-                x = epoch_inputs[start:stop]
-                tlp = target_log_probs[epoch, start:stop]
-                logits = _forward_layers(layers, x, bufs.outputs)
-                dlogits = _cross_entropy(logits, at_target[start:stop], bufs, tlp)
-                _backward_layers(weights_t, x, dlogits, grad_layers, bufs)
-                if check and not (math.isfinite(_mean_loss(tlp, weights_row))
-                                  and np.isfinite(grad_values).all()):
-                    raise NonFiniteError(
-                        f"non-finite loss or gradient at epoch {epoch} batch {b}")
-                np.subtract(values, np.multiply(grad_values, learning_rate, out=step),
-                            out=values)
-
-    entry_state = rng.bit_generator.state
-    run(check=False)
-    if not epochs:
-        return ParamVector(values, params.spec_hash)
-    # each batch's loss in every epoch
-    losses = [_mean_loss(target_log_probs[:, start:stop], weights_row)
-              for start, stop, _, weights_row in batches]
-    if all(np.isfinite(loss).all() for loss in losses) and np.isfinite(values).all():
-        return ParamVector(values, params.spec_hash)
-    rng.bit_generator.state = entry_state
-    values[:] = params.values
-    run(check=True)
-    # an overflowing step shows in the next batch's loss or gradient, but not
-    # after the last step or in a unit no later batch activates
-    raise NonFiniteError(
-        f"non-finite parameters after epoch {epochs - 1} batch {len(batches) - 1}")
 
 
 def central_diff(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:

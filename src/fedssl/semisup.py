@@ -90,6 +90,8 @@ class KlStats:
 def pseudo_label(probs: np.ndarray, tau: float, source: str = "student",
                  workspace: Workspace | None = None) -> PseudoBatch:
     """Argmax labels (ties to the lowest class) masked at confidence tau."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     probs = _check_probs(probs)
     ws = Workspace() if workspace is None else workspace
     rows = probs.shape[:-1]

@@ -56,6 +56,8 @@ from fedssl.semisup import (
 )
 from fedssl.variants import VariantConfig, ema_update
 
+import reference
+
 SPEC = ModelSpec(input_dim=3, hidden_dims=(4,), num_classes=3)
 AUG = AugmentConfig(0.02, 0.01, 0.06, 0.1)
 HYPER = SslHyper(tau=0.5, lambda_u=1.0, mu=0.01)
@@ -1051,9 +1053,12 @@ def test_server_update_requires_pool():
 
 
 def _server_loop(params, pool, epochs, lr, batch_size, seed, spec):
-    """The per-batch server loop the kernel replaced, kept as its oracle:
-    the trained parameters, or the (epoch, batch) of the first non-finite
-    loss or gradient.
+    """The server update as the one-client API makes it, batch by batch
+    (loss_and_grad, then sgd_step): the trained parameters, or the (epoch,
+    batch) of the first non-finite loss or gradient. It runs the same
+    planned pass as server_update, so it pins the loop around the pass
+    (order, batching, step and error naming) bitwise; the pass itself is
+    checked against tests/reference.py.
     """
     out = params.copy()
     rng = np.random.default_rng(seed)
@@ -1073,12 +1078,15 @@ def _server_loop(params, pool, epochs, lr, batch_size, seed, spec):
     return out
 
 
-@pytest.mark.parametrize("n, batch_size, epochs, hidden", [
+SERVER_SHAPES = [
     (37, 8, 3, (4,)),     # several epochs, ragged last batch of 5
     (37, 8, 2, (5, 4)),   # two hidden layers
     (12, 12, 2, (4,)),    # one batch, exactly the pool
     (12, 50, 3, (5, 4)),  # one batch, larger than the pool
-])
+]
+
+
+@pytest.mark.parametrize("n, batch_size, epochs, hidden", SERVER_SHAPES)
 def test_server_update_equals_the_per_batch_loop(n, batch_size, epochs, hidden):
     spec = ModelSpec(input_dim=3, hidden_dims=hidden, num_classes=3)
     full = gen_blobs(3, 3, 13, 0.4, seed=2)
@@ -1091,6 +1099,26 @@ def test_server_update_equals_the_per_batch_loop(n, batch_size, epochs, hidden):
     assert out.values.tobytes() == expect.values.tobytes()
     assert out.spec_hash == params.spec_hash
     assert np.array_equal(params.values, before)
+
+
+@pytest.mark.parametrize("n, batch_size, epochs, hidden", SERVER_SHAPES)
+def test_server_update_matches_the_textbook_reference(n, batch_size, epochs, hidden):
+    spec = ModelSpec(input_dim=3, hidden_dims=hidden, num_classes=3)
+    full = gen_blobs(3, 3, 13, 0.4, seed=2)
+    keep = np.random.default_rng(0).permutation(full.size)[:n]
+    pool = Dataset(full.inputs[keep], full.labels[keep], full.num_classes)
+    params = init_params(spec, 3)
+    out = server_update(params, pool, epochs, 0.3, batch_size, seed=11, spec=spec)
+    expect = reference.sgd_epochs(params.values, spec, pool.inputs, pool.labels, epochs,
+                                  batch_size, 0.3, seed=11)
+    assert not np.allclose(expect, params.values, **reference.TOLERANCE)
+    np.testing.assert_allclose(out.values, expect, **reference.TOLERANCE)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+def test_server_update_rejects_a_learning_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="finite learning_rate > 0"):
+        server_update(init_params(SPEC, 0), _pool(), 1, rate, 8, 0, SPEC)
 
 
 @pytest.mark.parametrize("epochs", [0, 2])

@@ -19,6 +19,8 @@ from fedssl.nn import (
     sgd_step,
 )
 
+import reference
+
 
 def small_spec(hidden=(5,), d=4, c=3):
     return ModelSpec(input_dim=d, hidden_dims=tuple(hidden), num_classes=c)
@@ -240,6 +242,66 @@ class TestStackedBatches:
             plan.run(x, targets, np.ones_like(weights), grad)
         assert info.value.index == 2
 
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_the_unchecked_pass_writes_what_run_writes(self, stacked):
+        # run is run_unchecked plus the loss and the finiteness test: on a
+        # [K, B] stack and on one row, both write bitwise the same gradient,
+        # target log-probabilities, probabilities and argmax labels
+        spec, params, x, targets, weights = self._stack()
+        if not stacked:
+            params = ParamVector(params.values[1], spec.spec_hash)
+            x, targets, weights = x[1], targets[1], weights[1]
+        rows = targets.shape
+        ws = Workspace()
+        plan = PassPlan(params, spec, ws, [rows])
+        bufs = plan.buffers[rows]
+        written = []
+        for run in (True, False):
+            grad = ParamVector(np.empty(params.values.shape), spec.spec_hash)
+            probs = np.empty((*rows, spec.num_classes))
+            labels = np.empty(rows, dtype=np.int64)
+            tlp = np.empty(rows)
+            if run:
+                plan.run(x, targets, weights, grad, probs, labels)
+                tlp[...] = bufs.target_log_probs
+            else:
+                at_target = bufs.offsets + targets
+                plan.run_unchecked(bufs, x, at_target, tlp, weights, grad, probs, labels)
+            written.append([a.tobytes() for a in (grad.values, tlp, probs, labels)])
+        assert written[0] == written[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_unchecked_pass_raises_nothing_where_run_names_the_bad_slice(self):
+        spec, params, x, targets, weights = self._stack()
+        x[1, 2, 0] = np.inf
+        x[3, 0, 0] = np.nan
+        rows = targets.shape
+        plan = PassPlan(params, spec, Workspace(), [rows])
+        grad = ParamVector(np.empty(params.values.shape), spec.spec_hash)
+        bufs = plan.buffers[rows]
+        tlp = np.empty(rows)
+        plan.run_unchecked(bufs, x, bufs.offsets + targets, tlp, None, grad)
+        assert not np.isfinite(grad.values[1]).all() and np.isfinite(grad.values[0]).all()
+        with pytest.raises(NonFiniteError) as info:
+            plan.run(x, targets, np.ones(rows), grad)
+        assert info.value.index == 1
+
+    def test_a_planned_pass_matches_the_textbook_reference(self):
+        # the planned pass on a [K, B] stack with masked rows, slice by
+        # slice against a reference that shares none of its code
+        spec, params, x, targets, weights = self._stack()
+        ws = Workspace()
+        grad = ParamVector(np.empty(params.values.shape), spec.spec_hash)
+        probs = np.empty((*targets.shape, spec.num_classes))
+        loss = PassPlan(params, spec, ws, [targets.shape]).run(x, targets, weights, grad, probs)
+        assert weights.min() == 0.0
+        for k in range(len(x)):
+            ref_loss, ref_grad, ref_probs = reference.loss_and_grad(
+                params.values[k], spec, x[k], targets[k], weights[k])
+            np.testing.assert_allclose(loss[k], ref_loss, **reference.TOLERANCE)
+            np.testing.assert_allclose(grad.values[k], ref_grad, **reference.TOLERANCE)
+            np.testing.assert_allclose(probs[k], ref_probs, **reference.TOLERANCE)
+
     def test_sgd_step_steps_each_slice(self):
         spec, params, x, targets, weights = self._stack()
         _, grad = loss_and_grad(params, spec, Batch(x), targets, weights)
@@ -316,6 +378,13 @@ class TestSgdStep:
         bad = ParamVector(np.zeros(len(p) + 1), p.spec_hash)
         with pytest.raises(ValueError):
             sgd_step(p, bad, OptimState(learning_rate=0.1, velocity=np.zeros(len(p))))
+
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_rate(self, name, value):
+        rates = {"learning_rate": 0.1, "momentum": 0.5, "weight_decay": 0.01, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OptimState(**rates, velocity=np.zeros(4))
 
 
 class TestFiniteDiff:

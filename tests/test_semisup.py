@@ -45,6 +45,12 @@ def test_pseudo_label_tiny_tau_unmasks_all():
     assert pb.mask.tolist() == [1.0] * 7
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_pseudo_label_rejects_a_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        pseudo_label(np.array([[0.96, 0.02, 0.02]]), tau=tau)
+
+
 def test_pseudo_label_source_tag():
     pb = pseudo_label(np.array([[1.0, 0.0]]), tau=0.5, source="teacher")
     assert pb.source == "teacher"
